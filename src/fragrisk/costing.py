@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .report import ScenarioReport
-from .topology import Topology, affected_fraction
+from .topology import Topology, affected_fractions
 
 FIXED_PORT_ROLES = frozenset({"spine", "leaf"})
 
@@ -62,7 +64,9 @@ def _design_metrics(t: Topology, c: CostAssumptions, ports: Mapping[str, int]) -
         total_price += n * c.price_per_port(d.role)
         total_watts += n * c.watts_per_port(d.role)
 
-    worst = max((affected_fraction(t, {d.id}) for d in t.devices), default=0.0)
+    # row i of the identity mask fails device i alone
+    single = affected_fractions(t, np.eye(len(t.devices), dtype=bool))
+    worst = float(single.max(initial=0.0))
     return {
         "total_ports": float(total_ports),
         "total_price": total_price,

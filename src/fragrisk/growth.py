@@ -62,11 +62,13 @@ class GrowthSpec:
 
     def __post_init__(self):
         if self.kind == "sigmoid":
-            if self.saturation_capacity is None or not self.saturation_capacity > 0:
-                raise ValueError("sigmoid growth needs a positive saturation_capacity")
+            size = self.saturation_capacity
+            if size is None or not 0 < size < math.inf:
+                raise ValueError(f"sigmoid growth needs a positive, finite saturation_capacity, got {size}")
         elif self.kind == "linear":
-            if self.ports_per_switch is None or not self.ports_per_switch > 0:
-                raise ValueError("linear growth needs a positive ports_per_switch")
+            size = self.ports_per_switch
+            if size is None or not 0 < size < math.inf:
+                raise ValueError(f"linear growth needs a positive, finite ports_per_switch, got {size}")
         else:
             raise ValueError(f"growth kind must be 'sigmoid' or 'linear', got {self.kind!r}")
 

@@ -9,6 +9,7 @@ value under a Pareto error model via paired Monte Carlo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,6 +33,9 @@ class HarmParams:
             raise ValueError(f"harm scale k must be positive, got {self.k}")
         if not self.beta >= 0:
             raise ValueError(f"harm exponent beta must be nonnegative, got {self.beta}")
+        for name in ("k", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"harm parameter {name} must be finite, got {getattr(self, name)}")
 
     @property
     def guarantees_fragmentation_benefit(self) -> bool:

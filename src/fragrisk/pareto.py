@@ -10,6 +10,7 @@ across concentration levels and depends only on K, alpha, and beta.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +31,9 @@ class ParetoParams:
             raise ValueError(f"tail index alpha must be positive, got {self.alpha}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+        for name in ("alpha", "scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"Pareto parameter {name} must be finite, got {getattr(self, name)}")
 
 
 def _check_fragments(fragments: int) -> int:

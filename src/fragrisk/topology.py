@@ -7,6 +7,16 @@ access or leaf devices.  Failures remove whole devices; ``affected_fraction``
 measures the share of host pairs that lose connectivity, and
 ``failure_harm_mc`` feeds that fraction into the harm transform.
 
+Graph work runs on an indexed form that each ``Topology`` caches: a
+device -> index map, ``int32`` link endpoint arrays and per-device host
+counts.  One connectivity kernel serves every fault-domain query: it takes an
+``(m, n_devices)`` boolean failure mask and labels all m surviving graphs with
+one block-diagonal ``scipy.sparse.csgraph.connected_components`` call per
+bounded block of rows.  ``hop_histogram`` runs unweighted
+``csgraph.shortest_path`` from the host-bearing devices and weights each
+device pair by its host pairs.  The pure-Python breadth-first searches that
+check these results live in ``fragrisk.verify`` only.
+
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
 
@@ -25,11 +35,12 @@ emitted form reproduces the topology exactly.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .harm import HarmParams, harm
 
@@ -43,6 +54,15 @@ HOST_ROLES = frozenset({"access", "leaf"})
 UNREACHABLE = -1
 
 FORMAT_HEADER = "topology/1"
+
+# Rows of one connectivity-kernel block are capped so that a block holds
+# about this many link-plus-device slots; larger blocks only cost memory.
+_KERNEL_BLOCK_SLOTS = 50_000
+
+# failure_harm_mc deduplicates failure patterns over mask chunks of about
+# this many cells, filled from uniform draws of at most _DRAW_CELLS at a time.
+_SAMPLE_CHUNK_CELLS = 2_000_000
+_DRAW_CELLS = 250_000
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -165,12 +185,26 @@ class Topology:
     def all_host_ids(self) -> tuple[str, ...]:
         return tuple(sorted([h for h, _ in self.hosts] + list(self.detached_hosts)))
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {d.id: set() for d in self.devices}
-        for a, b in self.links:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+    @cached_property
+    def device_index(self) -> dict[str, int]:
+        """Position of each device id in ``devices``."""
+        return {d.id: i for i, d in enumerate(self.devices)}
+
+    @cached_property
+    def link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``int32`` device indices of both ends of every link."""
+        index = self.device_index
+        ends = np.array([(index[a], index[b]) for a, b in self.links], dtype=np.int32).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends[:, 0], ends[:, 1]
+
+    @cached_property
+    def device_host_counts(self) -> np.ndarray:
+        """Read-only ``int64`` number of attached hosts per device index."""
+        index = self.device_index
+        counts = np.bincount([index[d] for _, d in self.hosts], minlength=len(self.devices)).astype(np.int64)
+        counts.flags.writeable = False
+        return counts
 
 
 def build_three_tier(
@@ -250,40 +284,37 @@ def build_spine_leaf(
     return Topology(tuple(devices), tuple(links), tuple(hosts))
 
 
-def _bfs_distances(adj: dict[str, set[str]], source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nbr in adj[node]:
-            if nbr not in dist:
-                dist[nbr] = dist[node] + 1
-                queue.append(nbr)
-    return dist
-
-
 def hop_histogram(t: Topology) -> dict[int, int]:
     """Histogram of shortest device-hop counts over all unordered host pairs.
 
     Hosts on the same device count as 0 hops.  Pairs with no path (including
     pairs involving detached hosts) land in the ``UNREACHABLE`` (-1) bucket.
+    Only buckets with at least one pair appear.
     """
-    adj = t.adjacency()
-    attach = t.host_attachment
-    sources = sorted(set(attach.values()))
-    dist_from = {s: _bfs_distances(adj, s) for s in sources}
+    counts = t.device_host_counts
+    sources = np.flatnonzero(counts)
+    c = counts[sources]
+    a, b = t.link_endpoints
+    n = len(t.devices)
+    graph = csr_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
 
-    histogram: dict[int, int] = {}
-    host_ids = t.all_host_ids
-    for i in range(len(host_ids)):
-        for j in range(i + 1, len(host_ids)):
-            a, b = host_ids[i], host_ids[j]
-            if a not in attach or b not in attach:
-                hops = UNREACHABLE
-            else:
-                hops = dist_from[attach[a]].get(attach[b], UNREACHABLE)
-            histogram[hops] = histogram.get(hops, 0) + 1
-    return histogram
+    # Ordered host pairs by hop count (index hops + 1): device pair (i, j)
+    # carries c_i * c_j of them, and device i itself c_i * (c_i - 1).  Rows of
+    # sources go in bounded blocks; every unordered pair is counted twice.
+    ordered = np.zeros(n + 1, dtype=np.int64)
+    step = max(1, _KERNEL_BLOCK_SLOTS // max(1, n))
+    for start in range(0, len(sources), step):
+        block = slice(start, start + step)
+        dist = shortest_path(graph, directed=False, unweighted=True, indices=sources[block])[:, sources]
+        hops = np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int64)
+        weight = c[block, None] * c
+        rows = np.arange(len(weight))
+        weight[rows, start + rows] -= c[block]
+        np.add.at(ordered, hops.ravel() + 1, weight.ravel())
+
+    attached, detached = len(t.hosts), len(t.detached_hosts)
+    ordered[UNREACHABLE + 1] += 2 * detached * attached + detached * (detached - 1)
+    return {k - 1: int(v) // 2 for k, v in enumerate(ordered) if v}
 
 
 def inject_failures(t: Topology, failed: set[str]) -> Topology:
@@ -303,36 +334,56 @@ def inject_failures(t: Topology, failed: set[str]) -> Topology:
     return Topology(devices, links, hosts, detached)
 
 
-def _connected_pairs(t: Topology, failed: set[str]) -> int:
-    """Number of host pairs that can still communicate after the failures."""
-    surviving = t.device_ids - failed
-    adj = {d: set() for d in surviving}
-    for a, b in t.links:
-        if a in surviving and b in surviving:
-            adj[a].add(b)
-            adj[b].add(a)
+def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
+    """Host pairs that can still communicate, for each row of a failure mask.
 
-    component: dict[str, int] = {}
-    label = 0
-    for node in adj:
-        if node in component:
-            continue
-        component[node] = label
-        queue = deque([node])
-        while queue:
-            cur = queue.popleft()
-            for nbr in adj[cur]:
-                if nbr not in component:
-                    component[nbr] = label
-                    queue.append(nbr)
-        label += 1
+    ``failed`` is an ``(m, n_devices)`` boolean array over device indices.
+    Each block of rows becomes one block-diagonal graph (row r's device i is
+    node r * n_devices + i) holding the links whose ends both survive, so one
+    ``connected_components`` call labels every row's graph.  A component with
+    c surviving attached hosts contributes c * (c - 1) / 2 pairs.  Counts are
+    exact ``int64``.
+    """
+    m, n = failed.shape
+    a, b = t.link_endpoints
+    counts = t.device_host_counts
+    out = np.zeros(m, dtype=np.int64)
+    if n == 0:
+        return out
+    step = max(1, _KERNEL_BLOCK_SLOTS // (len(a) + n))
+    for start in range(0, m, step):
+        alive = ~failed[start : start + step]
+        rows = len(alive)
+        row, link = np.nonzero(alive[:, a] & alive[:, b])
+        offset = row.astype(np.int64) * n
+        graph = csr_matrix(
+            (np.ones(len(link), dtype=np.int8), (offset + a[link], offset + b[link])),
+            shape=(rows * n, rows * n),
+        )
+        n_comp, labels = connected_components(graph, directed=False)
+        # host counts are integers far below 2**53, so float sums are exact
+        hosts = np.bincount(labels, weights=(alive * counts).ravel(), minlength=n_comp).astype(np.int64)
+        comp_row = np.empty(n_comp, dtype=np.int64)
+        comp_row[labels] = np.arange(rows * n) // n
+        np.add.at(out, start + comp_row, hosts * (hosts - 1) // 2)
+    return out
 
-    per_component: dict[int, int] = {}
-    for _, dev in t.hosts:
-        if dev in surviving:
-            c = component[dev]
-            per_component[c] = per_component.get(c, 0) + 1
-    return sum(n * (n - 1) // 2 for n in per_component.values())
+
+def affected_fractions(t: Topology, failed: np.ndarray) -> np.ndarray:
+    """``affected_fraction`` for each row of an ``(m, n_devices)`` failure mask.
+
+    Column i of ``failed`` is ``t.devices[i]``.  One connectivity-kernel pass
+    serves all rows; each value equals the single-set ``affected_fraction``
+    bit for bit.
+    """
+    failed = np.asarray(failed, dtype=bool)
+    if failed.ndim != 2 or failed.shape[1] != len(t.devices):
+        raise ValueError(f"failure mask must have shape (m, {len(t.devices)}), got {failed.shape}")
+    n_hosts = len(t.all_host_ids)
+    total = n_hosts * (n_hosts - 1) // 2
+    if total == 0:
+        return np.zeros(len(failed))
+    return (total - _connected_pairs(t, failed)) / total
 
 
 def affected_fraction(t: Topology, failed: set[str]) -> float:
@@ -346,11 +397,9 @@ def affected_fraction(t: Topology, failed: set[str]) -> float:
     unknown = failed - t.device_ids
     if unknown:
         raise ValueError(f"unknown device ids: {sorted(unknown)}")
-    n_hosts = len(t.all_host_ids)
-    total = n_hosts * (n_hosts - 1) // 2
-    if total == 0:
-        return 0.0
-    return (total - _connected_pairs(t, failed)) / total
+    mask = np.zeros((1, len(t.devices)), dtype=bool)
+    mask[0, [t.device_index[d] for d in failed]] = True
+    return float(affected_fractions(t, mask)[0])
 
 
 @dataclass(frozen=True)
@@ -394,32 +443,38 @@ def failure_harm_mc(
 
     Each trial fails every device independently with its role's probability,
     measures the affected fraction of host pairs, and applies the harm
-    transform to it.  Returns the sample mean and the p50/p90/p99 severity
-    quantiles.  Deterministic per seed.
+    transform to it.  Trials are deduplicated by failure pattern within each
+    sampling chunk, so the connectivity kernel and the harm transform run
+    once per distinct pattern of a chunk.  Returns the sample mean and the
+    p50/p90/p99 severity quantiles.  Deterministic per seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ids = [d.id for d in t.devices]
     probs = np.array([fm.probability(d.role) for d in t.devices])
     rng = np.random.default_rng(seed)
 
-    chunk = max(1, int(2e7) // max(1, len(ids)))
-    harm_cache: dict[bytes, float] = {}
+    width = max(1, len(probs))
+    chunk = min(trials, max(1, _SAMPLE_CHUNK_CELLS // width))
+    draw_rows = min(chunk, max(1, _DRAW_CELLS // width))
+    # one mask buffer and one smaller uniform-draw buffer serve every chunk
+    mask = np.empty((chunk, len(probs)), dtype=bool)
+    draws = np.empty((draw_rows, len(probs)))
     samples = np.empty(trials)
-    done = 0
-    while done < trials:
+    for done in range(0, trials, chunk):
         n = min(chunk, trials - done)
-        fails = rng.random((n, len(ids))) < probs
-        patterns, inverse = np.unique(fails, axis=0, return_inverse=True)
-        values = np.empty(len(patterns))
-        for idx, row in enumerate(patterns):
-            key = row.tobytes()
-            if key not in harm_cache:
-                failed = {ids[i] for i in np.flatnonzero(row)}
-                harm_cache[key] = harm(h, affected_fraction(t, failed))
-            values[idx] = harm_cache[key]
+        fails = mask[:n]
+        for row in range(0, n, draw_rows):
+            part = fails[row : row + draw_rows]
+            np.less(rng.random(out=draws[: len(part)]), probs, out=part)
+        # one opaque bytes key per row: a 1-D unique, not a row-wise sort
+        keys = np.packbits(fails, axis=1)
+        if keys.shape[1] == 0:  # no devices: every trial is the empty pattern
+            keys = np.zeros((n, 1), dtype=np.uint8)
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        fractions = affected_fractions(t, fails[first])
+        values = np.array([harm(h, f) for f in fractions.tolist()])
         samples[done : done + n] = values[inverse]
-        done += n
 
     # severity quantiles: the q-th worst harm sits at the (1-q) quantile of
     # the signed (nonpositive) values

@@ -3,7 +3,8 @@
 Every closed form in the package is re-derived here by an independent route:
 adaptive quadrature for densities and the error function, Monte Carlo and
 exhaustive enumeration for expectations, per-pair breadth-first search for
-connectivity.  Each check reports pass/fail against its pinned tolerance.
+connectivity and hop counts.  Each check reports pass/fail against its pinned
+tolerance.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .pareto import (
     tail_mean,
 )
 from .topology import (
+    UNREACHABLE,
     FailureModel,
     Topology,
     affected_fraction,
@@ -38,6 +40,7 @@ from .topology import (
     build_three_tier,
     failure_harm_mc,
     hop_histogram,
+    inject_failures,
 )
 
 VERIFY_SEED = 42
@@ -117,27 +120,33 @@ def histogram_l1_distance(
     return distance
 
 
-def bfs_reachable(adj: dict[str, set[str]], source: str) -> set[str]:
-    seen = {source}
+def bfs_distances(adj: dict[str, set[str]], source: str) -> dict[str, int]:
+    """Hop count from ``source`` to every device it can reach."""
+    dist = {source: 0}
     queue = deque([source])
     while queue:
         node = queue.popleft()
         for nbr in adj[node]:
-            if nbr not in seen:
-                seen.add(nbr)
+            if nbr not in dist:
+                dist[nbr] = dist[node] + 1
                 queue.append(nbr)
-    return seen
+    return dist
 
 
-def affected_fraction_bfs(t: Topology, failed: set[str]) -> float:
-    """Brute-force affected fraction: BFS reachability checked pair by pair."""
-    surviving = t.device_ids - set(failed)
+def _adjacency(t: Topology, surviving: frozenset[str]) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {d: set() for d in surviving}
     for a, b in t.links:
         if a in surviving and b in surviving:
             adj[a].add(b)
             adj[b].add(a)
-    reach = {dev: bfs_reachable(adj, dev) for dev in surviving}
+    return adj
+
+
+def affected_fraction_bfs(t: Topology, failed: set[str]) -> float:
+    """Brute-force affected fraction: BFS reachability checked pair by pair."""
+    surviving = t.device_ids - set(failed)
+    adj = _adjacency(t, surviving)
+    reach = {dev: bfs_distances(adj, dev) for dev in surviving}
 
     attach = t.host_attachment
     hosts = t.all_host_ids
@@ -153,6 +162,26 @@ def affected_fraction_bfs(t: Topology, failed: set[str]) -> float:
             elif b not in reach[a]:
                 disconnected += 1
     return disconnected / total if total else 0.0
+
+
+def hop_histogram_bfs(t: Topology) -> dict[int, int]:
+    """Brute-force hop histogram: BFS distances looked up pair by pair."""
+    adj = _adjacency(t, t.device_ids)
+    attach = t.host_attachment
+    dist_from = {dev: bfs_distances(adj, dev) for dev in set(attach.values())}
+
+    histogram: dict[int, int] = {}
+    hosts = t.all_host_ids
+    for i in range(len(hosts)):
+        for j in range(i + 1, len(hosts)):
+            a = attach.get(hosts[i])
+            b = attach.get(hosts[j])
+            if a is None or b is None:
+                hops = UNREACHABLE
+            else:
+                hops = dist_from[a].get(b, UNREACHABLE)
+            histogram[hops] = histogram.get(hops, 0) + 1
+    return histogram
 
 
 def exhaustive_failure_harm(
@@ -405,6 +434,27 @@ def check_affected_fraction_oracle(
     )
 
 
+def check_hop_histogram_oracle(
+    cases: int = 100, seed: int = VERIFY_SEED, max_devices: int = 30
+) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    injected = 0
+    for _ in range(cases):
+        t = random_topology(rng, max_devices)
+        if rng.random() < 0.5:
+            t = inject_failures(t, random_failed_set(rng, t))
+            injected += 1
+        if hop_histogram(t) != hop_histogram_bfs(t):
+            mismatches += 1
+    return CheckResult(
+        "hops-vs-bfs",
+        mismatches == 0,
+        f"{cases} random topologies (<= {max_devices} devices, {injected} with injected failures), "
+        f"{mismatches} histograms differ",
+    )
+
+
 def check_failure_harm_enumeration(trials: int = 10**5, seed: int = VERIFY_SEED) -> CheckResult:
     h = HarmParams(k=1.0, beta=1.5)
     fm = FailureModel.uniform(0.05)
@@ -491,6 +541,7 @@ def run_all_checks(seed: int = VERIFY_SEED) -> list[CheckResult]:
         check_degradation_curve(),
         check_hop_claims(),
         check_affected_fraction_oracle(seed=seed),
+        check_hop_histogram_oracle(seed=seed),
         check_failure_harm_enumeration(seed=seed),
         check_erf_accuracy(),
         check_growth_model(seed=seed),

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +190,140 @@ class TestDeterminism:
         run(args + ["--seed", "42", "--out", str(a)])
         run(args + ["--seed", "43", "--out", str(b)])
         assert read_bytes(a) != read_bytes(b)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_subprocess(args, timeout=60):
+    """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "fragrisk", *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+NON_FINITE_ARGS = [
+    ["growth", "--saturation", "inf"],
+    ["risk", "tail-mean", "--alpha", "inf"],
+    ["risk", "tail-mean", "--alpha", "nan"],
+    ["risk", "density", "--scale", "inf"],
+    ["harm-curve", "--k", "inf"],
+    ["jensen", "--beta", "inf"],
+]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("args", NON_FINITE_ARGS[:2])
+    def test_exits_cleanly_within_timeout(self, args):
+        # growth used to bisect towards inf forever; tail-mean printed nan
+        proc = run_subprocess(args)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error:") and "finite" in proc.stderr
+
+    @pytest.mark.parametrize("args", NON_FINITE_ARGS)
+    def test_no_report_written(self, tmp_path, capsys, args):
+        out = tmp_path / "report.csv"
+        assert run(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
+# Reports on small fabrics, captured from the per-pattern BFS implementation;
+# the array kernel must reproduce them byte for byte.
+PINNED = {
+    "hops.tt": """# command: topo-hops
+# config_hash: df7d2b15dae2e7fb
+# unreachable_bucket: -1
+# version: 0.1.0
+hops,pairs
+0,6
+2,60
+""",
+    "hops.inj": """# command: topo-hops
+# config_hash: df7d2b15dae2e7fb
+# unreachable_bucket: -1
+# version: 0.1.0
+hops,pairs
+-1,21
+0,5
+2,32
+4,8
+""",
+    "harm.sl": """# command: topo-harm
+# config_hash: a56f5a445ca02edf
+# seed: 7
+# version: 0.1.0
+expected_harm,p50,p90,p99
+-0.05917166882555279,0,-0.30645448293783728,-0.67926519276618424
+""",
+    "harm.tt": """# command: topo-harm
+# config_hash: 8df6d1ee344841e2
+# seed: 11
+# version: 0.1.0
+expected_harm,p50,p90,p99
+-0.12878598263053803,0,-0.4368773121862799,-0.67926519276618424
+""",
+    "harm.inj": """# command: topo-harm
+# config_hash: c4144c0e53ee538a
+# seed: 5
+# version: 0.1.0
+expected_harm,p50,p90,p99
+-0.27855744094720192,-0.17947875107838016,-0.4368773121862799,-0.82380815546277786
+""",
+    "compare": """# command: compare
+# config_hash: df7d2b15dae2e7fb
+# version: 0.1.0
+metric,design_a,design_b,ratio_b_over_a
+total_ports,528,288,0.54545454545454541
+total_price,528,72,0.13636363636363635
+total_watts,528,72,0.13636363636363635
+price_per_port,1,0.25,0.25
+watts_per_port,1,0.25,0.25
+max_single_device_affected,0.31818181818181818,0.45454545454545453,1.4285714285714286
+""",
+    "compare.inj": """# command: compare
+# config_hash: df7d2b15dae2e7fb
+# version: 0.1.0
+metric,design_a,design_b,ratio_b_over_a
+total_ports,432,288,0.66666666666666663
+total_price,432,72,0.16666666666666666
+total_watts,432,72,0.16666666666666666
+price_per_port,1,0.25,0.25
+watts_per_port,1,0.25,0.25
+max_single_device_affected,0.74242424242424243,0.45454545454545453,0.61224489795918369
+""",
+}
+
+
+class TestPinnedReports:
+    @pytest.fixture
+    def fabrics(self, tmp_path):
+        sl, tt, inj = (str(tmp_path / name) for name in ("sl.txt", "tt.txt", "inj.txt"))
+        assert run(["topo", "build", "--kind", "spine-leaf", "--spines", "2", "--leaves", "4",
+                    "--hosts-per-leaf", "3", "--out", sl]) == 0
+        assert run(["topo", "build", "--kind", "three-tier", "--cores", "2", "--distributions", "3",
+                    "--access-per-distribution", "2", "--hosts-per-access", "2", "--dual-homed",
+                    "--out", tt]) == 0
+        assert run(["topo", "fail", "--topology", tt, "--fail", "dist1,acc0", "--emit", inj,
+                    "--out", str(tmp_path / "fail.csv")]) == 0
+        return {"sl": sl, "tt": tt, "inj": inj}
+
+    def test_reports_byte_identical(self, fabrics, tmp_path):
+        commands = {
+            "hops.tt": ["topo", "hops", "--topology", fabrics["tt"]],
+            "hops.inj": ["topo", "hops", "--topology", fabrics["inj"]],
+            "harm.sl": ["topo", "harm", "--topology", fabrics["sl"], "--p", "0.05", "--trials", "2000",
+                        "--seed", "7"],
+            "harm.tt": ["topo", "harm", "--topology", fabrics["tt"], "--p", "0.1", "--trials", "3000",
+                        "--seed", "11"],
+            "harm.inj": ["topo", "harm", "--topology", fabrics["inj"], "--p-role", "core=0.2",
+                         "--p-role", "access=0.05", "--trials", "1500", "--seed", "5"],
+            "compare": ["compare", "--a", fabrics["tt"], "--b", fabrics["sl"]],
+            "compare.inj": ["compare", "--a", fabrics["inj"], "--b", fabrics["sl"]],
+        }
+        for name, args in commands.items():
+            out = tmp_path / f"{name}.csv"
+            assert run(args + ["--out", str(out)]) == 0
+            assert read_bytes(out) == PINNED[name].encode(), name

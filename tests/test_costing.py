@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from fragrisk import CostAssumptions, build_spine_leaf, build_three_tier, compare_designs
+from fragrisk import CostAssumptions, build_spine_leaf, build_three_tier, compare_designs, inject_failures
+from fragrisk.verify import affected_fraction_bfs, random_failed_set, random_topology
 
 ALL_PORTS = {"core": 48, "distribution": 48, "access": 48, "spine": 48, "leaf": 48}
 
@@ -72,6 +74,16 @@ class TestCompareDesigns:
         # 3-tier build, a leaf strands 3 of 6 in the fabric
         assert rows["max_single_device_affected"][1] == pytest.approx(5 / 6)
         assert rows["max_single_device_affected"][2] == 0.5
+
+    def test_fault_domain_matches_per_device_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            a = random_topology(rng, max_devices=30)
+            b = inject_failures(a, random_failed_set(rng, a))
+            rows = metric_rows(compare_designs(a, b, CostAssumptions(), ALL_PORTS))
+            for col, t in ((1, a), (2, b)):
+                worst = max((affected_fraction_bfs(t, {d.id}) for d in t.devices), default=0.0)
+                assert rows["max_single_device_affected"][col] == worst
 
     def test_total_ports(self):
         report = compare_designs(

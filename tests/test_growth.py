@@ -55,6 +55,13 @@ class TestGrowthSpec:
         with pytest.raises(ValueError):
             GrowthSpec("cubic")
 
+    def test_non_finite_rejected(self):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                GrowthSpec.sigmoid(value)
+            with pytest.raises(ValueError, match="finite"):
+                GrowthSpec.linear(value)
+
 
 class TestCapacityAt:
     def test_sigmoid_starts_at_zero(self):

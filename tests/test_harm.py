@@ -28,6 +28,11 @@ class TestHarmParams:
         with pytest.raises(ValueError):
             HarmParams(k=1.0, beta=-0.1)
 
+    @pytest.mark.parametrize("k, beta", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_non_finite(self, k, beta):
+        with pytest.raises(ValueError):
+            HarmParams(k=k, beta=beta)
+
     def test_benefit_flag_tracks_convexity(self):
         assert HarmParams(1.0, 1.0).guarantees_fragmentation_benefit
         assert HarmParams(1.0, 2.5).guarantees_fragmentation_benefit

@@ -32,6 +32,11 @@ class TestParetoParams:
         with pytest.raises(ValueError):
             ParetoParams(alpha=2.0, scale=0.0)
 
+    @pytest.mark.parametrize("alpha, scale", [(math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_non_finite(self, alpha, scale):
+        with pytest.raises(ValueError):
+            ParetoParams(alpha=alpha, scale=scale)
+
 
 class TestParetoDensity:
     def test_boundary_value(self):

@@ -15,15 +15,19 @@ from fragrisk import (
     build_spine_leaf,
     build_three_tier,
     failure_harm_mc,
+    harm,
     hop_histogram,
     inject_failures,
     parse_topology,
     serialize_topology,
 )
-from fragrisk.topology import UNREACHABLE
+from fragrisk import topology
+from fragrisk.topology import UNREACHABLE, affected_fractions
 from fragrisk.verify import (
     affected_fraction_bfs,
+    check_hop_histogram_oracle,
     exhaustive_failure_harm,
+    hop_histogram_bfs,
     random_failed_set,
     random_topology,
 )
@@ -47,6 +51,40 @@ def networkx_affected_fraction(t: Topology, failed: set[str]) -> float:
             elif not nx.has_path(g, a, b):
                 disconnected += 1
     return disconnected / total if total else 0.0
+
+
+def networkx_hop_histogram(t: Topology) -> dict[int, int]:
+    """Third, independent route: networkx shortest path lengths per host pair."""
+    g = nx.Graph()
+    g.add_nodes_from(t.device_ids)
+    g.add_edges_from(t.links)
+    lengths = dict(nx.all_pairs_shortest_path_length(g))
+    attach = t.host_attachment
+    hosts = t.all_host_ids
+    histogram: dict[int, int] = {}
+    for i in range(len(hosts)):
+        for j in range(i + 1, len(hosts)):
+            a, b = attach.get(hosts[i]), attach.get(hosts[j])
+            hops = UNREACHABLE if a is None or b is None else lengths[a].get(b, UNREACHABLE)
+            histogram[hops] = histogram.get(hops, 0) + 1
+    return histogram
+
+
+def random_case(seed: int) -> Topology:
+    """Random fabric of up to 30 devices, with injected failures 1 time in 3."""
+    rng = np.random.default_rng(seed)
+    t = random_topology(rng, max_devices=30)
+    if rng.random() < 1 / 3:
+        t = inject_failures(t, random_failed_set(rng, t))
+    return t
+
+
+def failed_ids(t: Topology, row) -> set[str]:
+    return {d.id for d, hit in zip(t.devices, row) if hit}
+
+
+NO_DEVICES = Topology((), (), (), ("h0", "h1", "h2"))
+ONE_HOST = build_spine_leaf(2, 1, 1)
 
 
 class TestBuildThreeTier:
@@ -206,6 +244,32 @@ class TestHopHistogram:
         hist = hop_histogram(injected)
         assert hist == {UNREACHABLE: 1}
 
+    def test_no_devices_all_pairs_unreachable(self):
+        assert hop_histogram(NO_DEVICES) == {UNREACHABLE: 3}
+
+    def test_one_host_has_no_pairs(self):
+        assert hop_histogram(ONE_HOST) == {}
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_networkx_and_bfs(self, seed):
+        t = random_case(seed)
+        fast = hop_histogram(t)
+        assert fast == networkx_hop_histogram(t)
+        assert fast == hop_histogram_bfs(t)
+
+    def test_source_blocks_do_not_change_result(self, monkeypatch):
+        # a one-slot budget puts every host-bearing device in its own block
+        for t in (build_three_tier(2, 3, 2, 2, dual_homed=True), random_case(5), random_case(11)):
+            expected = hop_histogram_bfs(t)
+            monkeypatch.setattr(topology, "_KERNEL_BLOCK_SLOTS", 1)
+            assert hop_histogram(t) == expected
+            monkeypatch.undo()
+
+    def test_oracle_check_passes(self):
+        result = check_hop_histogram_oracle(cases=20, seed=3)
+        assert result.passed, result.detail
+
 
 class TestInjectFailures:
     def test_empty_set_is_identity(self):
@@ -272,6 +336,50 @@ class TestAffectedFraction:
             assert fast == networkx_affected_fraction(t, failed)
 
 
+class TestConnectivityKernel:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+        p=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_bfs_oracle(self, seed, rows, p):
+        t = random_case(seed)
+        mask = np.random.default_rng(seed + 1).random((rows, len(t.devices))) < p
+        got = affected_fractions(t, mask)
+        assert got.shape == (rows,)
+        for row, value in zip(mask, got.tolist()):
+            assert value == affected_fraction_bfs(t, failed_ids(t, row))
+
+    def test_blocks_do_not_change_result(self, monkeypatch):
+        t = build_three_tier(2, 4, 3, 2, dual_homed=True)
+        mask = np.random.default_rng(2).random((50, len(t.devices))) < 0.2
+        expected = [affected_fraction_bfs(t, failed_ids(t, row)) for row in mask]
+        for slots in (1, 200, 10**9):
+            monkeypatch.setattr(topology, "_KERNEL_BLOCK_SLOTS", slots)
+            assert affected_fractions(t, mask).tolist() == expected
+
+    def test_all_failed_rows(self):
+        for t in (build_spine_leaf(2, 4, 2), build_three_tier(2, 2, 2, 1), random_case(8)):
+            mask = np.ones((3, len(t.devices)), dtype=bool)
+            assert affected_fractions(t, mask).tolist() == [1.0, 1.0, 1.0]
+
+    def test_no_devices(self):
+        assert affected_fractions(NO_DEVICES, np.zeros((4, 0), dtype=bool)).tolist() == [1.0] * 4
+        assert affected_fraction(NO_DEVICES, set()) == 1.0
+
+    def test_one_host(self):
+        mask = np.array([[False, False, False], [True, True, True]])
+        assert affected_fractions(ONE_HOST, mask).tolist() == [0.0, 0.0]
+
+    def test_mask_shape_checked(self):
+        t = build_spine_leaf(2, 4, 1)
+        with pytest.raises(ValueError, match="shape"):
+            affected_fractions(t, np.zeros((2, 5), dtype=bool))
+        with pytest.raises(ValueError, match="shape"):
+            affected_fractions(t, np.zeros(6, dtype=bool))
+
+
 class TestFailureModel:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -315,6 +423,56 @@ class TestFailureHarmMc:
         trials = 50_000
         stats = failure_harm_mc(t, fm, h, trials, seed=42)
         assert abs(stats.expected_harm - exact_mean) <= 3.0 * exact_std / math.sqrt(trials)
+
+    def test_no_devices_full_harm(self):
+        stats = failure_harm_mc(NO_DEVICES, FailureModel.uniform(0.3), HarmParams(1.0, 1.5), 100, seed=1)
+        assert stats.expected_harm == -1.0
+        assert stats.quantiles == {"p50": -1.0, "p90": -1.0, "p99": -1.0}
+
+    def test_one_host_no_harm(self):
+        stats = failure_harm_mc(ONE_HOST, FailureModel.uniform(0.5), HarmParams(1.0, 1.5), 100, seed=1)
+        assert stats.expected_harm == 0.0
+
+    def test_crossing_chunks_matches_parent_values(self):
+        # 20,000 trials of 144 devices span two sampling chunks; the values
+        # were produced by the per-pattern BFS implementation
+        stats = failure_harm_mc(
+            build_spine_leaf(16, 128, 4), FailureModel.uniform(0.0005), HarmParams(1.0, 1.5), 20_000, seed=2
+        )
+        assert stats.expected_harm == -0.00012538920044845642
+        assert stats.quantiles == {"p50": 0.0, "p90": 0.0, "p99": -0.0019445314486869877}
+        stats = failure_harm_mc(
+            build_three_tier(2, 16, 8, 4, dual_homed=True),
+            FailureModel.uniform(0.002),
+            HarmParams(1.0, 2.0),
+            20_000,
+            seed=8,
+        )
+        assert stats.expected_harm == -7.829012272279152e-05
+        assert stats.quantiles == {"p50": 0.0, "p90": -0.0002427094177753082, "p99": -0.0009632307450975793}
+
+    def test_chunk_and_draw_sizes_do_not_change_result(self, monkeypatch):
+        t = build_three_tier(2, 3, 2, 2, dual_homed=True)
+        fm = FailureModel.uniform(0.1)
+        h = HarmParams(1.0, 1.5)
+        expected = failure_harm_mc(t, fm, h, 1001, seed=6)
+        for chunk, draw in ((1, 1), (500, 70), (4000, 10**9)):
+            monkeypatch.setattr(topology, "_SAMPLE_CHUNK_CELLS", chunk)
+            monkeypatch.setattr(topology, "_DRAW_CELLS", draw)
+            assert failure_harm_mc(t, fm, h, 1001, seed=6) == expected
+
+    def test_matches_one_shot_per_pattern_recompute(self):
+        # same uniform stream drawn at once, harm evaluated per distinct row
+        t = build_three_tier(2, 3, 2, 2, dual_homed=True)
+        fm = FailureModel.uniform(0.15)
+        h = HarmParams(2.0, 1.5)
+        probs = np.array([fm.probability(d.role) for d in t.devices])
+        fails = np.random.default_rng(9).random((4000, len(probs))) < probs
+        values = [harm(h, affected_fraction_bfs(t, failed_ids(t, row))) for row in fails]
+        stats = failure_harm_mc(t, fm, h, 4000, seed=9)
+        assert stats.expected_harm == float(np.mean(values))
+        q50, q90, q99 = np.quantile(values, [0.5, 0.1, 0.01])
+        assert stats.quantiles == {"p50": q50, "p90": q90, "p99": q99}
 
     def test_quantiles_ordered_by_severity(self):
         stats = failure_harm_mc(
