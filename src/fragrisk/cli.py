@@ -18,6 +18,7 @@ byte-identical files.  ``FRAGRISK_OUT_DIR`` prefixes relative output paths.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -30,6 +31,7 @@ from .pareto import (
     degradation_curve,
     degradation_ratio,
     fragment_harm_density,
+    harm_quantile,
     mc_tail_mean,
     tail_mean,
 )
@@ -46,7 +48,8 @@ from .topology import (
     parse_topology,
     serialize_topology,
 )
-from .verify import harm_quantile, run_all_checks
+# perfbench/tracer.py finds fragrisk.verify in sys.modules right after importing this module
+from .verify import run_all_checks
 
 OUT_DIR_ENV = "FRAGRISK_OUT_DIR"
 
@@ -67,6 +70,21 @@ def _write_text(path: str, text: str) -> None:
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return value
+
+
+def _check_range_end(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} must be finite and > 0, got {value}")
 
 
 def _load_topology(path: str):
@@ -173,6 +191,7 @@ def cmd_harm_curve(args) -> int:
     betas = _parse_floats(args.betas)
     if args.points < 2:
         raise ValueError("--points must be >= 2")
+    _check_range_end("--x-max", args.x_max)
     xs = [args.x_max * i / (args.points - 1) for i in range(args.points)]
     columns = ["x"] + [f"harm_beta_{beta:g}" for beta in betas]
     rows = []
@@ -311,6 +330,7 @@ def cmd_growth(args) -> int:
     lin = GrowthSpec.linear(args.ports_per_switch)
     if args.points < 2:
         raise ValueError("--points must be >= 2")
+    _check_range_end("--max-units", args.max_units)
     rows = []
     for i in range(args.points):
         units = args.max_units * i / (args.points - 1)
@@ -375,7 +395,7 @@ def _add_common(parser: argparse.ArgumentParser, svg: bool = False) -> None:
     parser.add_argument("--config", help="scenario config file (flat key = value)")
     parser.add_argument("--out", help="write the report to this file instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="report format")
-    parser.add_argument("--digits", type=int, default=None, help="significant digits in output")
+    parser.add_argument("--digits", type=_positive_int, default=None, help="significant digits in output (>= 1)")
     if svg:
         parser.add_argument("--svg", help="also write a static SVG line chart here")
 

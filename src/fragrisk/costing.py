@@ -48,6 +48,8 @@ class CostAssumptions:
 
 
 def _design_metrics(t: Topology, c: CostAssumptions, ports: Mapping[str, int]) -> dict[str, float]:
+    if not t.devices:
+        raise ValueError("a design needs at least one device to have a price or power per port")
     roles = {d.role for d in t.devices}
     missing = roles - set(ports)
     if missing:

@@ -99,6 +99,11 @@ def fragment_harm_density(p: ParetoParams, h: HarmParams, fragments: int, xi: fl
     )
 
 
+def harm_quantile(p: ParetoParams, h: HarmParams, fragments: int, q: float) -> float:
+    """Analytic q-quantile of the fragment harm, from the Pareto survival function."""
+    return -(h.k * (p.scale / fragments) ** h.beta * q ** (-h.beta / p.alpha))
+
+
 def _check_convergence(p: ParetoParams, h: HarmParams) -> None:
     if not p.alpha > h.beta:
         raise ValueError(

@@ -7,15 +7,16 @@ access or leaf devices.  Failures remove whole devices; ``affected_fraction``
 measures the share of host pairs that lose connectivity, and
 ``failure_harm_mc`` feeds that fraction into the harm transform.
 
-Graph work runs on an indexed form that each ``Topology`` caches: a
-device -> index map, ``int32`` link endpoint arrays and per-device host
-counts.  One connectivity kernel serves every fault-domain query: it takes an
-``(m, n_devices)`` boolean failure mask and labels all m surviving graphs with
-one block-diagonal ``scipy.sparse.csgraph.connected_components`` call per
-bounded block of rows.  ``hop_histogram`` runs unweighted
-``csgraph.shortest_path`` from the host-bearing devices and weights each
-device pair by its host pairs.  The pure-Python breadth-first searches that
-check these results live in ``fragrisk.verify`` only.
+Graph work runs in NumPy on an indexed form that each ``Topology`` caches:
+a device -> index map, ``int32`` link endpoint arrays, a symmetric CSR
+adjacency and per-device host counts.  One connectivity kernel serves every
+fault-domain query: it takes an ``(m, n_devices)`` boolean failure mask,
+joins a bounded block of rows into one block-diagonal graph and labels its
+components by min-label hooking with full pointer jumping.
+``hop_histogram`` runs a direction-optimizing, level-synchronous BFS from
+all host-bearing devices at once and weights each device pair by its host
+pairs.  The per-pair breadth-first searches that check these results live
+in ``fragrisk.verify`` only.
 
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
@@ -39,8 +40,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .harm import HarmParams, harm
 
@@ -58,6 +57,12 @@ FORMAT_HEADER = "topology/1"
 # Rows of one connectivity-kernel block are capped so that a block holds
 # about this many link-plus-device slots; larger blocks only cost memory.
 _KERNEL_BLOCK_SLOTS = 50_000
+
+# A BFS level runs top-down while its frontier has fewer than 1/14 of the
+# block's edges (Beamer et al.'s alpha), bottom-up otherwise.  Measured on the
+# fabric ladder and a 600-device chain: all-bottom-up is 28x slower on the
+# chain, all-top-down 7x slower on spine-leaf (32,512,2).
+_TOP_DOWN_SHARE = 14
 
 # failure_harm_mc deduplicates failure patterns over mask chunks of about
 # this many cells, filled from uniform draws of at most _DRAW_CELLS at a time.
@@ -199,6 +204,24 @@ class Topology:
         return ends[:, 0], ends[:, 1]
 
     @cached_property
+    def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only symmetric CSR adjacency ``(indptr, neighbors)`` by device index.
+
+        The neighbours of device i are ``neighbors[indptr[i]:indptr[i + 1]]``,
+        in ascending order; every link appears once from each end.
+        """
+        a, b = self.link_endpoints
+        src = np.concatenate([a, b]).astype(np.int64)
+        dst = np.concatenate([b, a]).astype(np.int64)
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(len(self.devices) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=len(self.devices)), out=indptr[1:])
+        neighbors = dst[order]
+        indptr.flags.writeable = False
+        neighbors.flags.writeable = False
+        return indptr, neighbors
+
+    @cached_property
     def device_host_counts(self) -> np.ndarray:
         """Read-only ``int64`` number of attached hosts per device index."""
         index = self.device_index
@@ -284,6 +307,51 @@ def build_spine_leaf(
     return Topology(tuple(devices), tuple(links), tuple(hosts))
 
 
+def _bfs_levels(t: Topology, sources: np.ndarray) -> np.ndarray:
+    """Hop count from each source to every device; ``UNREACHABLE`` where none.
+
+    Returns an ``(len(sources), n_devices)`` array.  All sources advance
+    together, level by level, over one flat index space (source r's device i
+    is r * n_devices + i).  A level goes top-down (scatter the frontier's
+    neighbours) when the frontier's edges are a small share of all edges,
+    and bottom-up (each unvisited device asks whether any neighbour is on the
+    frontier) otherwise, after Beamer, Asanovic and Patterson (SC 2012).  The
+    direction changes the cost of a level, never its result.
+    """
+    indptr, neighbors = t.adjacency_csr
+    n = len(t.devices)
+    degree = np.diff(indptr)
+    linked = np.flatnonzero(degree)
+    rows = len(sources)
+    dist = np.full(rows * n, UNREACHABLE, dtype=np.int64)
+    owner = np.empty(rows * n, dtype=np.int64)
+    frontier = np.arange(rows, dtype=np.int64) * n + sources
+    dist[frontier] = 0
+    level = 0
+    while len(frontier):
+        level += 1
+        node = frontier % n
+        deg = degree[node]
+        work = int(deg.sum())
+        if work * _TOP_DOWN_SHARE < rows * len(neighbors):
+            # top-down: every neighbour of the frontier, kept once if unvisited
+            start = np.repeat(indptr[node] - (np.cumsum(deg) - deg), deg)
+            cand = np.repeat(frontier - node, deg) + neighbors[start + np.arange(work)]
+            cand = cand[dist[cand] == UNREACHABLE]
+            order = np.arange(len(cand))
+            owner[cand] = order  # scatter-mark: one surviving slot per device
+            frontier = cand[owner[cand] == order]
+        else:
+            # bottom-up: an unvisited device joins if any neighbour is on the frontier
+            on = (dist == level - 1).reshape(rows, n)
+            hit = np.zeros((rows, n), dtype=bool)
+            if len(linked):
+                hit[:, linked] = np.logical_or.reduceat(on[:, neighbors], indptr[linked], axis=1)
+            frontier = np.flatnonzero(hit.ravel() & (dist == UNREACHABLE))
+        dist[frontier] = level
+    return dist.reshape(rows, n)
+
+
 def hop_histogram(t: Topology) -> dict[int, int]:
     """Histogram of shortest device-hop counts over all unordered host pairs.
 
@@ -294,9 +362,7 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     counts = t.device_host_counts
     sources = np.flatnonzero(counts)
     c = counts[sources]
-    a, b = t.link_endpoints
     n = len(t.devices)
-    graph = csr_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
 
     # Ordered host pairs by hop count (index hops + 1): device pair (i, j)
     # carries c_i * c_j of them, and device i itself c_i * (c_i - 1).  Rows of
@@ -305,8 +371,7 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     step = max(1, _KERNEL_BLOCK_SLOTS // max(1, n))
     for start in range(0, len(sources), step):
         block = slice(start, start + step)
-        dist = shortest_path(graph, directed=False, unweighted=True, indices=sources[block])[:, sources]
-        hops = np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int64)
+        hops = _bfs_levels(t, sources[block])[:, sources]
         weight = c[block, None] * c
         rows = np.arange(len(weight))
         weight[rows, start + rows] -= c[block]
@@ -339,8 +404,11 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
 
     ``failed`` is an ``(m, n_devices)`` boolean array over device indices.
     Each block of rows becomes one block-diagonal graph (row r's device i is
-    node r * n_devices + i) holding the links whose ends both survive, so one
-    ``connected_components`` call labels every row's graph.  A component with
+    node r * n_devices + i) holding the links whose ends both survive.  Its
+    components are found by min-label hooking: every label is a root, each
+    root with a link to a lower root hooks onto the lowest such root, and
+    full pointer jumping makes every label a root again.  Labels only fall,
+    so this ends once no surviving link joins two labels.  A component with
     c surviving attached hosts contributes c * (c - 1) / 2 pairs.  Counts are
     exact ``int64``.
     """
@@ -350,22 +418,31 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
     out = np.zeros(m, dtype=np.int64)
     if n == 0:
         return out
-    step = max(1, _KERNEL_BLOCK_SLOTS // (len(a) + n))
+    step = max(1, min(m, _KERNEL_BLOCK_SLOTS // (len(a) + n)))
+    # block node ids of both ends of every link, row by row
+    offset = np.arange(step)[:, None] * n
+    ends_a, ends_b = (offset + a).ravel(), (offset + b).ravel()
     for start in range(0, m, step):
         alive = ~failed[start : start + step]
         rows = len(alive)
-        row, link = np.nonzero(alive[:, a] & alive[:, b])
-        offset = row.astype(np.int64) * n
-        graph = csr_matrix(
-            (np.ones(len(link), dtype=np.int8), (offset + a[link], offset + b[link])),
-            shape=(rows * n, rows * n),
-        )
-        n_comp, labels = connected_components(graph, directed=False)
+        kept = np.flatnonzero(alive[:, a] & alive[:, b])
+        u, v = ends_a[kept], ends_b[kept]
+        label = np.arange(rows * n)
+        lu, lv = u, v  # every node starts as its own label
+        while len(u):
+            np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+            lu, lv = label[u], label[v]
+            # a link whose ends share a label keeps sharing it: drop it
+            cross = lu != lv
+            u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
         # host counts are integers far below 2**53, so float sums are exact
-        hosts = np.bincount(labels, weights=(alive * counts).ravel(), minlength=n_comp).astype(np.int64)
-        comp_row = np.empty(n_comp, dtype=np.int64)
-        comp_row[labels] = np.arange(rows * n) // n
-        np.add.at(out, start + comp_row, hosts * (hosts - 1) // 2)
+        hosts = np.bincount(label, weights=(alive * counts).ravel(), minlength=rows * n).astype(np.int64)
+        out[start : start + rows] = (hosts * (hosts - 1) // 2).reshape(rows, n).sum(axis=1)
     return out
 
 

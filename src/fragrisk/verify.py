@@ -17,7 +17,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .costing import CostAssumptions, compare_designs
 from .growth import GrowthSpec, capacity_at, crossover, erf_value
@@ -27,6 +26,7 @@ from .pareto import (
     degradation_curve,
     degradation_ratio,
     fragment_harm_density,
+    harm_quantile,
     mc_tail_mean,
     pareto_sample,
     tail_mean,
@@ -69,6 +69,8 @@ class CheckResult:
 
 def erf_quadrature(x: float) -> float:
     """erf via adaptive quadrature of its defining integral, ~1e-13 accurate."""
+    from scipy import integrate  # on demand: only quadrature oracles need SciPy
+
     if x == 0.0:
         return 0.0
     value, _ = integrate.quad(lambda t: math.exp(-t * t), 0.0, abs(x), epsabs=1e-14, epsrel=1e-13)
@@ -77,6 +79,8 @@ def erf_quadrature(x: float) -> float:
 
 def density_normalization(p: ParetoParams, h: HarmParams, fragments: int) -> float:
     """Integral of the fragment harm density over its support by quadrature."""
+    from scipy import integrate
+
     bound = -(h.k * (p.scale / fragments) ** h.beta)
     value, _ = integrate.quad(
         lambda xi: fragment_harm_density(p, h, fragments, xi),
@@ -88,11 +92,6 @@ def density_normalization(p: ParetoParams, h: HarmParams, fragments: int) -> flo
     return value
 
 
-def harm_quantile(p: ParetoParams, h: HarmParams, fragments: int, q: float) -> float:
-    """Analytic q-quantile of the fragment harm, from the Pareto survival function."""
-    return -(h.k * (p.scale / fragments) ** h.beta * q ** (-h.beta / p.alpha))
-
-
 def histogram_l1_distance(
     p: ParetoParams, h: HarmParams, fragments: int, samples: int, bins: int, seed: int
 ) -> float:
@@ -102,6 +101,8 @@ def histogram_l1_distance(
     integrated from the density rather than assumed, so the check ties the
     sampler, the CDF, and the density together.
     """
+    from scipy import integrate
+
     x = pareto_sample(p, samples, seed)
     xi = -(h.k * (x / fragments) ** h.beta)
 

@@ -142,6 +142,24 @@ class TestOutputContracts:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("digits", ["-1", "0", "two"])
+    def test_digits_must_be_positive_integer(self, capsys, digits):
+        # -1 used to print the ratio and then fail; 0 silently meant 17 digits
+        with pytest.raises(SystemExit) as excinfo:
+            run(["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2", "--digits", digits])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--digits" in captured.err
+
+    def test_compare_without_devices_is_clean_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("topology/1\nhost h0 detached\n")
+        out = tmp_path / "compare.csv"
+        assert run(["compare", "--a", str(empty), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_invalid_flags_exit_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
             run(["risk", "ratio", "--alpha", "2", "--beta", "1.5"])  # missing --K
@@ -213,21 +231,66 @@ NON_FINITE_ARGS = [
     ["jensen", "--beta", "inf"],
 ]
 
+# grid ends that used to print a nan row, then inf rows, and exit 0
+RANGE_ARGS = [
+    ["growth", "--max-units", "inf"],
+    ["growth", "--max-units", "nan"],
+    ["growth", "--max-units", "0"],
+    ["harm-curve", "--x-max", "inf"],
+    ["harm-curve", "--x-max", "nan"],
+    ["harm-curve", "--x-max", "-1"],
+]
+
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("args", NON_FINITE_ARGS[:2])
+    @pytest.mark.parametrize("args", NON_FINITE_ARGS[:2] + RANGE_ARGS)
     def test_exits_cleanly_within_timeout(self, args):
         # growth used to bisect towards inf forever; tail-mean printed nan
         proc = run_subprocess(args)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error:") and "finite" in proc.stderr
 
-    @pytest.mark.parametrize("args", NON_FINITE_ARGS)
+    @pytest.mark.parametrize("args", NON_FINITE_ARGS + RANGE_ARGS)
     def test_no_report_written(self, tmp_path, capsys, args):
         out = tmp_path / "report.csv"
         assert run(args + ["--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+SCIPY_PROBE = """
+import sys
+from fragrisk.cli import main
+
+topo = sys.argv[1]
+try:
+    main(["--help"])
+except SystemExit:
+    pass
+for args in (
+    ["topo", "build", "--kind", "spine-leaf", "--spines", "2", "--leaves", "4", "--hosts-per-leaf", "2",
+     "--out", topo],
+    ["topo", "hops", "--topology", topo],
+    ["topo", "fail", "--topology", topo, "--fail", "spine0,leaf1"],
+    ["topo", "harm", "--topology", topo, "--p", "0.1", "--trials", "500"],
+    ["compare", "--b", topo],
+    ["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2"],
+):
+    assert main(args) == 0, args
+print("scipy modules:", sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_topology_commands_never_import_scipy(tmp_path):
+    # SciPy is only for the quadrature oracles of `verify`; start-up must not pay for it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "sl.txt")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy modules: []"
 
 
 # Reports on small fabrics, captured from the per-pattern BFS implementation;

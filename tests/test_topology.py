@@ -83,6 +83,23 @@ def failed_ids(t: Topology, row) -> set[str]:
     return {d.id for d, hit in zip(t.devices, row) if hit}
 
 
+def access_chain(length: int, seed: int | None = None) -> Topology:
+    """3-tier chain d0 -- a0 -- d1 -- a1 ... of 2 * length devices, one host per access switch.
+
+    With ``seed``, the numbers in the ids are a random permutation of the
+    chain positions, so device indices no longer follow the chain.
+    """
+    ids = range(length) if seed is None else np.random.default_rng(seed).permutation(length)
+    devices, links, hosts = [], [], []
+    for i, k in enumerate(ids):
+        devices += [Device(f"d{k}", "distribution"), Device(f"a{k}", "access")]
+        links.append((f"d{k}", f"a{k}"))
+        if i + 1 < length:
+            links.append((f"a{k}", f"d{ids[i + 1]}"))
+        hosts.append((f"h{k}", f"a{k}"))
+    return Topology(tuple(devices), tuple(links), tuple(hosts))
+
+
 NO_DEVICES = Topology((), (), (), ("h0", "h1", "h2"))
 ONE_HOST = build_spine_leaf(2, 1, 1)
 
@@ -378,6 +395,35 @@ class TestConnectivityKernel:
             affected_fractions(t, np.zeros((2, 5), dtype=bool))
         with pytest.raises(ValueError, match="shape"):
             affected_fractions(t, np.zeros(6, dtype=bool))
+
+
+class TestLongDiameter:
+    """A 600-device chain: hundreds of narrow BFS levels, which run top-down."""
+
+    CHAIN = access_chain(300)
+
+    def test_hop_histogram_matches_bfs(self):
+        hist = hop_histogram(self.CHAIN)
+        assert hist == hop_histogram_bfs(self.CHAIN)
+        assert max(hist) == 598
+
+    def test_affected_fractions_match_bfs(self):
+        rng = np.random.default_rng(4)
+        mask = rng.random((50, len(self.CHAIN.devices))) < rng.uniform(0.0, 0.05, (50, 1))
+        mask[0] = False  # the intact chain: one component spanning every device
+        got = affected_fractions(self.CHAIN, mask)
+        assert got[0] == 0.0
+        for row, value in zip(mask, got.tolist()):
+            assert value == affected_fraction_bfs(self.CHAIN, failed_ids(self.CHAIN, row))
+
+    def test_shuffled_ids(self):
+        # labels scattered along the chain take 6-7 hooking rounds to merge, not 3
+        chain = access_chain(300, seed=1)
+        assert hop_histogram(chain) == hop_histogram_bfs(chain)
+        mask = np.zeros((4, len(chain.devices)), dtype=bool)
+        mask[[1, 2, 3], [7, 300, 555]] = True
+        for row, value in zip(mask, affected_fractions(chain, mask).tolist()):
+            assert value == affected_fraction_bfs(chain, failed_ids(chain, row))
 
 
 class TestFailureModel:
