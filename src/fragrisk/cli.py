@@ -10,19 +10,28 @@ Subcommands map one-to-one onto the analysis modules::
     compare      cost / power / fault-domain report
     verify       run every analytic-vs-oracle check
 
-Reports print to stdout or, with ``--out``, are written whole after the
-computation succeeds (never partially).  Identical flags and seed produce
-byte-identical files.  ``FRAGRISK_OUT_DIR`` prefixes relative output paths.
+Reports print to stdout or, with ``--out``, go to a file.  A command's
+outputs (``--out``, ``--svg``, ``--emit`` and the topology of ``topo
+build``) are written all together or not at all, and only after the
+computation succeeds; stdout is written last, so a failed command prints no
+report either.  A device target such as ``/dev/null`` cannot be renamed
+over, so it is written in place after the other files.  Identical flags and
+seed produce byte-identical files.
+``FRAGRISK_OUT_DIR`` prefixes relative output paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
+import stat
 import sys
+import warnings
+from dataclasses import fields, replace
 
-from .config import DEFAULT_SEED, ScenarioConfig, load_config
+from .config import DEFAULT_SEED, ScenarioConfig, _parse_floats, load_config
 from .costing import CostAssumptions, compare_designs
 from .growth import GrowthSpec, capacity_at, crossover
 from .harm import FragmentWeights, HarmParams, fragmented_harm, harm, jensen_gap, survival_comparison
@@ -37,6 +46,7 @@ from .pareto import (
 )
 from .report import ScenarioReport, svg_line_chart
 from .topology import (
+    ROLES,
     FailureModel,
     UNREACHABLE,
     affected_fraction,
@@ -52,24 +62,6 @@ from .topology import (
 from .verify import run_all_checks
 
 OUT_DIR_ENV = "FRAGRISK_OUT_DIR"
-
-
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
 def _positive_int(raw: str) -> int:
@@ -93,58 +85,76 @@ def _load_topology(path: str):
 
 
 def _config_from_args(args) -> ScenarioConfig:
-    overrides = {}
-    for flag, field in (
-        ("k", "harm_k"),
-        ("beta", "harm_beta"),
-        ("weights", "harm_weights"),
-        ("alpha", "pareto_alpha"),
-        ("scale", "pareto_scale"),
-        ("fragments", "fragments"),
-        ("unit_value", "unit_value"),
-        ("x", "error_x"),
-        ("kind", "topology_kind"),
-        ("spines", "topology_spines"),
-        ("leaves", "topology_leaves"),
-        ("hosts_per_leaf", "topology_hosts_per_leaf"),
-        ("cores", "topology_cores"),
-        ("distributions", "topology_distributions"),
-        ("access_per_distribution", "topology_access_per_distribution"),
-        ("hosts_per_access", "topology_hosts_per_access"),
-        ("dual_homed", "topology_dual_homed"),
-        ("trials", "trials"),
-        ("seed", "seed"),
-        ("format", "output_format"),
-        ("digits", "output_digits"),
-    ):
-        if hasattr(args, flag):
-            overrides[field] = getattr(args, flag)
-    return load_config(getattr(args, "config", None), overrides)
+    # each config-backed flag's argparse dest is the ScenarioConfig field it sets
+    flags = vars(args)
+    return load_config(args.config, {f.name: flags.get(f.name) for f in fields(ScenarioConfig)})
 
 
-def _stamp(report: ScenarioReport, cfg: ScenarioConfig, seeded: bool = True) -> ScenarioReport:
+def _emit(out: str | None, text: str, side_files=(), stdout: str | None = None) -> None:
+    """Write a command's outputs all together or not at all.
+
+    ``text`` goes to ``out``, else to stdout; each ``(path, text)`` in
+    ``side_files`` whose path is set goes to that path; ``stdout``, if
+    given, is what stdout gets instead.  Each file is written to a temp file
+    next to its target (a symlink's target, which keeps the link), all are
+    renamed into place only once every one is written, and stdout comes
+    last.  An overwritten file keeps its mode.  A target that exists but is
+    not a regular file (``/dev/null``, a FIFO) cannot be renamed over, so it
+    is written in place after the renames.  On failure the temp files are
+    removed and the error names the target path, not the temp file.
+    """
+    if stdout is None:
+        stdout = text if out is None else ""
+    base = os.environ.get(OUT_DIR_ENV, "")  # prefixes relative paths only
+    targets = [(out, text), *side_files]
+    files = [(os.path.join(base, path), body) for path, body in targets if path is not None]
+    staged: list[tuple[str, str, str]] = []  # (temp file, file it replaces, user's path)
+    in_place: list[tuple[str, str]] = []
+    path = None
+    try:
+        for i, (path, body) in enumerate(files):
+            mode = os.stat(path).st_mode if os.path.exists(path) else None
+            if mode is not None and stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if mode is not None and not stat.S_ISREG(mode):
+                in_place.append((path, body))
+                continue
+            target = os.path.realpath(path)
+            tmp = os.path.join(os.path.dirname(target), f".fragrisk-{os.getpid()}-{i}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, target, path))
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+        for tmp, target, path in staged:
+            os.replace(tmp, target)
+        for path, body in in_place:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+    except BaseException as exc:
+        for tmp, _, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+    sys.stdout.write(stdout)
+
+
+def _emit_report(
+    report: ScenarioReport, cfg: ScenarioConfig, args, seeded: bool = True, side_files=(), stdout=None
+) -> None:
+    """Stamp ``report`` with the config hash (and seed), render it, add ``--svg``, then ``_emit``."""
     report.config_hash = cfg.config_hash()
     if seeded:
         report.seed = cfg.seed
     if cfg.report_core_drop_probability is not None:
         report.extra_metadata.setdefault("core_drop_probability", cfg.report_core_drop_probability)
-    return report
-
-
-def _emit(report: ScenarioReport, cfg: ScenarioConfig, args, quiet: bool = False) -> None:
-    text = report.render(cfg.output_format, cfg.output_digits)
-    out = _resolve_out(getattr(args, "out", None))
-    svg_path = _resolve_out(getattr(args, "svg", None))
-    svg_text = None
-    if svg_path is not None:
-        x_col = report.columns[0]
-        svg_text = svg_line_chart(report, x_col, title=report.command)
-    if out is not None:
-        _write_text(out, text)
-    elif not quiet:
-        sys.stdout.write(text)
-    if svg_path is not None and svg_text is not None:
-        _write_text(svg_path, svg_text)
+    svg = getattr(args, "svg", None)
+    if svg is not None:
+        side_files = [*side_files, (svg, svg_line_chart(report, report.columns[0], title=report.command))]
+    _emit(args.out, report.render(cfg.output_format, cfg.output_digits), side_files, stdout)
 
 
 def _harm_params(cfg: ScenarioConfig) -> HarmParams:
@@ -171,9 +181,9 @@ def _build_from_config(cfg: ScenarioConfig):
 
 def _failure_model(cfg: ScenarioConfig, args) -> FailureModel:
     probs = cfg.failure_probabilities()
-    if getattr(args, "p", None) is not None:
+    if args.p is not None:
         probs = {role: args.p for role in probs}
-    for override in getattr(args, "p_role", None) or []:
+    for override in args.p_role or []:
         role, _, value = override.partition("=")
         if not value:
             raise ValueError(f"--p-role expects role=probability, got {override!r}")
@@ -197,8 +207,7 @@ def cmd_harm_curve(args) -> int:
     rows = []
     for x in xs:
         rows.append([x] + [harm(HarmParams(cfg.harm_k, beta), x) for beta in betas])
-    report = _stamp(ScenarioReport("harm-curve", columns, rows), cfg, seeded=False)
-    _emit(report, cfg, args)
+    _emit_report(ScenarioReport("harm-curve", columns, rows), cfg, args, seeded=False)
     return 0
 
 
@@ -217,7 +226,7 @@ def cmd_jensen(args) -> int:
         ["x", "harm", "fragmented_harm", "jensen_gap", "centralized_mean", "decentralized_mean", "mean_gap"],
         [[cfg.error_x, concentrated, split, gap, cen, dec, dec - cen]],
     )
-    _emit(_stamp(report, cfg), cfg, args)
+    _emit_report(report, cfg, args)
     return 0
 
 
@@ -233,7 +242,7 @@ def cmd_risk_density(args) -> int:
         xi = harm_quantile(p, h, n, q)
         rows.append([xi, fragment_harm_density(p, h, n, xi)])
     report = ScenarioReport("risk-density", ["xi", "density"], rows)
-    _emit(_stamp(report, cfg, seeded=False), cfg, args)
+    _emit_report(report, cfg, args, seeded=False)
     return 0
 
 
@@ -248,16 +257,15 @@ def cmd_risk_tail_mean(args) -> int:
         ["fragments", "closed_form", "mc_estimate", "relative_error"],
         [[cfg.fragments, closed, estimate, rel]],
     )
-    _emit(_stamp(report, cfg), cfg, args)
+    _emit_report(report, cfg, args)
     return 0
 
 
 def cmd_risk_ratio(args) -> int:
     cfg = _config_from_args(args)
     ratio = degradation_ratio(_pareto_params(cfg), _harm_params(cfg), args.K, cfg.fragments)
-    print(f"{ratio:.6f}")
     report = ScenarioReport("risk-ratio", ["K", "ratio"], [[args.K, ratio]])
-    _emit(_stamp(report, cfg, seeded=False), cfg, args, quiet=True)
+    _emit_report(report, cfg, args, seeded=False, stdout=f"{ratio:.6f}\n")
     return 0
 
 
@@ -266,19 +274,13 @@ def cmd_risk_curve(args) -> int:
     multipliers = list(_parse_floats(args.K_values))
     curve = degradation_curve(_pareto_params(cfg), _harm_params(cfg), multipliers)
     report = ScenarioReport("risk-curve", ["K", "ratio"], [[k, r] for k, r in curve])
-    _emit(_stamp(report, cfg, seeded=False), cfg, args)
+    _emit_report(report, cfg, args, seeded=False)
     return 0
 
 
 def cmd_topo_build(args) -> int:
     cfg = _config_from_args(args)
-    topo = _build_from_config(cfg)
-    text = serialize_topology(topo)
-    out = _resolve_out(args.out)
-    if out is not None:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, serialize_topology(_build_from_config(cfg)))
     return 0
 
 
@@ -289,7 +291,7 @@ def cmd_topo_hops(args) -> int:
     rows = [[hops, hist[hops]] for hops in sorted(hist)]
     report = ScenarioReport("topo-hops", ["hops", "pairs"], rows)
     report.extra_metadata["unreachable_bucket"] = UNREACHABLE
-    _emit(_stamp(report, cfg, seeded=False), cfg, args)
+    _emit_report(report, cfg, args, seeded=False)
     return 0
 
 
@@ -304,10 +306,7 @@ def cmd_topo_fail(args) -> int:
         ["failed_devices", "affected_fraction", "detached_hosts"],
         [[len(failed), fraction, len(injected.detached_hosts)]],
     )
-    emit_path = _resolve_out(args.emit)
-    _emit(_stamp(report, cfg, seeded=False), cfg, args)
-    if emit_path is not None:
-        _write_text(emit_path, serialize_topology(injected))
+    _emit_report(report, cfg, args, seeded=False, side_files=[(args.emit, serialize_topology(injected))])
     return 0
 
 
@@ -320,7 +319,7 @@ def cmd_topo_harm(args) -> int:
         ["expected_harm", "p50", "p90", "p99"],
         [[stats.expected_harm, stats.quantiles["p50"], stats.quantiles["p90"], stats.quantiles["p99"]]],
     )
-    _emit(_stamp(report, cfg), cfg, args)
+    _emit_report(report, cfg, args)
     return 0
 
 
@@ -337,52 +336,34 @@ def cmd_growth(args) -> int:
         rows.append([units, capacity_at(sig, units), capacity_at(lin, units)])
     report = ScenarioReport("growth", ["units", "sigmoid_capacity", "linear_capacity"], rows)
     report.extra_metadata["crossover_units"] = crossover(sig, lin)
-    _emit(_stamp(report, cfg, seeded=False), cfg, args)
+    _emit_report(report, cfg, args, seeded=False)
     return 0
 
 
 def cmd_compare(args) -> int:
     cfg = _config_from_args(args)
-    if args.a is not None:
-        design_a = _load_topology(args.a)
-    else:
-        design_a = build_three_tier(
-            cfg.topology_cores,
-            cfg.topology_distributions,
-            cfg.topology_access_per_distribution,
-            cfg.topology_hosts_per_access,
-            cfg.topology_dual_homed,
-        )
-    if args.b is not None:
-        design_b = _load_topology(args.b)
-    else:
-        design_b = build_spine_leaf(
-            cfg.topology_spines, cfg.topology_leaves, cfg.topology_hosts_per_leaf
-        )
+    design_a, design_b = (
+        _load_topology(path) if path is not None else _build_from_config(replace(cfg, topology_kind=kind))
+        for path, kind in ((args.a, "three-tier"), (args.b, "spine-leaf"))
+    )
     assumptions = CostAssumptions(
         cfg.cost_modular_price_per_port,
         cfg.cost_modular_watts_per_port,
         cfg.cost_fixed_price_ratio,
         cfg.cost_fixed_watts_ratio,
     )
-    ports = {
-        "core": cfg.ports_core,
-        "distribution": cfg.ports_distribution,
-        "access": cfg.ports_access,
-        "spine": cfg.ports_spine,
-        "leaf": cfg.ports_leaf,
-    }
+    ports = {role: getattr(cfg, f"ports_{role}") for role in ROLES}
     report = compare_designs(design_a, design_b, assumptions, ports)
-    _emit(_stamp(report, cfg, seeded=False), cfg, args)
+    _emit_report(report, cfg, args, seeded=False)
     return 0
 
 
 def cmd_verify(args) -> int:
-    results = run_all_checks(seed=args.seed if args.seed is not None else DEFAULT_SEED)
-    for result in results:
-        print(result.line())
+    results = run_all_checks(seed=args.seed)
     failed = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    lines = [result.line() for result in results]
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    _emit(None, "\n".join(lines) + "\n")
     return 0 if failed == 0 else 1
 
 
@@ -394,20 +375,22 @@ def cmd_verify(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, svg: bool = False) -> None:
     parser.add_argument("--config", help="scenario config file (flat key = value)")
     parser.add_argument("--out", help="write the report to this file instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="report format")
-    parser.add_argument("--digits", type=_positive_int, default=None, help="significant digits in output (>= 1)")
+    parser.add_argument("--format", dest="output_format", choices=("csv", "json"), help="report format")
+    parser.add_argument(
+        "--digits", dest="output_digits", type=_positive_int, help="significant digits in output (>= 1)"
+    )
     if svg:
         parser.add_argument("--svg", help="also write a static SVG line chart here")
 
 
 def _add_harm_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=float, default=None, help="harm scale k > 0")
-    parser.add_argument("--beta", type=float, default=None, help="harm convexity exponent beta >= 0")
+    parser.add_argument("--k", dest="harm_k", type=float, help="harm scale k > 0")
+    parser.add_argument("--beta", dest="harm_beta", type=float, help="harm convexity exponent beta >= 0")
 
 
 def _add_pareto_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=None, help="Pareto tail index")
-    parser.add_argument("--scale", type=float, default=None, help="Pareto scale (minimum error)")
+    parser.add_argument("--alpha", dest="pareto_alpha", type=float, help="Pareto tail index")
+    parser.add_argument("--scale", dest="pareto_scale", type=float, help="Pareto scale (minimum error)")
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
@@ -435,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_harm_flags(p)
     _add_pareto_flags(p)
     _add_mc_flags(p)
-    p.add_argument("--weights", type=_parse_floats, default=None, help="comma list of fragment shares")
-    p.add_argument("--x", type=float, default=None, help="error magnitude to evaluate")
+    p.add_argument("--weights", dest="harm_weights", type=_parse_floats, help="comma list of fragment shares")
+    p.add_argument("--x", dest="error_x", type=float, help="error magnitude to evaluate")
     p.add_argument("--unit-value", dest="unit_value", type=float, default=None, help="value B at stake")
     p.set_defaults(func=cmd_jensen)
 
@@ -480,15 +463,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = topo_sub.add_parser("build", help="construct a fabric and emit its text form")
     p.add_argument("--config", help="scenario config file")
     p.add_argument("--out", help="write the topology file here instead of stdout")
-    p.add_argument("--kind", choices=("spine-leaf", "three-tier"), default=None)
-    p.add_argument("--spines", type=int, default=None)
-    p.add_argument("--leaves", type=int, default=None)
-    p.add_argument("--hosts-per-leaf", dest="hosts_per_leaf", type=int, default=None)
-    p.add_argument("--cores", type=int, default=None)
-    p.add_argument("--distributions", type=int, default=None)
-    p.add_argument("--access-per-distribution", dest="access_per_distribution", type=int, default=None)
-    p.add_argument("--hosts-per-access", dest="hosts_per_access", type=int, default=None)
-    p.add_argument("--dual-homed", dest="dual_homed", action="store_const", const=True, default=None)
+    p.add_argument("--kind", dest="topology_kind", choices=("spine-leaf", "three-tier"))
+    p.add_argument("--spines", dest="topology_spines", type=int)
+    p.add_argument("--leaves", dest="topology_leaves", type=int)
+    p.add_argument("--hosts-per-leaf", dest="topology_hosts_per_leaf", type=int)
+    p.add_argument("--cores", dest="topology_cores", type=int)
+    p.add_argument("--distributions", dest="topology_distributions", type=int)
+    p.add_argument("--access-per-distribution", dest="topology_access_per_distribution", type=int)
+    p.add_argument("--hosts-per-access", dest="topology_hosts_per_access", type=int)
+    p.add_argument("--dual-homed", dest="topology_dual_homed", action="store_const", const=True)
     p.set_defaults(func=cmd_topo_build)
 
     p = topo_sub.add_parser("hops", help="hop histogram over all host pairs")
@@ -527,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run every analytic-vs-oracle check")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -536,11 +519,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except (ValueError, OSError, OverflowError) as exc:
+            code, error = 1, exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -80,6 +80,12 @@ class ScenarioConfig:
     output_digits: int | None = None
     report_core_drop_probability: float | None = None
 
+    def __post_init__(self):
+        if self.output_format not in ("csv", "json"):
+            raise ValueError(f"output.format must be csv or json, got {self.output_format!r}")
+        if self.output_digits is not None and self.output_digits < 1:
+            raise ValueError(f"output.digits must be >= 1, got {self.output_digits}")
+
     def failure_probabilities(self) -> dict[str, float]:
         out = {}
         for role in ("core", "distribution", "access", "spine", "leaf"):

@@ -99,8 +99,9 @@ def crossover(sig: GrowthSpec, lin: GrowthSpec) -> float:
     """Smallest unit count beyond which the linear design never trails.
 
     Returns the least u >= 0 with linear(v) >= sigmoid(v) for all v >= u,
-    located by bisection to 1e-9 absolute.  Always finite: the sigmoid is
-    bounded and the linear design is not.
+    located by bisection to 1e-9 absolute, or to adjacent floats where their
+    spacing is wider.  Always finite: the sigmoid is bounded and the linear
+    design is not.
     """
     if sig.kind != "sigmoid" or lin.kind != "linear":
         raise ValueError("crossover expects (sigmoid, linear) growth specs")
@@ -118,6 +119,8 @@ def crossover(sig: GrowthSpec, lin: GrowthSpec) -> float:
     hi = sat / ports + 1.0  # margin(hi) >= ports > 0 since erf < 1
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats, more than 1e-9 apart
+            break
         if margin(mid) < 0.0:
             lo = mid
         else:

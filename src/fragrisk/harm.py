@@ -81,15 +81,20 @@ class FragmentWeights:
         return float(np.sum(np.asarray(self.w) ** beta))
 
 
+def _check_magnitude(x: float) -> float:
+    x = float(x)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"error magnitude must be finite and nonnegative, got {x}")
+    return x
+
+
 def harm(params: HarmParams, x: float) -> float:
-    """Harm -k * x**beta of an error of magnitude x >= 0.
+    """Harm -k * x**beta of an error of finite magnitude x >= 0.
 
     Always <= 0; larger errors harm more (more negative).  0**0 is taken as 1,
     so beta = 0 yields a flat -k even at x = 0.
     """
-    x = float(x)
-    if x < 0:
-        raise ValueError(f"error magnitude must be nonnegative, got {x}")
+    x = _check_magnitude(x)
     return -(params.k * x**params.beta) + 0.0  # +0.0 normalizes -0.0
 
 
@@ -98,9 +103,7 @@ def fragmented_harm(params: HarmParams, weights: FragmentWeights, x: float) -> f
 
     Equals sum_i harm(params, w_i * x) = -k * x**beta * sum_i w_i**beta.
     """
-    x = float(x)
-    if x < 0:
-        raise ValueError(f"error magnitude must be nonnegative, got {x}")
+    x = _check_magnitude(x)
     return -(params.k * x**params.beta * weights.power_sum(params.beta)) + 0.0
 
 
@@ -110,9 +113,7 @@ def jensen_gap(params: HarmParams, weights: FragmentWeights, x: float) -> float:
     Zero exactly for a trivial split (single fragment) and at x = 0; zero to
     rounding at beta = 1, where harm is additive in the shares.
     """
-    x = float(x)
-    if x < 0:
-        raise ValueError(f"error magnitude must be nonnegative, got {x}")
+    x = _check_magnitude(x)
     # Factored form: subtracting the two harm values would cancel
     # catastrophically for near-degenerate weights.
     return params.k * x**params.beta * (1.0 - weights.power_sum(params.beta)) + 0.0
@@ -146,8 +147,8 @@ def survival_comparison(
             "harm mean diverges: requires tail index alpha > harm exponent beta "
             f"(alpha={error_model.alpha}, beta={params.beta})"
         )
-    if not unit_value > 0:
-        raise ValueError(f"unit value must be positive, got {unit_value}")
+    if not 0 < unit_value < math.inf:
+        raise ValueError(f"unit value must be finite and positive, got {unit_value}")
 
     x = pareto_sample(error_model, trials, seed)
     hx = params.k * x**params.beta

@@ -101,6 +101,7 @@ def fragment_harm_density(p: ParetoParams, h: HarmParams, fragments: int, xi: fl
 
 def harm_quantile(p: ParetoParams, h: HarmParams, fragments: int, q: float) -> float:
     """Analytic q-quantile of the fragment harm, from the Pareto survival function."""
+    fragments = _check_fragments(fragments)
     return -(h.k * (p.scale / fragments) ** h.beta * q ** (-h.beta / p.alpha))
 
 
@@ -157,11 +158,11 @@ def degradation_ratio(p: ParetoParams, h: HarmParams, multiplier: float, fragmen
 
     Algebraically equal to K * tail_mean(K*N) / tail_mean(N) and independent
     of N, k, and L.  Below 1 for beta > 1 and K > 1: concentrating exposure
-    (small K) degrades the mean.  K*N must be at least 1.
+    (small K) degrades the mean.  K must be finite and K*N at least 1.
     """
     fragments = _check_fragments(fragments)
-    if not multiplier > 0:
-        raise ValueError(f"multiplier K must be positive, got {multiplier}")
+    if not 0 < multiplier < math.inf:
+        raise ValueError(f"multiplier K must be finite and positive, got {multiplier}")
     if multiplier * fragments < 1.0:
         raise ValueError(f"K*N must be >= 1, got {multiplier * fragments}")
     if not h.beta > 0:

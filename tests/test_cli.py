@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
 import os
+import signal
+import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fragrisk.cli import main
 from fragrisk.config import ScenarioConfig, load_config, parse_config_text
+from fragrisk.topology import build_spine_leaf, build_three_tier, serialize_topology
 
 
 def run(args):
@@ -184,6 +192,25 @@ class TestOutputContracts:
         assert run(["risk", "ratio", "--config", str(cfg), "--K", "2"]) == 0
         assert capsys.readouterr().out.strip() == "0.629961"
 
+    @pytest.mark.parametrize("line", ["output.digits = -1", "output.digits = 0", "output.format = xml"])
+    def test_config_output_settings_validated(self, tmp_path, capsys, line):
+        # -1 and xml used to print the ratio and then fail; 0 silently meant 17 digits
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["risk", "ratio", "--config", str(cfg), "--alpha", "2", "--beta", "1.5", "--K", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output.")
+
+    def test_warning_is_one_line(self, capsys):
+        assert run(["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "0.629961\n"
+        assert captured.err == (
+            "warning: alpha=2.0 is at or below 1 + beta = 2.5; the mean converges "
+            "but lies outside the conventionally safe regime\n"
+        )
+
     def test_drop_probability_annotation_carried(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("report.core_drop_probability = 0.001\n")
@@ -229,6 +256,11 @@ NON_FINITE_ARGS = [
     ["risk", "density", "--scale", "inf"],
     ["harm-curve", "--k", "inf"],
     ["jensen", "--beta", "inf"],
+    ["jensen", "--x", "inf"],
+    ["jensen", "--x", "nan"],
+    ["jensen", "--unit-value", "inf"],
+    ["risk", "curve", "--K-values", "inf"],
+    ["risk", "ratio", "--K", "inf"],
 ]
 
 # grid ends that used to print a nan row, then inf rows, and exit 0
@@ -242,6 +274,15 @@ RANGE_ARGS = [
 ]
 
 
+# finite inputs whose float powers overflow; each was an OverflowError traceback
+OVERFLOW_ARGS = [
+    ["risk", "ratio", "--K", "1e308", "--beta", "0.5", "--alpha", "2"],
+    ["jensen", "--x", "1e300", "--beta", "3"],
+    ["harm-curve", "--x-max", "1e300", "--betas", "3", "--points", "3"],
+    ["risk", "tail-mean", "--scale", "1e300", "--beta", "3", "--alpha", "5", "--trials", "10"],
+]
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("args", NON_FINITE_ARGS[:2] + RANGE_ARGS)
     def test_exits_cleanly_within_timeout(self, args):
@@ -250,12 +291,209 @@ class TestNonFiniteInput:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error:") and "finite" in proc.stderr
 
-    @pytest.mark.parametrize("args", NON_FINITE_ARGS + RANGE_ARGS)
+    @pytest.mark.parametrize("args", NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS)
     def test_no_report_written(self, tmp_path, capsys, args):
         out = tmp_path / "report.csv"
         assert run(args + ["--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+def test_growth_with_large_saturation_finishes():
+    # found by test_argv_contract: crossover bisected towards 1e-9 forever once the
+    # float spacing at the crossover (here about 2e7 units) was wider than that
+    proc = run_subprocess(["growth", "--saturation", "1e9"])
+    assert proc.returncode == 0, proc.stderr
+    assert "# crossover_units: 20833333.333333332\n" in proc.stdout
+
+
+PARTIAL_OUTPUT_ARGS = [
+    ["topo", "fail", "--topology", "{in}/sl.txt", "--fail", "leaf0", "--out", "{out}/r.csv",
+     "--emit", "{out}/missing/x"],
+    ["risk", "curve", "--alpha", "4", "--out", "{out}/c.csv", "--svg", "{out}/missing/c.svg"],
+    ["topo", "build", "--out", "{out}/missing/t.txt"],
+]
+
+
+def fill(args, **dirs):
+    for name, path in dirs.items():
+        args = [a.replace("{" + name + "}", str(path)) for a in args]
+    return args
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Input files for the output-contract tests, kept apart from any output directory."""
+    base = tmp_path_factory.mktemp("inputs")
+    (base / "sl.txt").write_text(serialize_topology(build_spine_leaf(2, 4, 2)))
+    (base / "tt.txt").write_text(serialize_topology(build_three_tier(2, 2, 2, 1, True)))
+    (base / "scenario.cfg").write_text("harm.beta = 2\npareto.alpha = 4\ntrials = 500\n")
+    (base / "bad.cfg").write_text("output.digits = 0\n")
+    return base
+
+
+class TestAllOrNothingOutput:
+    @pytest.mark.parametrize("args", PARTIAL_OUTPUT_ARGS)
+    def test_failed_write_leaves_no_file(self, cli_inputs, tmp_path, capsys, args):
+        # topo fail and risk curve used to leave the report behind when --emit / --svg failed
+        assert run(fill(args, **{"in": cli_inputs, "out": tmp_path})) == 1
+        assert os.listdir(tmp_path) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: [Errno 2] No such file or directory: '{tmp_path}/missing/" in captured.err
+
+    def test_directory_target_is_clean_error(self, tmp_path, capsys):
+        # the report is staged first, so a failed rename must not leave it behind
+        args = ["risk", "curve", "--alpha", "4", "--out", str(tmp_path / "c.csv"), "--svg", str(tmp_path)]
+        assert run(args) == 1
+        assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().err.startswith(f"error: [Errno 21] Is a directory: '{tmp_path}'")
+
+    def test_files_get_the_default_mode(self, tmp_path):
+        out = tmp_path / "t.txt"
+        assert run(["topo", "build", "--out", str(out)]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_device_target_is_written_in_place(self, tmp_path):
+        # a device cannot be renamed over: /dev/null must stay a device, with no temp file beside it
+        svg = tmp_path / "c.svg"
+        assert run(["risk", "curve", "--alpha", "4", "--out", os.devnull, "--svg", str(svg)]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert svg.read_text().startswith("<svg")
+        assert not [n for n in os.listdir(os.path.dirname(os.devnull)) if n.startswith(".fragrisk-")]
+
+    def test_symlink_target_is_written_through(self, tmp_path, capsys):
+        assert run(["risk", "curve", "--alpha", "4"]) == 0
+        expected = capsys.readouterr().out
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        dangling = tmp_path / "chart.svg"
+        dangling.symlink_to(tmp_path / "new.svg")
+        assert run(["risk", "curve", "--alpha", "4", "--out", str(link), "--svg", str(dangling)]) == 0
+        assert link.is_symlink() and dangling.is_symlink()
+        assert real.read_text() == expected
+        assert real.stat().st_mode & 0o777 == 0o640  # an overwritten file keeps its mode
+        assert (tmp_path / "new.svg").read_text().startswith("<svg")
+        assert sorted(os.listdir(tmp_path)) == ["chart.svg", "link.csv", "new.svg", "real.csv"]
+
+
+class _Hang(BaseException):
+    pass
+
+
+def _raise_hang(signum, frame):
+    raise _Hang("command ran past its time bound")
+
+
+NUMBERS = ["inf", "nan", "-1", "0", "0.5", "1", "2", "1e300", "abc"]
+INTEGERS = ["-1", "0", "1", "2", "abc", "nan"]
+OUTPUTS = ["{out}/a.txt", "{out}/b.txt", "{out}/missing/x.txt", "{out}"]
+TOPOLOGIES = ["{in}/sl.txt", "{in}/tt.txt", "{in}/scenario.cfg", "{out}/missing/x.txt"]
+COMMON_FLAGS = {
+    "--config": ["{in}/scenario.cfg", "{in}/bad.cfg", "{out}/missing/x.cfg"],
+    "--out": OUTPUTS,
+    "--format": ["csv", "json", "xml"],
+    "--digits": INTEGERS,
+}
+HARM_FLAGS = {"--k": NUMBERS, "--beta": NUMBERS}
+PARETO_FLAGS = {"--alpha": NUMBERS, "--scale": NUMBERS}
+MC_FLAGS = {"--trials": ["-1", "0", "1", "2000", "abc"], "--seed": INTEGERS}
+POINTS = INTEGERS + ["200"]
+# subcommand -> flag -> values; True stands for a flag that takes no value
+ARGV_SPACE = {
+    ("harm-curve",): {
+        **COMMON_FLAGS, **HARM_FLAGS, "--svg": OUTPUTS,
+        "--betas": ["1.5,2", "inf", "abc", ""], "--x-max": NUMBERS, "--points": POINTS,
+    },
+    ("jensen",): {
+        **COMMON_FLAGS, **HARM_FLAGS, **PARETO_FLAGS, **MC_FLAGS,
+        "--weights": ["0.5,0.5", "1", "inf,0", "nan", "abc"], "--x": NUMBERS, "--unit-value": NUMBERS,
+    },
+    ("risk", "density"): {
+        **COMMON_FLAGS, **HARM_FLAGS, **PARETO_FLAGS, "--fragments": INTEGERS, "--points": POINTS,
+    },
+    ("risk", "tail-mean"): {
+        **COMMON_FLAGS, **HARM_FLAGS, **PARETO_FLAGS, **MC_FLAGS, "--fragments": INTEGERS,
+    },
+    ("risk", "ratio"): {
+        **COMMON_FLAGS, **HARM_FLAGS, **PARETO_FLAGS, "--K": NUMBERS, "--fragments": INTEGERS,
+    },
+    ("risk", "curve"): {
+        **COMMON_FLAGS, **HARM_FLAGS, **PARETO_FLAGS, "--svg": OUTPUTS,
+        "--K-values": ["1,2,4", "0.5", "inf", "abc", ""],
+    },
+    ("topo", "build"): {
+        "--config": COMMON_FLAGS["--config"], "--out": OUTPUTS,
+        "--kind": ["spine-leaf", "three-tier", "ring"],
+        "--spines": INTEGERS, "--leaves": INTEGERS, "--hosts-per-leaf": INTEGERS, "--cores": INTEGERS,
+        "--distributions": INTEGERS, "--access-per-distribution": INTEGERS, "--hosts-per-access": INTEGERS,
+        "--dual-homed": [True],
+    },
+    ("topo", "hops"): {**COMMON_FLAGS, "--topology": TOPOLOGIES},
+    ("topo", "fail"): {
+        **COMMON_FLAGS, "--topology": TOPOLOGIES, "--fail": ["spine0", "leaf1,spine0", "nope", ""],
+        "--emit": OUTPUTS,
+    },
+    ("topo", "harm"): {
+        **COMMON_FLAGS, **HARM_FLAGS, **MC_FLAGS, "--topology": TOPOLOGIES, "--p": NUMBERS,
+        "--p-role": ["core=0.2", "leaf=nan", "core", "spine=abc"],
+    },
+    ("growth",): {
+        **COMMON_FLAGS, "--svg": OUTPUTS, "--saturation": NUMBERS, "--ports-per-switch": INTEGERS,
+        "--max-units": NUMBERS, "--points": POINTS,
+    },
+    ("compare",): {**COMMON_FLAGS, "--a": TOPOLOGIES, "--b": TOPOLOGIES},
+    # a valid seed runs every check (seconds); test_acceptance covers that path
+    ("verify",): {"--seed": ["-1", "nan", "abc"]},
+}
+# In every generated argv: --topology and --K are required by argparse, and
+# `verify` without --seed would run every check.
+ALWAYS_GIVEN = {"--topology", "--K", "--seed"}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(ARGV_SPACE)))
+    space = ARGV_SPACE[command]
+    flags = [flag for flag in space if flag in ALWAYS_GIVEN]
+    optional = [flag for flag in space if flag not in ALWAYS_GIVEN]
+    if optional:
+        flags += draw(st.lists(st.sampled_from(optional), unique=True, max_size=4))
+    if "--p-role" in flags:
+        flags.append("--p-role")  # it may repeat
+    argv = list(command)
+    for flag in flags:
+        value = draw(st.sampled_from(space[flag]))
+        argv += [flag] if value is True else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argv())
+def test_argv_contract(cli_inputs, argv):
+    """Any argv exits 0, 1 or 2 in bounded time; a failure writes no file and no stdout."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        args = fill(argv, **{"in": cli_inputs, "out": out_dir})
+        stdout = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _raise_hang)
+        signal.alarm(30)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(args)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert os.listdir(out_dir) == []
+            assert stdout.getvalue() == ""
 
 
 SCIPY_PROBE = """
