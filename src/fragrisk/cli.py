@@ -525,10 +525,11 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args)
         except (ValueError, OSError, OverflowError) as exc:
             code, error = 1, exc
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
+    # a failure leads, so stderr's first line says why nothing was written
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     return code
 
 

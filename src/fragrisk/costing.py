@@ -99,7 +99,8 @@ def compare_designs(
         if va != 0:
             ratio = vb / va
         else:
-            ratio = 1.0 if vb == 0 else float("inf")
+            # reports hold finite numbers only, so an unbounded ratio is a label
+            ratio = 1.0 if vb == 0 else "inf"
         rows.append([name, va, vb, ratio])
     return ScenarioReport(
         command="compare",

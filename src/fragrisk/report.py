@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -42,6 +43,11 @@ class ScenarioReport:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(f"row width {len(row)} != {len(self.columns)} columns")
+            for column, cell in zip(self.columns, row):
+                if isinstance(cell, float) and not math.isfinite(cell):
+                    raise ValueError(
+                        f"{self.command}: {column} = {cell} is not finite (an input is too large for float arithmetic)"
+                    )
 
     def metadata(self) -> dict[str, Cell]:
         meta: dict[str, Cell] = {"command": self.command, "version": __version__}

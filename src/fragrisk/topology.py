@@ -9,14 +9,22 @@ measures the share of host pairs that lose connectivity, and
 
 Graph work runs in NumPy on an indexed form that each ``Topology`` caches:
 a device -> index map, ``int32`` link endpoint arrays, a symmetric CSR
-adjacency and per-device host counts.  One connectivity kernel serves every
-fault-domain query: it takes an ``(m, n_devices)`` boolean failure mask,
-joins a bounded block of rows into one block-diagonal graph and labels its
-components by min-label hooking with full pointer jumping.
-``hop_histogram`` runs a direction-optimizing, level-synchronous BFS from
-all host-bearing devices at once and weights each device pair by its host
-pairs.  The per-pair breadth-first searches that check these results live
-in ``fragrisk.verify`` only.
+adjacency, per-device host counts and the false-twin quotient.  Devices with
+the same neighbour set are false twins; the quotient has one node per class
+of them and one link per linked class pair.  Twins are never linked to each
+other, and linked classes are linked member to member, so the quotient
+keeps connectivity and hop counts exactly: spine-leaf is 2 nodes and 1 link
+at any size, and a graph with no twins is its own quotient.
+
+One connectivity kernel serves every fault-domain query: it takes an
+``(m, n_devices)`` boolean failure mask, reduces each row to per-class
+survivors and hosts, joins a bounded block of rows into one block-diagonal
+graph of surviving class links and labels its components by min-label
+hooking with full pointer jumping.  ``hop_histogram`` runs a
+direction-optimizing, level-synchronous BFS over the quotient from all
+host-bearing classes at once and weights each class pair by its host pairs.
+The per-pair breadth-first searches over devices that check these results
+live in ``fragrisk.verify`` only.
 
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
@@ -38,6 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +107,28 @@ class Device:
                 raise ValueError(f"only leaf devices may carry a tag, got {self.role!r}")
             if self.tag not in LEAF_TAGS:
                 raise ValueError(f"unknown leaf tag {self.tag!r}; expected one of {LEAF_TAGS}")
+
+
+class TwinQuotient(NamedTuple):
+    """A topology's false-twin classes and the links between them.
+
+    ``device_class[i]`` is the class of device i.  ``links`` holds both
+    ends of each linked class pair, lower class first, and ``csr`` is the
+    symmetric class adjacency in the form of ``Topology.adjacency_csr``.
+    """
+
+    device_class: np.ndarray
+    links: tuple[np.ndarray, np.ndarray]
+    csr: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.csr[0]) - 1
+
+    def class_sums(self, values: np.ndarray) -> np.ndarray:
+        """Exact ``int64`` sum of a per-device integer array over each class."""
+        # integers far below 2**53, so float sums are exact
+        return np.bincount(self.device_class, weights=values, minlength=self.n_classes).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -210,16 +241,34 @@ class Topology:
         The neighbours of device i are ``neighbors[indptr[i]:indptr[i + 1]]``,
         in ascending order; every link appears once from each end.
         """
-        a, b = self.link_endpoints
-        src = np.concatenate([a, b]).astype(np.int64)
-        dst = np.concatenate([b, a]).astype(np.int64)
-        order = np.lexsort((dst, src))
-        indptr = np.zeros(len(self.devices) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=len(self.devices)), out=indptr[1:])
-        neighbors = dst[order]
-        indptr.flags.writeable = False
-        neighbors.flags.writeable = False
-        return indptr, neighbors
+        return _csr(len(self.devices), *self.link_endpoints)
+
+    @cached_property
+    def twin_quotient(self) -> TwinQuotient:
+        """The false-twin quotient: one node per set of devices with equal neighbours.
+
+        Devices are grouped in one pass over their CSR rows; classes are
+        numbered in order of their first device, and devices with no links
+        share the empty row, so they form one class.  False twins are never
+        linked to each other, and a link between two classes means every
+        member of one is linked to every member of the other.
+        """
+        indptr, neighbors = self.adjacency_csr
+        bounds = indptr.tolist()
+        ids: dict[bytes, int] = {}
+        device_class = np.array(
+            [ids.setdefault(neighbors[s:e].tobytes(), len(ids)) for s, e in zip(bounds, bounds[1:])],
+            dtype=np.int64,
+        )
+        k = len(ids)
+        # one class link per linked class pair (a sort, not np.unique, which
+        # imports numpy.ma for integer keys)
+        a, b = (device_class[end] for end in self.link_endpoints)
+        key = np.sort(np.minimum(a, b) * k + np.maximum(a, b))
+        ca, cb = divmod(key[np.diff(key, prepend=-1) != 0], max(k, 1))
+        for array in (device_class, ca, cb):
+            array.flags.writeable = False
+        return TwinQuotient(device_class, (ca, cb), _csr(k, ca, cb))
 
     @cached_property
     def device_host_counts(self) -> np.ndarray:
@@ -228,6 +277,19 @@ class Topology:
         counts = np.bincount([index[d] for _, d in self.hosts], minlength=len(self.devices)).astype(np.int64)
         counts.flags.writeable = False
         return counts
+
+
+def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only symmetric CSR ``(indptr, neighbors)`` of n nodes joined by links a[i] -- b[i]."""
+    src = np.concatenate([a, b]).astype(np.int64)
+    dst = np.concatenate([b, a]).astype(np.int64)
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    neighbors = dst[order]
+    indptr.flags.writeable = False
+    neighbors.flags.writeable = False
+    return indptr, neighbors
 
 
 def build_three_tier(
@@ -307,19 +369,18 @@ def build_spine_leaf(
     return Topology(tuple(devices), tuple(links), tuple(hosts))
 
 
-def _bfs_levels(t: Topology, sources: np.ndarray) -> np.ndarray:
-    """Hop count from each source to every device; ``UNREACHABLE`` where none.
+def _bfs_levels(indptr: np.ndarray, neighbors: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Hop count from each source to every node of a CSR graph; ``UNREACHABLE`` where none.
 
-    Returns an ``(len(sources), n_devices)`` array.  All sources advance
-    together, level by level, over one flat index space (source r's device i
-    is r * n_devices + i).  A level goes top-down (scatter the frontier's
+    Returns an ``(len(sources), n_nodes)`` array.  All sources advance
+    together, level by level, over one flat index space (source r's node i
+    is r * n_nodes + i).  A level goes top-down (scatter the frontier's
     neighbours) when the frontier's edges are a small share of all edges,
-    and bottom-up (each unvisited device asks whether any neighbour is on the
+    and bottom-up (each unvisited node asks whether any neighbour is on the
     frontier) otherwise, after Beamer, Asanovic and Patterson (SC 2012).  The
     direction changes the cost of a level, never its result.
     """
-    indptr, neighbors = t.adjacency_csr
-    n = len(t.devices)
+    n = len(indptr) - 1
     degree = np.diff(indptr)
     linked = np.flatnonzero(degree)
     rows = len(sources)
@@ -339,10 +400,10 @@ def _bfs_levels(t: Topology, sources: np.ndarray) -> np.ndarray:
             cand = np.repeat(frontier - node, deg) + neighbors[start + np.arange(work)]
             cand = cand[dist[cand] == UNREACHABLE]
             order = np.arange(len(cand))
-            owner[cand] = order  # scatter-mark: one surviving slot per device
+            owner[cand] = order  # scatter-mark: one surviving slot per node
             frontier = cand[owner[cand] == order]
         else:
-            # bottom-up: an unvisited device joins if any neighbour is on the frontier
+            # bottom-up: an unvisited node joins if any neighbour is on the frontier
             on = (dist == level - 1).reshape(rows, n)
             hit = np.zeros((rows, n), dtype=bool)
             if len(linked):
@@ -359,27 +420,36 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     pairs involving detached hosts) land in the ``UNREACHABLE`` (-1) bucket.
     Only buckets with at least one pair appear.
     """
+    q = t.twin_quotient
     counts = t.device_host_counts
-    sources = np.flatnonzero(counts)
-    c = counts[sources]
-    n = len(t.devices)
+    hosts = q.class_sums(counts)
+    sources = np.flatnonzero(hosts)
+    c = hosts[sources]
+    same = q.class_sums(counts * (counts - 1))[sources]
+    apart = c * c - q.class_sums(counts * counts)[sources]
+    k = q.n_classes
 
-    # Ordered host pairs by hop count (index hops + 1): device pair (i, j)
-    # carries c_i * c_j of them, and device i itself c_i * (c_i - 1).  Rows of
-    # sources go in bounded blocks; every unordered pair is counted twice.
-    ordered = np.zeros(n + 1, dtype=np.int64)
-    step = max(1, _KERNEL_BLOCK_SLOTS // max(1, n))
+    # Ordered host pairs by hop count (index hops + 1).  Devices of two
+    # classes are as far apart as the classes are in the quotient, so class
+    # pair (Q, R) carries c_Q * c_R of them.  Within a class, hosts on one
+    # device are 0 hops apart and hosts on two devices 2 hops (through any
+    # shared neighbour), or unreachable if the class has no neighbour.  Rows
+    # of sources go in bounded blocks; every unordered pair is counted twice.
+    ordered = np.zeros(max(k, 3) + 1, dtype=np.int64)  # quotient hops < k; twins 2 apart
+    step = max(1, _KERNEL_BLOCK_SLOTS // max(1, k))
     for start in range(0, len(sources), step):
         block = slice(start, start + step)
-        hops = _bfs_levels(t, sources[block])[:, sources]
+        hops = _bfs_levels(*q.csr, sources[block])[:, sources]
         weight = c[block, None] * c
         rows = np.arange(len(weight))
-        weight[rows, start + rows] -= c[block]
+        weight[rows, start + rows] = same[block]
         np.add.at(ordered, hops.ravel() + 1, weight.ravel())
+    has_neighbor = np.diff(q.csr[0])[sources] > 0
+    np.add.at(ordered, np.where(has_neighbor, 2, UNREACHABLE) + 1, apart)
 
     attached, detached = len(t.hosts), len(t.detached_hosts)
     ordered[UNREACHABLE + 1] += 2 * detached * attached + detached * (detached - 1)
-    return {k - 1: int(v) // 2 for k, v in enumerate(ordered) if v}
+    return {i - 1: int(v) // 2 for i, v in enumerate(ordered) if v}
 
 
 def inject_failures(t: Topology, failed: set[str]) -> Topology:
@@ -403,31 +473,52 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
     """Host pairs that can still communicate, for each row of a failure mask.
 
     ``failed`` is an ``(m, n_devices)`` boolean array over device indices.
-    Each block of rows becomes one block-diagonal graph (row r's device i is
-    node r * n_devices + i) holding the links whose ends both survive.  Its
-    components are found by min-label hooking: every label is a root, each
-    root with a link to a lower root hooks onto the lowest such root, and
-    full pointer jumping makes every label a root again.  Labels only fall,
-    so this ends once no surviving link joins two labels.  A component with
-    c surviving attached hosts contributes c * (c - 1) / 2 pairs.  Counts are
-    exact ``int64``.
+    The work runs on the twin quotient (``Topology.twin_quotient``).  Each
+    row reduces to three values per class, by subtracting its failed
+    devices from the intact class: whether any member survives, the
+    surviving hosts, and the host pairs that surviving members hold on one
+    device.  A class whose neighbour classes all failed has its survivors
+    each on their own, so it counts only the latter.  Every other surviving
+    class lies whole in one component of the surviving quotient.
+
+    Each block of rows becomes one block-diagonal graph of classes (row r's
+    class i is node r * n_classes + i) holding the class links whose ends
+    both survive.  Its components are found by min-label hooking: every
+    label is a root, each root with a link to a lower root hooks onto the
+    lowest such root, and full pointer jumping makes every label a root
+    again.  Labels only fall, so this ends once no surviving link joins two
+    labels.  A component with c surviving hosts contributes c * (c - 1) / 2
+    pairs.  Counts are exact ``int64``.
     """
     m, n = failed.shape
-    a, b = t.link_endpoints
+    q = t.twin_quotient
+    a, b = q.links
+    k = q.n_classes
     counts = t.device_host_counts
+    own = counts * (counts - 1) // 2
     out = np.zeros(m, dtype=np.int64)
     if n == 0:
         return out
-    step = max(1, min(m, _KERNEL_BLOCK_SLOTS // (len(a) + n)))
-    # block node ids of both ends of every link, row by row
-    offset = np.arange(step)[:, None] * n
+    step = max(1, min(m, _KERNEL_BLOCK_SLOTS // (n + len(a))))
+    # members, hosts and one-device host pairs of each intact class, row by row
+    size, intact_hosts, intact_own = (np.tile(q.class_sums(x), step) for x in (np.ones_like(counts), counts, own))
+    # block node ids of both ends of every class link, row by row
+    offset = np.arange(step)[:, None] * k
     ends_a, ends_b = (offset + a).ravel(), (offset + b).ravel()
     for start in range(0, m, step):
-        alive = ~failed[start : start + step]
-        rows = len(alive)
-        kept = np.flatnonzero(alive[:, a] & alive[:, b])
+        block = failed[start : start + step]
+        rows = len(block)
+        slots = rows * k
+        row, dev = np.divmod(np.flatnonzero(block), n)
+        node = row * k + q.device_class[dev]
+        survives = (size[:slots] > np.bincount(node, minlength=slots)).reshape(rows, k)
+        hosts = intact_hosts[:slots] - np.bincount(node, counts[dev], slots).astype(np.int64)
+        own_pairs = intact_own[:slots] - np.bincount(node, own[dev], slots).astype(np.int64)
+        kept = np.flatnonzero(survives[:, a] & survives[:, b])
         u, v = ends_a[kept], ends_b[kept]
-        label = np.arange(rows * n)
+        lone = np.ones(slots, dtype=bool)
+        lone[u] = lone[v] = False
+        label = np.arange(slots)
         lu, lv = u, v  # every node starts as its own label
         while len(u):
             np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
@@ -441,8 +532,9 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
             cross = lu != lv
             u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
         # host counts are integers far below 2**53, so float sums are exact
-        hosts = np.bincount(label, weights=(alive * counts).ravel(), minlength=rows * n).astype(np.int64)
-        out[start : start + rows] = (hosts * (hosts - 1) // 2).reshape(rows, n).sum(axis=1)
+        joined = np.bincount(label, weights=np.where(lone, 0, hosts), minlength=slots).astype(np.int64)
+        pairs = joined * (joined - 1) // 2 + np.where(lone, own_pairs, 0)
+        out[start : start + rows] = pairs.reshape(rows, k).sum(axis=1)
     return out
 
 
@@ -555,11 +647,32 @@ def failure_harm_mc(
 
     # severity quantiles: the q-th worst harm sits at the (1-q) quantile of
     # the signed (nonpositive) values
-    q50, q90, q99 = np.quantile(samples, [0.5, 0.1, 0.01])
+    q50, q90, q99 = _linear_quantiles(samples, (0.5, 0.1, 0.01))
     return FailureHarmStats(
         expected_harm=float(samples.mean()),
-        quantiles={"p50": float(q50), "p90": float(q90), "p99": float(q99)},
+        quantiles={"p50": q50, "p90": q90, "p99": q99},
     )
+
+
+def _linear_quantiles(values: np.ndarray, qs: tuple[float, ...]) -> list[float]:
+    """``np.quantile(values, qs)`` bit for bit, from one sort.
+
+    ``np.quantile`` imports ``numpy.ma`` (about 15 ms) on its first call.
+    This is NumPy's default "linear" rule: the q-quantile sits at index
+    (n - 1) * q of the sorted values, and between neighbours a and b at
+    fraction t it is a + (b - a) * t, or b - (b - a) * (1 - t) once
+    t >= 0.5, as NumPy's ``_lerp`` rounds it.
+    """
+    ordered = np.sort(values)
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        index = last * q
+        low = int(index)  # the floor, as the index is >= 0
+        t = index - low
+        a, b = ordered[low], ordered[min(low + 1, last)]
+        out.append(float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t))
+    return out
 
 
 def serialize_topology(t: Topology) -> str:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fragrisk.cli import main
 from fragrisk.config import ScenarioConfig, load_config, parse_config_text
+from fragrisk.report import ScenarioReport
 from fragrisk.topology import build_spine_leaf, build_three_tier, serialize_topology
 
 
@@ -168,6 +169,27 @@ class TestOutputContracts:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_report_rejects_non_finite_cells(self):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="not finite"):
+                ScenarioReport("harm-curve", ["x", "harm"], [[1.0, value]])
+
+    def test_compare_unbounded_ratio_is_a_label(self, tmp_path):
+        # one host has no pairs to lose, so design b's fault domain is
+        # unboundedly worse; the report says so in valid JSON
+        one = tmp_path / "one.txt"
+        one.write_text("topology/1\ns0 spine\nl0 leaf\ns0 -- l0\nhost h0 @ l0\n")
+        csv, doc = tmp_path / "compare.csv", tmp_path / "compare.json"
+        assert run(["compare", "--a", str(one), "--out", str(csv)]) == 0
+        assert read_bytes(csv).endswith(b"\nmax_single_device_affected,0,0.5,inf\n")
+        assert run(["compare", "--a", str(one), "--format", "json", "--out", str(doc)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = json.loads(doc.read_text(), parse_constant=reject)["rows"]
+        assert rows[-1] == ["max_single_device_affected", 0.0, 0.5, "inf"]
+
     def test_invalid_flags_exit_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
             run(["risk", "ratio", "--alpha", "2", "--beta", "1.5"])  # missing --K
@@ -280,6 +302,11 @@ OVERFLOW_ARGS = [
     ["jensen", "--x", "1e300", "--beta", "3"],
     ["harm-curve", "--x-max", "1e300", "--betas", "3", "--points", "3"],
     ["risk", "tail-mean", "--scale", "1e300", "--beta", "3", "--alpha", "5", "--trials", "10"],
+    # a finite k whose products overflow to -inf; each printed -inf cells and exited 0
+    ["harm-curve", "--k", "1e308", "--points", "3"],
+    ["topo", "harm", "--topology", "{in}/sl.txt", "--k", "1e308", "--p", "0.5", "--trials", "100"],
+    ["jensen", "--k", "1e308"],
+    ["risk", "tail-mean", "--k", "1e308"],
 ]
 
 
@@ -292,9 +319,9 @@ class TestNonFiniteInput:
         assert proc.stderr.startswith("error:") and "finite" in proc.stderr
 
     @pytest.mark.parametrize("args", NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS)
-    def test_no_report_written(self, tmp_path, capsys, args):
+    def test_no_report_written(self, cli_inputs, tmp_path, capsys, args):
         out = tmp_path / "report.csv"
-        assert run(args + ["--out", str(out)]) == 1
+        assert run(fill(args, **{"in": cli_inputs}) + ["--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
@@ -519,16 +546,36 @@ print("scipy modules:", sorted(m for m in sys.modules if m == "scipy" or m.start
 """
 
 
-def test_topology_commands_never_import_scipy(tmp_path):
-    # SciPy is only for the quadrature oracles of `verify`; start-up must not pay for it
+NUMPY_MA_PROBE = """
+import sys
+from fragrisk.cli import main
+
+topo = sys.argv[1]
+assert main(["topo", "build", "--kind", "three-tier", "--dual-homed", "--out", topo]) == 0
+assert main(["topo", "harm", "--topology", topo, "--p", "0.1", "--trials", "500"]) == 0
+print("numpy.ma modules:", sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def probe_last_line(script, *args):
+    """Last stdout line of ``script`` run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "sl.txt")],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_topology_commands_never_import_scipy(tmp_path):
+    # SciPy is only for the quadrature oracles of `verify`; start-up must not pay for it
+    assert probe_last_line(SCIPY_PROBE, str(tmp_path / "sl.txt")) == "scipy modules: []"
+
+
+def test_topology_harm_never_imports_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma, about 15 ms of each `topo harm` run
+    assert probe_last_line(NUMPY_MA_PROBE, str(tmp_path / "tt.txt")) == "numpy.ma modules: []"
 
 
 # Reports on small fabrics, captured from the per-pattern BFS implementation;

@@ -22,7 +22,7 @@ from fragrisk import (
     serialize_topology,
 )
 from fragrisk import topology
-from fragrisk.topology import UNREACHABLE, affected_fractions
+from fragrisk.topology import UNREACHABLE, _linear_quantiles, affected_fractions
 from fragrisk.verify import (
     affected_fraction_bfs,
     check_hop_histogram_oracle,
@@ -98,6 +98,58 @@ def access_chain(length: int, seed: int | None = None) -> Topology:
             links.append((f"a{k}", f"d{ids[i + 1]}"))
         hosts.append((f"h{k}", f"a{k}"))
     return Topology(tuple(devices), tuple(links), tuple(hosts))
+
+
+def neighbor_sets(t: Topology) -> dict[str, frozenset[str]]:
+    adj = {d.id: set() for d in t.devices}
+    for a, b in t.links:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {d: frozenset(n) for d, n in adj.items()}
+
+
+def twin_classes(t: Topology) -> set[frozenset[str]]:
+    """The quotient's classes as sets of device ids."""
+    classes: dict[int, set[str]] = {}
+    for d, c in zip(t.devices, t.twin_quotient.device_class.tolist()):
+        classes.setdefault(c, set()).add(d.id)
+    return {frozenset(c) for c in classes.values()}
+
+
+@st.composite
+def planted_twin_fabrics(draw) -> Topology:
+    """A fabric built class by class: every member of a class gets the class's links.
+
+    Spine-leaf: spine classes joined to leaf classes.  3-tier: one or two
+    cores (two are linked, so they are true twins when they reach the same
+    distribution classes), distribution classes and access classes.  Leaves
+    and access switches carry 0-2 hosts each, with or without links.  With
+    some draws the fabric then goes through ``inject_failures``.
+    """
+
+    def classes(role, most):
+        return [[f"{role}{c}m{i}" for i in range(draw(st.integers(1, 3)))] for c in range(draw(st.integers(0, most)))]
+
+    def join(upper, lower):
+        return [(a, b) for u in upper for w in lower if draw(st.booleans()) for a in u for b in w]
+
+    if draw(st.booleans()):
+        uppers, lowers = classes("spine", 3), classes("leaf", 4)
+        devices = [Device(d, "spine") for u in uppers for d in u] + [Device(d, "leaf") for w in lowers for d in w]
+        links = join(uppers, lowers)
+    else:
+        cores = [[f"core{i}"] for i in range(draw(st.integers(0, 2)))]
+        dists, lowers = classes("dist", 3), classes("acc", 4)
+        devices = [Device(c[0], "core") for c in cores]
+        devices += [Device(d, "distribution") for u in dists for d in u]
+        devices += [Device(d, "access") for w in lowers for d in w]
+        links = [("core0", "core1")] if len(cores) == 2 else []
+        links += join(cores, dists) + join(dists, lowers)
+    hosts = [(f"h{d}x{j}", d) for w in lowers for d in w for j in range(draw(st.integers(0, 2)))]
+    t = Topology(tuple(devices), tuple(links), tuple(hosts))
+    if t.devices and draw(st.booleans()):
+        t = inject_failures(t, set(draw(st.lists(st.sampled_from(sorted(t.device_ids)), max_size=3))))
+    return t
 
 
 NO_DEVICES = Topology((), (), (), ("h0", "h1", "h2"))
@@ -395,6 +447,94 @@ class TestConnectivityKernel:
             affected_fractions(t, np.zeros((2, 5), dtype=bool))
         with pytest.raises(ValueError, match="shape"):
             affected_fractions(t, np.zeros(6, dtype=bool))
+
+
+class TestTwinQuotient:
+    @pytest.mark.parametrize("shape", [(2, 4, 1), (2, 4, 10), (4, 32, 10), (16, 128, 4), (32, 512, 2)])
+    def test_spine_leaf_is_two_classes(self, shape):
+        q = build_spine_leaf(*shape).twin_quotient
+        assert q.n_classes == 2
+        assert [end.tolist() for end in q.links] == [[0], [1]]
+
+    @pytest.mark.parametrize(
+        "shape, devices, links, classes, class_links",
+        [((2, 32, 16, 2), 546, 1089, 66, 129), ((2, 16, 8, 4), 146, 289, 34, 65)],
+    )
+    def test_dual_homed_three_tier_class_count(self, shape, devices, links, classes, class_links):
+        # two cores, one class per distribution, one per pair of adjacent distributions
+        t = build_three_tier(*shape, dual_homed=True)
+        assert (len(t.devices), len(t.links)) == (devices, links)
+        q = t.twin_quotient
+        assert (q.n_classes, len(q.links[0])) == (classes, class_links)
+
+    def test_linked_cores_stay_apart(self):
+        # the two cores share every distribution neighbour but are linked:
+        # true twins, whose open neighbourhoods differ
+        classes = twin_classes(build_three_tier(2, 3, 2, 1))
+        assert frozenset({"core0"}) in classes and frozenset({"core1"}) in classes
+
+    def test_class_whose_neighbours_all_failed(self):
+        # every leaf survives the spine, but each one on its own: of 15 host
+        # pairs only the 3 that share a leaf still communicate
+        t = build_spine_leaf(1, 3, 2)
+        assert affected_fraction(t, {"spine0"}) == 12 / 15
+        assert affected_fraction_bfs(t, {"spine0"}) == 12 / 15
+
+    def test_hosts_on_unlinked_devices(self):
+        devices = tuple(Device(f"l{i}", "leaf") for i in range(3)) + (Device("s0", "spine"),)
+        t = Topology(devices, (("s0", "l2"),), (("h0", "l0"), ("h1", "l0"), ("h2", "l1"), ("h3", "l2")))
+        assert twin_classes(t) == {frozenset({"l0", "l1"}), frozenset({"l2"}), frozenset({"s0"})}
+        assert hop_histogram(t) == {UNREACHABLE: 5, 0: 1}
+        assert affected_fraction(t, set()) == 5 / 6
+
+    @given(t=planted_twin_fabrics(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_planted_twins_match_oracles(self, t, seed):
+        neighbors = neighbor_sets(t)
+        groups: dict[frozenset[str], set[str]] = {}
+        for device, near in neighbors.items():
+            groups.setdefault(near, set()).add(device)
+        assert twin_classes(t) == {frozenset(g) for g in groups.values()}
+
+        hist = hop_histogram(t)
+        assert hist == hop_histogram_bfs(t)
+        assert hist == networkx_hop_histogram(t)
+
+        # one row per device that fails all its neighbours (so all neighbour
+        # classes of its class), plus random rows
+        index = t.device_index
+        rows = np.random.default_rng(seed).random((4, len(t.devices))) < 0.3
+        lone = np.zeros((len(t.devices), len(t.devices)), dtype=bool)
+        for i, d in enumerate(t.devices):
+            lone[i, [index[n] for n in neighbors[d.id]]] = True
+        mask = np.concatenate([lone, rows])
+        for row, value in zip(mask, affected_fractions(t, mask).tolist()):
+            assert value == affected_fraction_bfs(t, failed_ids(t, row))
+
+
+class TestLinearQuantiles:
+    QS = (0.5, 0.1, 0.01)
+
+    def assert_matches_numpy(self, values):
+        got = np.array(_linear_quantiles(values, self.QS))
+        assert got.tobytes() == np.quantile(values, self.QS).tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
+    @settings(max_examples=100, deadline=None)
+    def test_random_arrays(self, seed, n):
+        rng = np.random.default_rng(seed)
+        self.assert_matches_numpy(rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8))
+        self.assert_matches_numpy(-rng.pareto(1.5, n))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
+    @settings(max_examples=100, deadline=None)
+    def test_tied_arrays(self, seed, n):
+        rng = np.random.default_rng(seed)
+        self.assert_matches_numpy(rng.choice(-rng.random(3), n))
+
+    def test_one_and_two_values(self):
+        for values in ([-0.25], [0.0], [-1.0, 0.0], [-0.3, -0.1], [-2.0, -2.0]):
+            self.assert_matches_numpy(np.array(values))
 
 
 class TestLongDiameter:
