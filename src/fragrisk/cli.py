@@ -74,6 +74,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _parse_values(flag: str, raw: str) -> tuple[float, ...]:
+    values = _parse_floats(raw)
+    if not values:
+        raise ValueError(f"{flag} needs at least one value, got {raw!r}")
+    return values
+
+
 def _check_range_end(flag: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{flag} must be finite and > 0, got {value}")
@@ -142,12 +149,10 @@ def _emit(out: str | None, text: str, side_files=(), stdout: str | None = None) 
     sys.stdout.write(stdout)
 
 
-def _emit_report(
-    report: ScenarioReport, cfg: ScenarioConfig, args, seeded: bool = True, side_files=(), stdout=None
-) -> None:
+def _emit_report(report: ScenarioReport, cfg: ScenarioConfig, args, side_files=(), stdout=None) -> None:
     """Stamp ``report`` with the config hash (and seed), render it, add ``--svg``, then ``_emit``."""
     report.config_hash = cfg.config_hash()
-    if seeded:
+    if hasattr(args, "seed"):  # exactly the commands that take --seed draw random numbers
         report.seed = cfg.seed
     if cfg.report_core_drop_probability is not None:
         report.extra_metadata.setdefault("core_drop_probability", cfg.report_core_drop_probability)
@@ -198,7 +203,7 @@ def _failure_model(cfg: ScenarioConfig, args) -> FailureModel:
 
 def cmd_harm_curve(args) -> int:
     cfg = _config_from_args(args)
-    betas = _parse_floats(args.betas)
+    betas = _parse_values("--betas", args.betas)
     if args.points < 2:
         raise ValueError("--points must be >= 2")
     _check_range_end("--x-max", args.x_max)
@@ -207,7 +212,7 @@ def cmd_harm_curve(args) -> int:
     rows = []
     for x in xs:
         rows.append([x] + [harm(HarmParams(cfg.harm_k, beta), x) for beta in betas])
-    _emit_report(ScenarioReport("harm-curve", columns, rows), cfg, args, seeded=False)
+    _emit_report(ScenarioReport("harm-curve", columns, rows), cfg, args)
     return 0
 
 
@@ -242,7 +247,7 @@ def cmd_risk_density(args) -> int:
         xi = harm_quantile(p, h, n, q)
         rows.append([xi, fragment_harm_density(p, h, n, xi)])
     report = ScenarioReport("risk-density", ["xi", "density"], rows)
-    _emit_report(report, cfg, args, seeded=False)
+    _emit_report(report, cfg, args)
     return 0
 
 
@@ -265,16 +270,16 @@ def cmd_risk_ratio(args) -> int:
     cfg = _config_from_args(args)
     ratio = degradation_ratio(_pareto_params(cfg), _harm_params(cfg), args.K, cfg.fragments)
     report = ScenarioReport("risk-ratio", ["K", "ratio"], [[args.K, ratio]])
-    _emit_report(report, cfg, args, seeded=False, stdout=f"{ratio:.6f}\n")
+    _emit_report(report, cfg, args, stdout=f"{ratio:.6f}\n")
     return 0
 
 
 def cmd_risk_curve(args) -> int:
     cfg = _config_from_args(args)
-    multipliers = list(_parse_floats(args.K_values))
+    multipliers = list(_parse_values("--K-values", args.K_values))
     curve = degradation_curve(_pareto_params(cfg), _harm_params(cfg), multipliers)
     report = ScenarioReport("risk-curve", ["K", "ratio"], [[k, r] for k, r in curve])
-    _emit_report(report, cfg, args, seeded=False)
+    _emit_report(report, cfg, args)
     return 0
 
 
@@ -291,7 +296,7 @@ def cmd_topo_hops(args) -> int:
     rows = [[hops, hist[hops]] for hops in sorted(hist)]
     report = ScenarioReport("topo-hops", ["hops", "pairs"], rows)
     report.extra_metadata["unreachable_bucket"] = UNREACHABLE
-    _emit_report(report, cfg, args, seeded=False)
+    _emit_report(report, cfg, args)
     return 0
 
 
@@ -306,7 +311,7 @@ def cmd_topo_fail(args) -> int:
         ["failed_devices", "affected_fraction", "detached_hosts"],
         [[len(failed), fraction, len(injected.detached_hosts)]],
     )
-    _emit_report(report, cfg, args, seeded=False, side_files=[(args.emit, serialize_topology(injected))])
+    _emit_report(report, cfg, args, side_files=[(args.emit, serialize_topology(injected))])
     return 0
 
 
@@ -336,7 +341,7 @@ def cmd_growth(args) -> int:
         rows.append([units, capacity_at(sig, units), capacity_at(lin, units)])
     report = ScenarioReport("growth", ["units", "sigmoid_capacity", "linear_capacity"], rows)
     report.extra_metadata["crossover_units"] = crossover(sig, lin)
-    _emit_report(report, cfg, args, seeded=False)
+    _emit_report(report, cfg, args)
     return 0
 
 
@@ -354,7 +359,7 @@ def cmd_compare(args) -> int:
     )
     ports = {role: getattr(cfg, f"ports_{role}") for role in ROLES}
     report = compare_designs(design_a, design_b, assumptions, ports)
-    _emit_report(report, cfg, args, seeded=False)
+    _emit_report(report, cfg, args)
     return 0
 
 

@@ -109,45 +109,21 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# config-file key -> (field name, parser)
+_SECTIONS = ("harm", "pareto", "topology", "failure", "cost", "ports", "output", "report")
+_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool, "tuple[float, ...]": _parse_floats}
+
+
+def _config_key(field_name: str) -> str:
+    """Config-file key of a field: ``<section>.<rest>`` for a section prefix."""
+    if field_name == "fragments":
+        return "fragments.count"
+    section, _, rest = field_name.partition("_")
+    return f"{section}.{rest}" if section in _SECTIONS else field_name
+
+
+# config-file key -> (field name, parser), one per ScenarioConfig field
 KEY_SPECS: dict[str, tuple[str, object]] = {
-    "harm.k": ("harm_k", float),
-    "harm.beta": ("harm_beta", float),
-    "harm.weights": ("harm_weights", _parse_floats),
-    "pareto.alpha": ("pareto_alpha", float),
-    "pareto.scale": ("pareto_scale", float),
-    "fragments.count": ("fragments", int),
-    "unit_value": ("unit_value", float),
-    "error_x": ("error_x", float),
-    "topology.kind": ("topology_kind", str),
-    "topology.spines": ("topology_spines", int),
-    "topology.leaves": ("topology_leaves", int),
-    "topology.hosts_per_leaf": ("topology_hosts_per_leaf", int),
-    "topology.cores": ("topology_cores", int),
-    "topology.distributions": ("topology_distributions", int),
-    "topology.access_per_distribution": ("topology_access_per_distribution", int),
-    "topology.hosts_per_access": ("topology_hosts_per_access", int),
-    "topology.dual_homed": ("topology_dual_homed", _parse_bool),
-    "failure.default": ("failure_default", float),
-    "failure.core": ("failure_core", float),
-    "failure.distribution": ("failure_distribution", float),
-    "failure.access": ("failure_access", float),
-    "failure.spine": ("failure_spine", float),
-    "failure.leaf": ("failure_leaf", float),
-    "cost.modular_price_per_port": ("cost_modular_price_per_port", float),
-    "cost.modular_watts_per_port": ("cost_modular_watts_per_port", float),
-    "cost.fixed_price_ratio": ("cost_fixed_price_ratio", float),
-    "cost.fixed_watts_ratio": ("cost_fixed_watts_ratio", float),
-    "ports.core": ("ports_core", int),
-    "ports.distribution": ("ports_distribution", int),
-    "ports.access": ("ports_access", int),
-    "ports.spine": ("ports_spine", int),
-    "ports.leaf": ("ports_leaf", int),
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-    "output.format": ("output_format", str),
-    "output.digits": ("output_digits", int),
-    "report.core_drop_probability": ("report_core_drop_probability", float),
+    _config_key(f.name): (f.name, _PARSERS[f.type.removesuffix(" | None")]) for f in fields(ScenarioConfig)
 }
 
 _KEY_BY_FIELD = {field_name: key for key, (field_name, _) in KEY_SPECS.items()}

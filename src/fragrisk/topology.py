@@ -7,12 +7,11 @@ access or leaf devices.  Failures remove whole devices; ``affected_fraction``
 measures the share of host pairs that lose connectivity, and
 ``failure_harm_mc`` feeds that fraction into the harm transform.
 
-Graph work runs in NumPy on an indexed form that each ``Topology`` caches:
-a device -> index map, ``int32`` link endpoint arrays, a symmetric CSR
-adjacency, per-device host counts and the false-twin quotient.  Devices with
-the same neighbour set are false twins; the quotient has one node per class
-of them and one link per linked class pair.  Twins are never linked to each
-other, and linked classes are linked member to member, so the quotient
+Graph work runs in NumPy on the false-twin quotient that each ``Topology``
+caches, next to its device -> index map and per-device host counts.  Devices
+with the same neighbour set are false twins; the quotient has one node per
+class of them and one link per linked class pair.  Twins are never linked to
+each other, and linked classes are linked member to member, so the quotient
 keeps connectivity and hop counts exactly: spine-leaf is 2 nodes and 1 link
 at any size, and a graph with no twins is its own quotient.
 
@@ -21,10 +20,10 @@ One connectivity kernel serves every fault-domain query: it takes an
 survivors and hosts, joins a bounded block of rows into one block-diagonal
 graph of surviving class links and labels its components by min-label
 hooking with full pointer jumping.  ``hop_histogram`` runs a
-direction-optimizing, level-synchronous BFS over the quotient from all
-host-bearing classes at once and weights each class pair by its host pairs.
-The per-pair breadth-first searches over devices that check these results
-live in ``fragrisk.verify`` only.
+level-synchronous BFS over the quotient from all host-bearing classes at
+once and weights each class pair by its host pairs.  The per-pair
+breadth-first searches over devices that check these results live in
+``fragrisk.verify`` only.
 
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
@@ -67,12 +66,6 @@ FORMAT_HEADER = "topology/1"
 # about this many link-plus-device slots; larger blocks only cost memory.
 _KERNEL_BLOCK_SLOTS = 50_000
 
-# A BFS level runs top-down while its frontier has fewer than 1/14 of the
-# block's edges (Beamer et al.'s alpha), bottom-up otherwise.  Measured on the
-# fabric ladder and a 600-device chain: all-bottom-up is 28x slower on the
-# chain, all-top-down 7x slower on spine-leaf (32,512,2).
-_TOP_DOWN_SHARE = 14
-
 # failure_harm_mc deduplicates failure patterns over mask chunks of about
 # this many cells, filled from uniform draws of at most _DRAW_CELLS at a time.
 _SAMPLE_CHUNK_CELLS = 2_000_000
@@ -114,7 +107,9 @@ class TwinQuotient(NamedTuple):
 
     ``device_class[i]`` is the class of device i.  ``links`` holds both
     ends of each linked class pair, lower class first, and ``csr`` is the
-    symmetric class adjacency in the form of ``Topology.adjacency_csr``.
+    read-only symmetric class adjacency ``(indptr, neighbors)``: the
+    neighbours of class i are ``neighbors[indptr[i]:indptr[i + 1]]``, in
+    ascending order, and every class link appears once from each end.
     """
 
     device_class: np.ndarray
@@ -227,23 +222,6 @@ class Topology:
         return {d.id: i for i, d in enumerate(self.devices)}
 
     @cached_property
-    def link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``int32`` device indices of both ends of every link."""
-        index = self.device_index
-        ends = np.array([(index[a], index[b]) for a, b in self.links], dtype=np.int32).reshape(-1, 2)
-        ends.flags.writeable = False
-        return ends[:, 0], ends[:, 1]
-
-    @cached_property
-    def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only symmetric CSR adjacency ``(indptr, neighbors)`` by device index.
-
-        The neighbours of device i are ``neighbors[indptr[i]:indptr[i + 1]]``,
-        in ascending order; every link appears once from each end.
-        """
-        return _csr(len(self.devices), *self.link_endpoints)
-
-    @cached_property
     def twin_quotient(self) -> TwinQuotient:
         """The false-twin quotient: one node per set of devices with equal neighbours.
 
@@ -253,7 +231,9 @@ class Topology:
         linked to each other, and a link between two classes means every
         member of one is linked to every member of the other.
         """
-        indptr, neighbors = self.adjacency_csr
+        index = self.device_index
+        ends = np.array([(index[a], index[b]) for a, b in self.links], dtype=np.int64).reshape(-1, 2)
+        indptr, neighbors = _csr(len(self.devices), ends[:, 0], ends[:, 1])
         bounds = indptr.tolist()
         ids: dict[bytes, int] = {}
         device_class = np.array(
@@ -263,7 +243,7 @@ class Topology:
         k = len(ids)
         # one class link per linked class pair (a sort, not np.unique, which
         # imports numpy.ma for integer keys)
-        a, b = (device_class[end] for end in self.link_endpoints)
+        a, b = device_class[ends].T
         key = np.sort(np.minimum(a, b) * k + np.maximum(a, b))
         ca, cb = divmod(key[np.diff(key, prepend=-1) != 0], max(k, 1))
         for array in (device_class, ca, cb):
@@ -374,15 +354,11 @@ def _bfs_levels(indptr: np.ndarray, neighbors: np.ndarray, sources: np.ndarray) 
 
     Returns an ``(len(sources), n_nodes)`` array.  All sources advance
     together, level by level, over one flat index space (source r's node i
-    is r * n_nodes + i).  A level goes top-down (scatter the frontier's
-    neighbours) when the frontier's edges are a small share of all edges,
-    and bottom-up (each unvisited node asks whether any neighbour is on the
-    frontier) otherwise, after Beamer, Asanovic and Patterson (SC 2012).  The
-    direction changes the cost of a level, never its result.
+    is r * n_nodes + i).  Each level gathers every neighbour of the
+    frontier and keeps each unvisited one once as the next frontier.
     """
     n = len(indptr) - 1
     degree = np.diff(indptr)
-    linked = np.flatnonzero(degree)
     rows = len(sources)
     dist = np.full(rows * n, UNREACHABLE, dtype=np.int64)
     owner = np.empty(rows * n, dtype=np.int64)
@@ -393,22 +369,12 @@ def _bfs_levels(indptr: np.ndarray, neighbors: np.ndarray, sources: np.ndarray) 
         level += 1
         node = frontier % n
         deg = degree[node]
-        work = int(deg.sum())
-        if work * _TOP_DOWN_SHARE < rows * len(neighbors):
-            # top-down: every neighbour of the frontier, kept once if unvisited
-            start = np.repeat(indptr[node] - (np.cumsum(deg) - deg), deg)
-            cand = np.repeat(frontier - node, deg) + neighbors[start + np.arange(work)]
-            cand = cand[dist[cand] == UNREACHABLE]
-            order = np.arange(len(cand))
-            owner[cand] = order  # scatter-mark: one surviving slot per node
-            frontier = cand[owner[cand] == order]
-        else:
-            # bottom-up: an unvisited node joins if any neighbour is on the frontier
-            on = (dist == level - 1).reshape(rows, n)
-            hit = np.zeros((rows, n), dtype=bool)
-            if len(linked):
-                hit[:, linked] = np.logical_or.reduceat(on[:, neighbors], indptr[linked], axis=1)
-            frontier = np.flatnonzero(hit.ravel() & (dist == UNREACHABLE))
+        start = np.repeat(indptr[node] - (np.cumsum(deg) - deg), deg)
+        cand = np.repeat(frontier - node, deg) + neighbors[start + np.arange(len(start))]
+        cand = cand[dist[cand] == UNREACHABLE]
+        order = np.arange(len(cand))
+        owner[cand] = order  # scatter-mark: one surviving slot per node
+        frontier = cand[owner[cand] == order]
         dist[frontier] = level
     return dist.reshape(rows, n)
 

@@ -309,6 +309,12 @@ OVERFLOW_ARGS = [
     ["risk", "tail-mean", "--k", "1e308"],
 ]
 
+# value lists with no values; each printed a report with no data columns or rows and exited 0
+EMPTY_LIST_ARGS = [
+    ["risk", "curve", "--K-values", ","],
+    ["harm-curve", "--betas", ""],
+]
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("args", NON_FINITE_ARGS[:2] + RANGE_ARGS)
@@ -318,12 +324,22 @@ class TestNonFiniteInput:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error:") and "finite" in proc.stderr
 
-    @pytest.mark.parametrize("args", NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS)
+    @pytest.mark.parametrize("args", NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS + EMPTY_LIST_ARGS)
     def test_no_report_written(self, cli_inputs, tmp_path, capsys, args):
         out = tmp_path / "report.csv"
         assert run(fill(args, **{"in": cli_inputs}) + ["--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", EMPTY_LIST_ARGS)
+    def test_empty_list_names_flag_and_writes_no_chart(self, tmp_path, capsys, args):
+        # with --svg these failed inside the chart with "min() arg is an empty sequence"
+        out, svg = tmp_path / "report.csv", tmp_path / "chart.svg"
+        assert run(args + ["--out", str(out), "--svg", str(svg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {args[-2]} needs at least one value")
+        assert os.listdir(tmp_path) == []
 
 
 def test_growth_with_large_saturation_finishes():

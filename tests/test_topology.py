@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import networkx as nx
@@ -106,6 +107,15 @@ def neighbor_sets(t: Topology) -> dict[str, frozenset[str]]:
         adj[a].add(b)
         adj[b].add(a)
     return {d: frozenset(n) for d, n in adj.items()}
+
+
+def isolating_rows(t: Topology) -> np.ndarray:
+    """One failure row per device, failing all its neighbours (so all neighbour classes of its class)."""
+    index = t.device_index
+    rows = np.zeros((len(t.devices), len(t.devices)), dtype=bool)
+    for i, near in enumerate(neighbor_sets(t)[d.id] for d in t.devices):
+        rows[i, [index[n] for n in near]] = True
+    return rows
 
 
 def twin_classes(t: Topology) -> set[frozenset[str]]:
@@ -500,14 +510,40 @@ class TestTwinQuotient:
         assert hist == hop_histogram_bfs(t)
         assert hist == networkx_hop_histogram(t)
 
-        # one row per device that fails all its neighbours (so all neighbour
-        # classes of its class), plus random rows
-        index = t.device_index
         rows = np.random.default_rng(seed).random((4, len(t.devices))) < 0.3
-        lone = np.zeros((len(t.devices), len(t.devices)), dtype=bool)
-        for i, d in enumerate(t.devices):
-            lone[i, [index[n] for n in neighbors[d.id]]] = True
-        mask = np.concatenate([lone, rows])
+        mask = np.concatenate([isolating_rows(t), rows])
+        for row, value in zip(mask, affected_fractions(t, mask).tolist()):
+            assert value == affected_fraction_bfs(t, failed_ids(t, row))
+
+
+def twin_free_spine_leaf() -> Topology:
+    """Spine-leaf (8,28,1) where leaf j lacks the j-th pair of spines: 36 devices, 36 classes."""
+    spines = [f"spine{i}" for i in range(8)]
+    missing = list(itertools.combinations(spines, 2))
+    devices = tuple(Device(s, "spine") for s in spines) + tuple(Device(f"leaf{j}", "leaf") for j in range(28))
+    links = tuple((s, f"leaf{j}") for j, pair in enumerate(missing) for s in spines if s not in pair)
+    hosts = tuple((f"h{j}", f"leaf{j}") for j in range(28))
+    return Topology(devices, links, hosts)
+
+
+class TestTwinFreeFabric:
+    """A dense fabric whose quotient is itself: wide BFS levels with many repeated neighbours."""
+
+    FABRIC = twin_free_spine_leaf()
+
+    def test_no_twins(self):
+        assert self.FABRIC.twin_quotient.n_classes == len(self.FABRIC.devices) == 36
+        assert len(self.FABRIC.links) == 28 * 6
+
+    def test_hop_histogram_matches_oracles(self):
+        hist = hop_histogram(self.FABRIC)
+        assert hist == hop_histogram_bfs(self.FABRIC)
+        assert hist == networkx_hop_histogram(self.FABRIC)
+
+    def test_affected_fractions_match_bfs(self):
+        t = self.FABRIC
+        rows = np.random.default_rng(6).random((20, len(t.devices))) < np.linspace(0.0, 0.6, 20)[:, None]
+        mask = np.concatenate([isolating_rows(t), rows])
         for row, value in zip(mask, affected_fractions(t, mask).tolist()):
             assert value == affected_fraction_bfs(t, failed_ids(t, row))
 
@@ -538,7 +574,7 @@ class TestLinearQuantiles:
 
 
 class TestLongDiameter:
-    """A 600-device chain: hundreds of narrow BFS levels, which run top-down."""
+    """A 600-device chain: hundreds of narrow BFS levels."""
 
     CHAIN = access_chain(300)
 
