@@ -58,7 +58,9 @@ from .topology import (
     parse_topology,
     serialize_topology,
 )
-# perfbench/tracer.py finds fragrisk.verify in sys.modules right after importing this module
+# perfbench/tracer.py looks up fragrisk.{harm,pareto,growth,topology,costing,
+# report,verify} in sys.modules right after importing this module, so importing
+# it must load all seven; only this import loads verify
 from .verify import run_all_checks
 
 OUT_DIR_ENV = "FRAGRISK_OUT_DIR"
@@ -528,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             code = args.func(args)
-        except (ValueError, OSError, OverflowError) as exc:
+        except (ValueError, OSError, OverflowError, MemoryError) as exc:
             code, error = 1, exc
     # a failure leads, so stderr's first line says why nothing was written
     if error is not None:

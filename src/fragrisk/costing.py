@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .report import ScenarioReport
 from .topology import Topology, affected_fractions
 
@@ -48,6 +46,8 @@ class CostAssumptions:
 
 
 def _design_metrics(t: Topology, c: CostAssumptions, ports: Mapping[str, int]) -> dict[str, float]:
+    import numpy as np
+
     if not t.devices:
         raise ValueError("a design needs at least one device to have a price or power per port")
     roles = {d.role for d in t.devices}

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
     from .pareto import ParetoParams
 
@@ -78,6 +76,8 @@ class FragmentWeights:
 
     def power_sum(self, beta: float) -> float:
         """sum(w_i ** beta); equals 1.0 exactly at beta = 1 for exact weights."""
+        import numpy as np
+
         return float(np.sum(np.asarray(self.w) ** beta))
 
 
@@ -138,6 +138,8 @@ def survival_comparison(
     Requires error_model.alpha > params.beta so the mean harm is finite.
     Deterministic for a fixed seed.
     """
+    import numpy as np
+
     from .pareto import pareto_sample
 
     if trials < 1:

@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .harm import HarmParams
 
 
@@ -62,6 +60,8 @@ def pareto_sample(p: ParetoParams, count: int, seed: int) -> np.ndarray:
     Feeds uniforms on [0, 1) through ``pareto_quantile``, so the q = 1
     singularity is never hit and every draw is >= L.
     """
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -141,6 +141,8 @@ def mc_tail_mean(p: ParetoParams, h: HarmParams, fragments: int, trials: int, se
     counting draws above the threshold as zero (unconditional truncated mean,
     no renormalization).
     """
+    import numpy as np
+
     fragments = _check_fragments(fragments)
     if trials < 1:
         raise ValueError("trials must be >= 1")

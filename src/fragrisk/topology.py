@@ -47,8 +47,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
 from .harm import HarmParams, harm
 
 ROLES = ("core", "distribution", "access", "spine", "leaf")
@@ -122,6 +120,8 @@ class TwinQuotient(NamedTuple):
 
     def class_sums(self, values: np.ndarray) -> np.ndarray:
         """Exact ``int64`` sum of a per-device integer array over each class."""
+        import numpy as np
+
         # integers far below 2**53, so float sums are exact
         return np.bincount(self.device_class, weights=values, minlength=self.n_classes).astype(np.int64)
 
@@ -231,6 +231,8 @@ class Topology:
         linked to each other, and a link between two classes means every
         member of one is linked to every member of the other.
         """
+        import numpy as np
+
         index = self.device_index
         ends = np.array([(index[a], index[b]) for a, b in self.links], dtype=np.int64).reshape(-1, 2)
         indptr, neighbors = _csr(len(self.devices), ends[:, 0], ends[:, 1])
@@ -253,6 +255,8 @@ class Topology:
     @cached_property
     def device_host_counts(self) -> np.ndarray:
         """Read-only ``int64`` number of attached hosts per device index."""
+        import numpy as np
+
         index = self.device_index
         counts = np.bincount([index[d] for _, d in self.hosts], minlength=len(self.devices)).astype(np.int64)
         counts.flags.writeable = False
@@ -261,6 +265,8 @@ class Topology:
 
 def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only symmetric CSR ``(indptr, neighbors)`` of n nodes joined by links a[i] -- b[i]."""
+    import numpy as np
+
     src = np.concatenate([a, b]).astype(np.int64)
     dst = np.concatenate([b, a]).astype(np.int64)
     order = np.lexsort((dst, src))
@@ -357,6 +363,8 @@ def _bfs_levels(indptr: np.ndarray, neighbors: np.ndarray, sources: np.ndarray) 
     is r * n_nodes + i).  Each level gathers every neighbour of the
     frontier and keeps each unvisited one once as the next frontier.
     """
+    import numpy as np
+
     n = len(indptr) - 1
     degree = np.diff(indptr)
     rows = len(sources)
@@ -386,6 +394,8 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     pairs involving detached hosts) land in the ``UNREACHABLE`` (-1) bucket.
     Only buckets with at least one pair appear.
     """
+    import numpy as np
+
     q = t.twin_quotient
     counts = t.device_host_counts
     hosts = q.class_sums(counts)
@@ -456,6 +466,8 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
     labels.  A component with c surviving hosts contributes c * (c - 1) / 2
     pairs.  Counts are exact ``int64``.
     """
+    import numpy as np
+
     m, n = failed.shape
     q = t.twin_quotient
     a, b = q.links
@@ -511,6 +523,8 @@ def affected_fractions(t: Topology, failed: np.ndarray) -> np.ndarray:
     serves all rows; each value equals the single-set ``affected_fraction``
     bit for bit.
     """
+    import numpy as np
+
     failed = np.asarray(failed, dtype=bool)
     if failed.ndim != 2 or failed.shape[1] != len(t.devices):
         raise ValueError(f"failure mask must have shape (m, {len(t.devices)}), got {failed.shape}")
@@ -528,6 +542,8 @@ def affected_fraction(t: Topology, failed: set[str]) -> float:
     whose device failed (or was already detached) count as disconnected.
     Topologies with fewer than two hosts have no pairs and yield 0.
     """
+    import numpy as np
+
     failed = set(failed)
     unknown = failed - t.device_ids
     if unknown:
@@ -583,6 +599,8 @@ def failure_harm_mc(
     once per distinct pattern of a chunk.  Returns the sample mean and the
     p50/p90/p99 severity quantiles.  Deterministic per seed.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     probs = np.array([fm.probability(d.role) for d in t.devices])
@@ -629,6 +647,8 @@ def _linear_quantiles(values: np.ndarray, qs: tuple[float, ...]) -> list[float]:
     fraction t it is a + (b - a) * t, or b - (b - a) * (1 - t) once
     t >= 0.5, as NumPy's ``_lerp`` rounds it.
     """
+    import numpy as np
+
     ordered = np.sort(values)
     last = len(ordered) - 1
     out = []

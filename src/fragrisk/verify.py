@@ -16,8 +16,6 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .costing import CostAssumptions, compare_designs
 from .growth import GrowthSpec, capacity_at, crossover, erf_value
 from .harm import FragmentWeights, HarmParams, harm, jensen_gap, survival_comparison
@@ -84,7 +82,7 @@ def density_normalization(p: ParetoParams, h: HarmParams, fragments: int) -> flo
     bound = -(h.k * (p.scale / fragments) ** h.beta)
     value, _ = integrate.quad(
         lambda xi: fragment_harm_density(p, h, fragments, xi),
-        -np.inf,
+        -math.inf,
         bound,
         epsabs=1e-10,
         epsrel=1e-10,
@@ -101,6 +99,7 @@ def histogram_l1_distance(
     integrated from the density rather than assumed, so the check ties the
     sampler, the CDF, and the density together.
     """
+    import numpy as np
     from scipy import integrate
 
     x = pareto_sample(p, samples, seed)
@@ -321,6 +320,8 @@ def check_degradation_curve() -> CheckResult:
 
 
 def check_jensen_directions(seed: int = VERIFY_SEED, draws: int = 1000) -> CheckResult:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     convex_violations = 0
     concave_violations = 0
@@ -375,6 +376,8 @@ def check_survival_comparison(trials: int = 10**6, seed: int = VERIFY_SEED) -> C
 
 
 def check_pareto_sampler(trials: int = 10**6, seed: int = VERIFY_SEED) -> CheckResult:
+    import numpy as np
+
     p = ParetoParams(alpha=2.0, scale=1.0)
     x = pareto_sample(p, trials, seed)
     mean = float(x.mean())
@@ -420,6 +423,8 @@ def check_hop_claims() -> CheckResult:
 def check_affected_fraction_oracle(
     cases: int = 200, seed: int = VERIFY_SEED, max_devices: int = 50
 ) -> CheckResult:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -438,6 +443,8 @@ def check_affected_fraction_oracle(
 def check_hop_histogram_oracle(
     cases: int = 100, seed: int = VERIFY_SEED, max_devices: int = 30
 ) -> CheckResult:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     mismatches = 0
     injected = 0
@@ -480,6 +487,8 @@ def check_failure_harm_enumeration(trials: int = 10**5, seed: int = VERIFY_SEED)
 
 
 def check_erf_accuracy(points: int = 1000) -> CheckResult:
+    import numpy as np
+
     xs = np.linspace(-6.0, 6.0, points)
     worst = 0.0
     for x in xs:
@@ -496,6 +505,8 @@ def check_erf_accuracy(points: int = 1000) -> CheckResult:
 
 
 def check_growth_model(seed: int = VERIFY_SEED) -> CheckResult:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     sig = GrowthSpec.sigmoid(100.0)
     bounded = all(capacity_at(sig, u) <= 100.0 for u in rng.uniform(0.0, 50.0, 10**4))

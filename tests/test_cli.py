@@ -315,6 +315,13 @@ EMPTY_LIST_ARGS = [
     ["harm-curve", "--betas", ""],
 ]
 
+# trial counts whose sample arrays cannot be allocated; each was a MemoryError traceback
+HUGE_TRIALS_ARGS = [
+    ["risk", "tail-mean", "--trials", "1000000000000000"],
+    ["jensen", "--trials", "1000000000000000"],
+    ["topo", "harm", "--topology", "{in}/sl.txt", "--trials", "1000000000000000"],
+]
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("args", NON_FINITE_ARGS[:2] + RANGE_ARGS)
@@ -324,7 +331,9 @@ class TestNonFiniteInput:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error:") and "finite" in proc.stderr
 
-    @pytest.mark.parametrize("args", NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS + EMPTY_LIST_ARGS)
+    @pytest.mark.parametrize(
+        "args", NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS + EMPTY_LIST_ARGS + HUGE_TRIALS_ARGS
+    )
     def test_no_report_written(self, cli_inputs, tmp_path, capsys, args):
         out = tmp_path / "report.csv"
         assert run(fill(args, **{"in": cli_inputs}) + ["--out", str(out)]) == 1
@@ -573,6 +582,40 @@ print("numpy.ma modules:", sorted(m for m in sys.modules if m == "numpy.ma" or m
 """
 
 
+NUMPY_PROBE = """
+import sys
+import fragrisk
+from fragrisk.cli import main
+
+topo = sys.argv[1]
+try:
+    main(["--help"])
+except SystemExit:
+    pass
+for args in (
+    ["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2"],
+    ["risk", "curve"],
+    ["risk", "density"],
+    ["harm-curve"],
+    ["growth"],
+    ["topo", "build", "--kind", "three-tier", "--dual-homed", "--out", topo],
+):
+    assert main(args) == 0, args
+start_up = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+assert main(["topo", "hops", "--topology", topo]) == 0
+print("numpy modules:", start_up, "then after topo hops:", "numpy" in sys.modules)
+"""
+
+
+TRACED_MODULES_PROBE = """
+import sys
+import fragrisk.cli
+
+traced = ("harm", "pareto", "growth", "topology", "costing", "report", "verify")
+print("missing:", [m for m in traced if f"fragrisk.{m}" not in sys.modules])
+"""
+
+
 def probe_last_line(script, *args):
     """Last stdout line of ``script`` run in a fresh interpreter."""
     env = dict(os.environ)
@@ -587,6 +630,17 @@ def probe_last_line(script, *args):
 def test_topology_commands_never_import_scipy(tmp_path):
     # SciPy is only for the quadrature oracles of `verify`; start-up must not pay for it
     assert probe_last_line(SCIPY_PROBE, str(tmp_path / "sl.txt")) == "scipy modules: []"
+
+
+def test_closed_form_commands_never_import_numpy(tmp_path):
+    # importing NumPy was most of the start-up time of every command, --help included
+    line = probe_last_line(NUMPY_PROBE, str(tmp_path / "tt.txt"))
+    assert line == "numpy modules: [] then after topo hops: True"
+
+
+def test_cli_import_loads_every_traced_module():
+    # perfbench/tracer.py wraps these modules' functions right after `import fragrisk.cli`
+    assert probe_last_line(TRACED_MODULES_PROBE) == "missing: []"
 
 
 def test_topology_harm_never_imports_numpy_ma(tmp_path):
