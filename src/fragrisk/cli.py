@@ -110,13 +110,20 @@ def _emit(out: str | None, text: str, side_files=(), stdout: str | None = None) 
     last.  An overwritten file keeps its mode.  A target that exists but is
     not a regular file (``/dev/null``, a FIFO) cannot be renamed over, so it
     is written in place after the renames.  On failure the temp files are
-    removed and the error names the target path, not the temp file.
+    removed and the error names the target path, not the temp file.  Two
+    outputs that resolve to one file are an error, and nothing is written.
     """
     if stdout is None:
         stdout = text if out is None else ""
     base = os.environ.get(OUT_DIR_ENV, "")  # prefixes relative paths only
     targets = [(out, text), *side_files]
     files = [(os.path.join(base, path), body) for path, body in targets if path is not None]
+    seen = set()
+    for path, _ in files:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"two outputs name the same file: {path!r}")
+        seen.add(real)
     staged: list[tuple[str, str, str]] = []  # (temp file, file it replaces, user's path)
     in_place: list[tuple[str, str]] = []
     path = None
@@ -160,7 +167,7 @@ def _emit_report(report: ScenarioReport, cfg: ScenarioConfig, args, side_files=(
         report.extra_metadata.setdefault("core_drop_probability", cfg.report_core_drop_probability)
     svg = getattr(args, "svg", None)
     if svg is not None:
-        side_files = [*side_files, (svg, svg_line_chart(report, report.columns[0], title=report.command))]
+        side_files = [*side_files, (svg, svg_line_chart(report))]
     _emit(args.out, report.render(cfg.output_format, cfg.output_digits), side_files, stdout)
 
 
@@ -192,9 +199,10 @@ def _failure_model(cfg: ScenarioConfig, args) -> FailureModel:
         probs = {role: args.p for role in probs}
     for override in args.p_role or []:
         role, _, value = override.partition("=")
-        if not value:
-            raise ValueError(f"--p-role expects role=probability, got {override!r}")
-        probs[role.strip()] = float(value)
+        try:
+            probs[role.strip()] = float(value)
+        except ValueError:  # no "=", or no number after it
+            raise ValueError(f"--p-role expects role=probability, got {override!r}") from None
     return FailureModel(probs)
 
 
@@ -306,14 +314,15 @@ def cmd_topo_fail(args) -> int:
     cfg = _config_from_args(args)
     topo = _load_topology(args.topology)
     failed = {tok.strip() for tok in args.fail.split(",") if tok.strip()} if args.fail else set()
-    fraction = affected_fraction(topo, failed)
-    injected = inject_failures(topo, failed)
+    fraction = affected_fraction(topo, failed)  # raises on unknown ids
+    detached = len(topo.detached_hosts) + sum(d in failed for _, d in topo.hosts)
     report = ScenarioReport(
         "topo-fail",
         ["failed_devices", "affected_fraction", "detached_hosts"],
-        [[len(failed), fraction, len(injected.detached_hosts)]],
+        [[len(failed), fraction, detached]],
     )
-    _emit_report(report, cfg, args, side_files=[(args.emit, serialize_topology(injected))])
+    side_files = [] if args.emit is None else [(args.emit, serialize_topology(inject_failures(topo, failed)))]
+    _emit_report(report, cfg, args, side_files=side_files)
     return 0
 
 

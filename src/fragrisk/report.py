@@ -88,29 +88,17 @@ class ScenarioReport:
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-def svg_line_chart(
-    report: ScenarioReport,
-    x_column: str,
-    y_columns: list[str] | None = None,
-    title: str | None = None,
-    width: int = 640,
-    height: int = 480,
-) -> str:
-    """Static SVG line chart of ``y_columns`` against ``x_column``.
+def svg_line_chart(report: ScenarioReport) -> str:
+    """Static 640x480 SVG line chart of every other column against the first, titled by the command.
 
     Write-only convenience for the figure-reproduction subcommands; never
     parsed back.  Deterministic output (fixed coordinate formatting).
     """
-    if x_column not in report.columns:
-        raise ValueError(f"unknown x column {x_column!r}")
-    if y_columns is None:
-        y_columns = [c for c in report.columns if c != x_column]
-    xi = report.columns.index(x_column)
-    series = {}
-    xs = [float(row[xi]) for row in report.rows]
-    for name in y_columns:
-        yi = report.columns.index(name)
-        series[name] = [float(row[yi]) for row in report.rows]
+    width, height = 640, 480
+    x_column = report.columns[0]
+    xs = [float(row[0]) for row in report.rows]
+    # a repeated column name keeps its first column's values
+    series = {name: [float(row[report.columns.index(name)]) for row in report.rows] for name in report.columns[1:]}
 
     margin = 50.0
     plot_w = width - 2 * margin
@@ -143,11 +131,8 @@ def svg_line_chart(
         f'<text x="{margin - 5}" y="{margin + 10}" font-size="12" text-anchor="end">{y_max:.6g}</text>',
         f'<text x="{margin - 5}" y="{height - margin + 20}" font-size="12" '
         f'text-anchor="end">{x_column}</text>',
+        f'<text x="{width / 2:.1f}" y="25" font-size="14" text-anchor="middle">{report.command}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="25" font-size="14" text-anchor="middle">{title}</text>'
-        )
     for i, (name, ys) in enumerate(series.items()):
         color = palette[i % len(palette)]
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))

@@ -8,22 +8,22 @@ measures the share of host pairs that lose connectivity, and
 ``failure_harm_mc`` feeds that fraction into the harm transform.
 
 Graph work runs in NumPy on the false-twin quotient that each ``Topology``
-caches, next to its device -> index map and per-device host counts.  Devices
-with the same neighbour set are false twins; the quotient has one node per
-class of them and one link per linked class pair.  Twins are never linked to
-each other, and linked classes are linked member to member, so the quotient
-keeps connectivity and hop counts exactly: spine-leaf is 2 nodes and 1 link
-at any size, and a graph with no twins is its own quotient.
+caches, next to its device -> index map.  Devices with the same neighbour
+set and the same number of hosts are false twins; the quotient has one node
+per class of them, which is ``members`` identical devices with
+``member_hosts`` hosts each, and one link per linked class pair.  Twins are
+never linked to each other, and linked classes are linked member to member,
+so the quotient keeps connectivity and hop counts exactly: spine-leaf is 2
+nodes and 1 link at any size, and a graph with no twins is its own quotient.
 
 One connectivity kernel serves every fault-domain query: it takes an
-``(m, n_devices)`` boolean failure mask, reduces each row to per-class
-survivors and hosts, joins a bounded block of rows into one block-diagonal
-graph of surviving class links and labels its components by min-label
-hooking with full pointer jumping.  ``hop_histogram`` runs a
-level-synchronous BFS over the quotient from all host-bearing classes at
-once and weights each class pair by its host pairs.  The per-pair
-breadth-first searches over devices that check these results live in
-``fragrisk.verify`` only.
+``(m, n_devices)`` boolean failure mask, counts the failed members of each
+class per row, joins a bounded block of rows into one block-diagonal graph
+of surviving class links and labels its components by min-label hooking
+with full pointer jumping.  ``hop_histogram`` runs a level-synchronous BFS
+over the quotient from all host-bearing classes at once and weights each
+class pair by its host pairs.  The per-pair breadth-first searches over
+devices that check these results live in ``fragrisk.verify`` only.
 
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
@@ -103,27 +103,24 @@ class Device:
 class TwinQuotient(NamedTuple):
     """A topology's false-twin classes and the links between them.
 
-    ``device_class[i]`` is the class of device i.  ``links`` holds both
-    ends of each linked class pair, lower class first, and ``csr`` is the
-    read-only symmetric class adjacency ``(indptr, neighbors)``: the
-    neighbours of class i are ``neighbors[indptr[i]:indptr[i + 1]]``, in
-    ascending order, and every class link appears once from each end.
+    ``device_class[i]`` is the class of device i.  Class j is
+    ``members[j]`` devices that each carry ``member_hosts[j]`` hosts.
+    ``links`` holds both ends of each linked class pair, lower class first,
+    and ``csr`` is the symmetric class adjacency ``(indptr, neighbors)``:
+    the neighbours of class i are ``neighbors[indptr[i]:indptr[i + 1]]``, in
+    ascending order, and every class link appears once from each end.  All
+    arrays are read-only ``int64``.
     """
 
     device_class: np.ndarray
+    members: np.ndarray
+    member_hosts: np.ndarray
     links: tuple[np.ndarray, np.ndarray]
     csr: tuple[np.ndarray, np.ndarray]
 
     @property
     def n_classes(self) -> int:
-        return len(self.csr[0]) - 1
-
-    def class_sums(self, values: np.ndarray) -> np.ndarray:
-        """Exact ``int64`` sum of a per-device integer array over each class."""
-        import numpy as np
-
-        # integers far below 2**53, so float sums are exact
-        return np.bincount(self.device_class, weights=values, minlength=self.n_classes).astype(np.int64)
+        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -205,62 +202,45 @@ class Topology:
             host_ids.add(h)
 
     @cached_property
-    def device_ids(self) -> frozenset[str]:
-        return frozenset(d.id for d in self.devices)
-
-    @cached_property
-    def host_attachment(self) -> dict[str, str]:
-        return dict(self.hosts)
-
-    @cached_property
-    def all_host_ids(self) -> tuple[str, ...]:
-        return tuple(sorted([h for h, _ in self.hosts] + list(self.detached_hosts)))
-
-    @cached_property
     def device_index(self) -> dict[str, int]:
         """Position of each device id in ``devices``."""
         return {d.id: i for i, d in enumerate(self.devices)}
 
     @cached_property
     def twin_quotient(self) -> TwinQuotient:
-        """The false-twin quotient: one node per set of devices with equal neighbours.
+        """The false-twin quotient: one node per set of devices with equal neighbours and host counts.
 
         Devices are grouped in one pass over their CSR rows; classes are
         numbered in order of their first device, and devices with no links
-        share the empty row, so they form one class.  False twins are never
-        linked to each other, and a link between two classes means every
-        member of one is linked to every member of the other.
+        and equal host counts share the empty row, so they form one class.
+        False twins are never linked to each other, and a link between two
+        classes means every member of one is linked to every member of the
+        other.
         """
         import numpy as np
 
         index = self.device_index
+        n = len(self.devices)
         ends = np.array([(index[a], index[b]) for a, b in self.links], dtype=np.int64).reshape(-1, 2)
-        indptr, neighbors = _csr(len(self.devices), ends[:, 0], ends[:, 1])
+        indptr, neighbors = _csr(n, ends[:, 0], ends[:, 1])
+        hosts = np.bincount([index[d] for _, d in self.hosts], minlength=n).tolist()
         bounds = indptr.tolist()
-        ids: dict[bytes, int] = {}
+        ids: dict[tuple[bytes, int], int] = {}
         device_class = np.array(
-            [ids.setdefault(neighbors[s:e].tobytes(), len(ids)) for s, e in zip(bounds, bounds[1:])],
+            [ids.setdefault((neighbors[s:e].tobytes(), h), len(ids)) for s, e, h in zip(bounds, bounds[1:], hosts)],
             dtype=np.int64,
         )
         k = len(ids)
+        members = np.bincount(device_class, minlength=k)
+        member_hosts = np.array([h for _, h in ids], dtype=np.int64)
         # one class link per linked class pair (a sort, not np.unique, which
         # imports numpy.ma for integer keys)
         a, b = device_class[ends].T
         key = np.sort(np.minimum(a, b) * k + np.maximum(a, b))
         ca, cb = divmod(key[np.diff(key, prepend=-1) != 0], max(k, 1))
-        for array in (device_class, ca, cb):
+        for array in (device_class, members, member_hosts, ca, cb):
             array.flags.writeable = False
-        return TwinQuotient(device_class, (ca, cb), _csr(k, ca, cb))
-
-    @cached_property
-    def device_host_counts(self) -> np.ndarray:
-        """Read-only ``int64`` number of attached hosts per device index."""
-        import numpy as np
-
-        index = self.device_index
-        counts = np.bincount([index[d] for _, d in self.hosts], minlength=len(self.devices)).astype(np.int64)
-        counts.flags.writeable = False
-        return counts
+        return TwinQuotient(device_class, members, member_hosts, (ca, cb), _csr(k, ca, cb))
 
 
 def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,12 +377,11 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     import numpy as np
 
     q = t.twin_quotient
-    counts = t.device_host_counts
-    hosts = q.class_sums(counts)
-    sources = np.flatnonzero(hosts)
-    c = hosts[sources]
-    same = q.class_sums(counts * (counts - 1))[sources]
-    apart = c * c - q.class_sums(counts * counts)[sources]
+    sources = np.flatnonzero(q.member_hosts)
+    m, h = q.members[sources], q.member_hosts[sources]
+    c = m * h
+    same = c * (h - 1)
+    apart = c * c - c * h
     k = q.n_classes
 
     # Ordered host pairs by hop count (index hops + 1).  Devices of two
@@ -428,6 +407,15 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     return {i - 1: int(v) // 2 for i, v in enumerate(ordered) if v}
 
 
+def _device_rows(t: Topology, ids: set[str]) -> list[int]:
+    """Positions in ``t.devices`` of the given device ids; raises on ids not in ``t``."""
+    index = t.device_index
+    unknown = sorted(d for d in ids if d not in index)
+    if unknown:
+        raise ValueError(f"unknown device ids: {unknown}")
+    return [index[d] for d in ids]
+
+
 def inject_failures(t: Topology, failed: set[str]) -> Topology:
     """Topology after the given devices melt down.
 
@@ -435,9 +423,7 @@ def inject_failures(t: Topology, failed: set[str]) -> Topology:
     them are marked detached.  Raises on ids not present in the topology.
     """
     failed = set(failed)
-    unknown = failed - t.device_ids
-    if unknown:
-        raise ValueError(f"unknown device ids: {sorted(unknown)}")
+    _device_rows(t, failed)  # raises on unknown ids
     devices = tuple(d for d in t.devices if d.id not in failed)
     links = tuple((a, b) for a, b in t.links if a not in failed and b not in failed)
     hosts = tuple((h, d) for h, d in t.hosts if d not in failed)
@@ -450,12 +436,12 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
 
     ``failed`` is an ``(m, n_devices)`` boolean array over device indices.
     The work runs on the twin quotient (``Topology.twin_quotient``).  Each
-    row reduces to three values per class, by subtracting its failed
-    devices from the intact class: whether any member survives, the
-    surviving hosts, and the host pairs that surviving members hold on one
-    device.  A class whose neighbour classes all failed has its survivors
-    each on their own, so it counts only the latter.  Every other surviving
-    class lies whole in one component of the surviving quotient.
+    row reduces to the failed members of each class, so ``alive = members -
+    failed`` of them survive with ``alive * h`` hosts, ``alive * h * (h - 1)
+    / 2`` of whose pairs share a device (h is the class's hosts per member).
+    A class whose neighbour classes all failed has its survivors each on
+    their own, so it counts only the latter.  Every other surviving class
+    lies whole in one component of the surviving quotient.
 
     Each block of rows becomes one block-diagonal graph of classes (row r's
     class i is node r * n_classes + i) holding the class links whose ends
@@ -472,14 +458,12 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
     q = t.twin_quotient
     a, b = q.links
     k = q.n_classes
-    counts = t.device_host_counts
-    own = counts * (counts - 1) // 2
     out = np.zeros(m, dtype=np.int64)
     if n == 0:
         return out
     step = max(1, min(m, _KERNEL_BLOCK_SLOTS // (n + len(a))))
-    # members, hosts and one-device host pairs of each intact class, row by row
-    size, intact_hosts, intact_own = (np.tile(q.class_sums(x), step) for x in (np.ones_like(counts), counts, own))
+    # members and hosts per member of each class, row by row
+    members, h = np.tile(q.members, step), np.tile(q.member_hosts, step)
     # block node ids of both ends of every class link, row by row
     offset = np.arange(step)[:, None] * k
     ends_a, ends_b = (offset + a).ravel(), (offset + b).ravel()
@@ -488,10 +472,9 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
         rows = len(block)
         slots = rows * k
         row, dev = np.divmod(np.flatnonzero(block), n)
-        node = row * k + q.device_class[dev]
-        survives = (size[:slots] > np.bincount(node, minlength=slots)).reshape(rows, k)
-        hosts = intact_hosts[:slots] - np.bincount(node, counts[dev], slots).astype(np.int64)
-        own_pairs = intact_own[:slots] - np.bincount(node, own[dev], slots).astype(np.int64)
+        alive = members[:slots] - np.bincount(row * k + q.device_class[dev], minlength=slots)
+        hosts = alive * h[:slots]
+        survives = (alive > 0).reshape(rows, k)
         kept = np.flatnonzero(survives[:, a] & survives[:, b])
         u, v = ends_a[kept], ends_b[kept]
         lone = np.ones(slots, dtype=bool)
@@ -511,7 +494,7 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
             u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
         # host counts are integers far below 2**53, so float sums are exact
         joined = np.bincount(label, weights=np.where(lone, 0, hosts), minlength=slots).astype(np.int64)
-        pairs = joined * (joined - 1) // 2 + np.where(lone, own_pairs, 0)
+        pairs = joined * (joined - 1) // 2 + np.where(lone, hosts * (h[:slots] - 1) // 2, 0)
         out[start : start + rows] = pairs.reshape(rows, k).sum(axis=1)
     return out
 
@@ -528,7 +511,7 @@ def affected_fractions(t: Topology, failed: np.ndarray) -> np.ndarray:
     failed = np.asarray(failed, dtype=bool)
     if failed.ndim != 2 or failed.shape[1] != len(t.devices):
         raise ValueError(f"failure mask must have shape (m, {len(t.devices)}), got {failed.shape}")
-    n_hosts = len(t.all_host_ids)
+    n_hosts = len(t.hosts) + len(t.detached_hosts)
     total = n_hosts * (n_hosts - 1) // 2
     if total == 0:
         return np.zeros(len(failed))
@@ -544,12 +527,8 @@ def affected_fraction(t: Topology, failed: set[str]) -> float:
     """
     import numpy as np
 
-    failed = set(failed)
-    unknown = failed - t.device_ids
-    if unknown:
-        raise ValueError(f"unknown device ids: {sorted(unknown)}")
     mask = np.zeros((1, len(t.devices)), dtype=bool)
-    mask[0, [t.device_index[d] for d in failed]] = True
+    mask[0, _device_rows(t, set(failed))] = True
     return float(affected_fractions(t, mask)[0])
 
 

@@ -142,21 +142,24 @@ def _adjacency(t: Topology, surviving: frozenset[str]) -> dict[str, set[str]]:
     return adj
 
 
+def _host_devices(t: Topology) -> list[str | None]:
+    """The device of every host, ``None`` for a detached one."""
+    return [d for _, d in t.hosts] + [None] * len(t.detached_hosts)
+
+
 def affected_fraction_bfs(t: Topology, failed: set[str]) -> float:
     """Brute-force affected fraction: BFS reachability checked pair by pair."""
-    surviving = t.device_ids - set(failed)
+    surviving = frozenset(d.id for d in t.devices) - set(failed)
     adj = _adjacency(t, surviving)
     reach = {dev: bfs_distances(adj, dev) for dev in surviving}
 
-    attach = t.host_attachment
-    hosts = t.all_host_ids
+    hosts = _host_devices(t)
     total = 0
     disconnected = 0
     for i in range(len(hosts)):
         for j in range(i + 1, len(hosts)):
             total += 1
-            a = attach.get(hosts[i])
-            b = attach.get(hosts[j])
+            a, b = hosts[i], hosts[j]
             if a is None or b is None or a not in surviving or b not in surviving:
                 disconnected += 1
             elif b not in reach[a]:
@@ -166,16 +169,14 @@ def affected_fraction_bfs(t: Topology, failed: set[str]) -> float:
 
 def hop_histogram_bfs(t: Topology) -> dict[int, int]:
     """Brute-force hop histogram: BFS distances looked up pair by pair."""
-    adj = _adjacency(t, t.device_ids)
-    attach = t.host_attachment
-    dist_from = {dev: bfs_distances(adj, dev) for dev in set(attach.values())}
+    adj = _adjacency(t, frozenset(d.id for d in t.devices))
+    hosts = _host_devices(t)
+    dist_from = {dev: bfs_distances(adj, dev) for dev in set(hosts) - {None}}
 
     histogram: dict[int, int] = {}
-    hosts = t.all_host_ids
     for i in range(len(hosts)):
         for j in range(i + 1, len(hosts)):
-            a = attach.get(hosts[i])
-            b = attach.get(hosts[j])
+            a, b = hosts[i], hosts[j]
             if a is None or b is None:
                 hops = UNREACHABLE
             else:
@@ -221,7 +222,7 @@ def random_topology(rng: np.random.Generator, max_devices: int = 50) -> Topology
 
 
 def random_failed_set(rng: np.random.Generator, t: Topology) -> set[str]:
-    ids = sorted(t.device_ids)
+    ids = [d.id for d in t.devices]  # sorted by id
     mask = rng.random(len(ids)) < rng.uniform(0.0, 0.5)
     return {i for i, hit in zip(ids, mask) if hit}
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fragrisk.cli import main
 from fragrisk.config import ScenarioConfig, load_config, parse_config_text
 from fragrisk.report import ScenarioReport
-from fragrisk.topology import build_spine_leaf, build_three_tier, serialize_topology
+from fragrisk.topology import build_spine_leaf, build_three_tier, inject_failures, parse_topology, serialize_topology
 
 
 def run(args):
@@ -115,6 +115,34 @@ class TestTopoCommands:
         assert "affected_fraction" in out
         assert "1,0.5,1" in out
         assert "host h0 detached" in emitted.read_text()
+
+    def test_fail_without_emit_never_injects(self, cli_inputs, capsys, monkeypatch):
+        def refuse(t, failed):
+            raise AssertionError("topo fail rebuilt the failed fabric without --emit")
+
+        monkeypatch.setattr("fragrisk.cli.inject_failures", refuse)
+        assert run(["topo", "fail", "--topology", str(cli_inputs / "sl.txt"), "--fail", "leaf0,spine0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[-1] == "2"
+
+    @pytest.mark.parametrize("failed", [set(), {"acc1"}, {"acc1", "acc2", "dist0"}, {"core0", "core1"}])
+    def test_fail_counts_hosts_already_detached(self, cli_inputs, tmp_path, capsys, failed):
+        emitted = tmp_path / "injected.txt"
+        assert run(["topo", "fail", "--topology", str(cli_inputs / "tt.txt"), "--fail", "acc0", "--emit",
+                    str(emitted)]) == 0
+        t = parse_topology(emitted.read_text())
+        assert t.detached_hosts
+        capsys.readouterr()
+        assert run(["topo", "fail", "--topology", str(emitted), "--fail", ",".join(sorted(failed))]) == 0
+        detached = capsys.readouterr().out.splitlines()[-1].split(",")[-1]
+        assert int(detached) == len(inject_failures(t, failed).detached_hosts)
+
+    @pytest.mark.parametrize("override", ["spine", "spine=", "spine=abc"])
+    def test_p_role_needs_a_probability(self, cli_inputs, capsys, override):
+        # spine=abc used to fail with "could not convert string to float: 'abc'"
+        assert run(["topo", "harm", "--topology", str(cli_inputs / "sl.txt"), "--p-role", override]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --p-role expects role=probability, got '{override}'\n"
 
     def test_harm_runs(self, tmp_path, capsys):
         topo = tmp_path / "fabric.txt"
@@ -393,6 +421,32 @@ class TestAllOrNothingOutput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: [Errno 2] No such file or directory: '{tmp_path}/missing/" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["risk", "curve", "--alpha", "4", "--out", "{out}/x", "--svg", "{second}"],
+            ["topo", "fail", "--topology", "{in}/sl.txt", "--fail", "leaf0", "--out", "{out}/x",
+             "--emit", "{second}"],
+        ],
+    )
+    @pytest.mark.parametrize("alias", ["same path", "symlink", "out dir"])
+    def test_two_outputs_one_file_is_an_error(self, cli_inputs, tmp_path, capsys, monkeypatch, args, alias):
+        # each used to exit 0 with only the second output in the file
+        second = str(tmp_path / "x")
+        if alias == "symlink":
+            second = str(tmp_path / "link")
+            os.symlink(tmp_path / "x", second)
+        elif alias == "out dir":  # a relative path is joined to FRAGRISK_OUT_DIR first
+            monkeypatch.setenv("FRAGRISK_OUT_DIR", str(tmp_path))
+            second = "x"
+        before = sorted(os.listdir(tmp_path))
+        assert run(fill(args, **{"in": cli_inputs, "out": tmp_path, "second": second})) == 1
+        assert sorted(os.listdir(tmp_path)) == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = os.path.join(str(tmp_path), second)
+        assert captured.err.splitlines()[0] == f"error: two outputs name the same file: '{named}'"
 
     def test_directory_target_is_clean_error(self, tmp_path, capsys):
         # the report is staged first, so a failed rename must not leave it behind

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -34,19 +35,23 @@ from fragrisk.verify import (
 )
 
 
+def host_devices(t: Topology) -> list[str | None]:
+    """Every host's device, ``None`` for a detached host."""
+    return [d for _, d in t.hosts] + [None] * len(t.detached_hosts)
+
+
 def networkx_affected_fraction(t: Topology, failed: set[str]) -> float:
     """Third, independent route: networkx has_path per host pair."""
     g = nx.Graph()
-    surviving = t.device_ids - failed
+    surviving = {d.id for d in t.devices} - failed
     g.add_nodes_from(surviving)
     g.add_edges_from((a, b) for a, b in t.links if a in surviving and b in surviving)
-    attach = t.host_attachment
-    hosts = t.all_host_ids
+    hosts = host_devices(t)
     total = disconnected = 0
     for i in range(len(hosts)):
         for j in range(i + 1, len(hosts)):
             total += 1
-            a, b = attach.get(hosts[i]), attach.get(hosts[j])
+            a, b = hosts[i], hosts[j]
             if a is None or b is None or a not in surviving or b not in surviving:
                 disconnected += 1
             elif not nx.has_path(g, a, b):
@@ -57,15 +62,14 @@ def networkx_affected_fraction(t: Topology, failed: set[str]) -> float:
 def networkx_hop_histogram(t: Topology) -> dict[int, int]:
     """Third, independent route: networkx shortest path lengths per host pair."""
     g = nx.Graph()
-    g.add_nodes_from(t.device_ids)
+    g.add_nodes_from(d.id for d in t.devices)
     g.add_edges_from(t.links)
     lengths = dict(nx.all_pairs_shortest_path_length(g))
-    attach = t.host_attachment
-    hosts = t.all_host_ids
+    hosts = host_devices(t)
     histogram: dict[int, int] = {}
     for i in range(len(hosts)):
         for j in range(i + 1, len(hosts)):
-            a, b = attach.get(hosts[i]), attach.get(hosts[j])
+            a, b = hosts[i], hosts[j]
             hops = UNREACHABLE if a is None or b is None else lengths[a].get(b, UNREACHABLE)
             histogram[hops] = histogram.get(hops, 0) + 1
     return histogram
@@ -158,7 +162,7 @@ def planted_twin_fabrics(draw) -> Topology:
     hosts = [(f"h{d}x{j}", d) for w in lowers for d in w for j in range(draw(st.integers(0, 2)))]
     t = Topology(tuple(devices), tuple(links), tuple(hosts))
     if t.devices and draw(st.booleans()):
-        t = inject_failures(t, set(draw(st.lists(st.sampled_from(sorted(t.device_ids)), max_size=3))))
+        t = inject_failures(t, set(draw(st.lists(st.sampled_from([d.id for d in t.devices]), max_size=3))))
     return t
 
 
@@ -400,7 +404,7 @@ class TestAffectedFraction:
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_failed_set(self, data):
         t = build_spine_leaf(2, 4, 2)
-        ids = sorted(t.device_ids)
+        ids = [d.id for d in t.devices]
         smaller = set(data.draw(st.lists(st.sampled_from(ids), max_size=3)))
         extra = set(data.draw(st.lists(st.sampled_from(ids), max_size=3)))
         assert affected_fraction(t, smaller | extra) >= affected_fraction(t, smaller)
@@ -462,9 +466,13 @@ class TestConnectivityKernel:
 class TestTwinQuotient:
     @pytest.mark.parametrize("shape", [(2, 4, 1), (2, 4, 10), (4, 32, 10), (16, 128, 4), (32, 512, 2)])
     def test_spine_leaf_is_two_classes(self, shape):
+        spines, leaves, hosts_per_leaf = shape
         q = build_spine_leaf(*shape).twin_quotient
         assert q.n_classes == 2
         assert [end.tolist() for end in q.links] == [[0], [1]]
+        # devices sort by id, so the leaves ("leaf0") come before the spines ("spine0")
+        assert q.members.tolist() == [leaves, spines]
+        assert q.member_hosts.tolist() == [hosts_per_leaf, 0]
 
     @pytest.mark.parametrize(
         "shape, devices, links, classes, class_links",
@@ -472,10 +480,17 @@ class TestTwinQuotient:
     )
     def test_dual_homed_three_tier_class_count(self, shape, devices, links, classes, class_links):
         # two cores, one class per distribution, one per pair of adjacent distributions
+        cores, distributions, access_per_distribution, hosts_per_access = shape
         t = build_three_tier(*shape, dual_homed=True)
         assert (len(t.devices), len(t.links)) == (devices, links)
         q = t.twin_quotient
         assert (q.n_classes, len(q.links[0])) == (classes, class_links)
+        # (members, hosts per member) of each class: the access switches of
+        # each distribution pair, then every core and distribution alone
+        assert Counter(zip(q.members.tolist(), q.member_hosts.tolist())) == {
+            (access_per_distribution, hosts_per_access): distributions,
+            (1, 0): cores + distributions,
+        }
 
     def test_linked_cores_stay_apart(self):
         # the two cores share every distribution neighbour but are linked:
@@ -493,17 +508,18 @@ class TestTwinQuotient:
     def test_hosts_on_unlinked_devices(self):
         devices = tuple(Device(f"l{i}", "leaf") for i in range(3)) + (Device("s0", "spine"),)
         t = Topology(devices, (("s0", "l2"),), (("h0", "l0"), ("h1", "l0"), ("h2", "l1"), ("h3", "l2")))
-        assert twin_classes(t) == {frozenset({"l0", "l1"}), frozenset({"l2"}), frozenset({"s0"})}
+        # l0 and l1 share the empty neighbour set but carry 2 and 1 hosts
+        assert twin_classes(t) == {frozenset({"l0"}), frozenset({"l1"}), frozenset({"l2"}), frozenset({"s0"})}
         assert hop_histogram(t) == {UNREACHABLE: 5, 0: 1}
         assert affected_fraction(t, set()) == 5 / 6
 
     @given(t=planted_twin_fabrics(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_planted_twins_match_oracles(self, t, seed):
-        neighbors = neighbor_sets(t)
-        groups: dict[frozenset[str], set[str]] = {}
-        for device, near in neighbors.items():
-            groups.setdefault(near, set()).add(device)
+        hosts = Counter(d for _, d in t.hosts)
+        groups: dict[tuple[frozenset[str], int], set[str]] = {}
+        for device, near in neighbor_sets(t).items():
+            groups.setdefault((near, hosts[device]), set()).add(device)
         assert twin_classes(t) == {frozenset(g) for g in groups.values()}
 
         hist = hop_histogram(t)
