@@ -77,7 +77,10 @@ def _positive_int(raw: str) -> int:
 
 
 def _parse_values(flag: str, raw: str) -> tuple[float, ...]:
-    values = _parse_floats(raw)
+    try:
+        values = _parse_floats(raw)
+    except ValueError:
+        raise ValueError(f"{flag} expects comma-separated numbers, got {raw!r}") from None
     if not values:
         raise ValueError(f"{flag} needs at least one value, got {raw!r}")
     return values
@@ -375,6 +378,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    ScenarioConfig(seed=args.seed)  # rejects a seed the checks' RNGs cannot take
     results = run_all_checks(seed=args.seed)
     failed = sum(1 for r in results if not r.passed)
     lines = [result.line() for result in results]

@@ -85,6 +85,8 @@ class ScenarioConfig:
             raise ValueError(f"output.format must be csv or json, got {self.output_format!r}")
         if self.output_digits is not None and self.output_digits < 1:
             raise ValueError(f"output.digits must be >= 1, got {self.output_digits}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def failure_probabilities(self) -> dict[str, float]:
         out = {}

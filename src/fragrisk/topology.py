@@ -17,13 +17,15 @@ so the quotient keeps connectivity and hop counts exactly: spine-leaf is 2
 nodes and 1 link at any size, and a graph with no twins is its own quotient.
 
 One connectivity kernel serves every fault-domain query: it takes an
-``(m, n_devices)`` boolean failure mask, counts the failed members of each
-class per row, joins a bounded block of rows into one block-diagonal graph
-of surviving class links and labels its components by min-label hooking
-with full pointer jumping.  ``hop_histogram`` runs a level-synchronous BFS
-over the quotient from all host-bearing classes at once and weights each
-class pair by its host pairs.  The per-pair breadth-first searches over
-devices that check these results live in ``fragrisk.verify`` only.
+``(m, n_classes)`` array of failed members per class, joins a bounded block
+of rows into one block-diagonal graph of surviving class links and labels
+its components by min-label hooking with full pointer jumping.
+``affected_fractions`` is where a device failure mask meets the quotient:
+one ``bincount`` reduces it to those per-class counts.  ``hop_histogram``
+runs a level-synchronous BFS over the quotient from all host-bearing
+classes at once and weights each class pair by its host pairs.  The
+per-pair breadth-first searches over devices that check these results live
+in ``fragrisk.verify`` only.
 
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
@@ -60,9 +62,9 @@ UNREACHABLE = -1
 
 FORMAT_HEADER = "topology/1"
 
-# Rows of one connectivity-kernel block are capped so that a block holds
-# about this many link-plus-device slots; larger blocks only cost memory.
-_KERNEL_BLOCK_SLOTS = 50_000
+# A connectivity-kernel block holds about this many class-plus-class-link
+# slots (about 1 MB of working arrays); larger blocks only cost memory.
+_KERNEL_BLOCK_SLOTS = 15_000
 
 # failure_harm_mc deduplicates failure patterns over mask chunks of about
 # this many cells, filled from uniform draws of at most _DRAW_CELLS at a time.
@@ -104,19 +106,16 @@ class TwinQuotient(NamedTuple):
     """A topology's false-twin classes and the links between them.
 
     ``device_class[i]`` is the class of device i.  Class j is
-    ``members[j]`` devices that each carry ``member_hosts[j]`` hosts.
-    ``links`` holds both ends of each linked class pair, lower class first,
-    and ``csr`` is the symmetric class adjacency ``(indptr, neighbors)``:
-    the neighbours of class i are ``neighbors[indptr[i]:indptr[i + 1]]``, in
-    ascending order, and every class link appears once from each end.  All
-    arrays are read-only ``int64``.
+    ``members[j]`` devices that each carry ``member_hosts[j]`` hosts, so a
+    failure pattern acts on the quotient only through how many members of
+    each class it fails.  ``links`` holds both ends of each linked class
+    pair, lower class first.  All arrays are read-only ``int64``.
     """
 
     device_class: np.ndarray
     members: np.ndarray
     member_hosts: np.ndarray
     links: tuple[np.ndarray, np.ndarray]
-    csr: tuple[np.ndarray, np.ndarray]
 
     @property
     def n_classes(self) -> int:
@@ -240,11 +239,14 @@ class Topology:
         ca, cb = divmod(key[np.diff(key, prepend=-1) != 0], max(k, 1))
         for array in (device_class, members, member_hosts, ca, cb):
             array.flags.writeable = False
-        return TwinQuotient(device_class, members, member_hosts, (ca, cb), _csr(k, ca, cb))
+        return TwinQuotient(device_class, members, member_hosts, (ca, cb))
 
 
 def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only symmetric CSR ``(indptr, neighbors)`` of n nodes joined by links a[i] -- b[i]."""
+    """Symmetric CSR ``(indptr, neighbors)`` of n nodes joined by links a[i] -- b[i].
+
+    Node i's neighbours are ``neighbors[indptr[i]:indptr[i + 1]]``, ascending.
+    """
     import numpy as np
 
     src = np.concatenate([a, b]).astype(np.int64)
@@ -252,10 +254,7 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((dst, src))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    neighbors = dst[order]
-    indptr.flags.writeable = False
-    neighbors.flags.writeable = False
-    return indptr, neighbors
+    return indptr, dst[order]
 
 
 def build_three_tier(
@@ -383,6 +382,7 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     same = c * (h - 1)
     apart = c * c - c * h
     k = q.n_classes
+    indptr, neighbors = _csr(k, *q.links)
 
     # Ordered host pairs by hop count (index hops + 1).  Devices of two
     # classes are as far apart as the classes are in the quotient, so class
@@ -394,12 +394,12 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     step = max(1, _KERNEL_BLOCK_SLOTS // max(1, k))
     for start in range(0, len(sources), step):
         block = slice(start, start + step)
-        hops = _bfs_levels(*q.csr, sources[block])[:, sources]
+        hops = _bfs_levels(indptr, neighbors, sources[block])[:, sources]
         weight = c[block, None] * c
         rows = np.arange(len(weight))
         weight[rows, start + rows] = same[block]
         np.add.at(ordered, hops.ravel() + 1, weight.ravel())
-    has_neighbor = np.diff(q.csr[0])[sources] > 0
+    has_neighbor = np.diff(indptr)[sources] > 0
     np.add.at(ordered, np.where(has_neighbor, 2, UNREACHABLE) + 1, apart)
 
     attached, detached = len(t.hosts), len(t.detached_hosts)
@@ -431,17 +431,16 @@ def inject_failures(t: Topology, failed: set[str]) -> Topology:
     return Topology(devices, links, hosts, detached)
 
 
-def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
-    """Host pairs that can still communicate, for each row of a failure mask.
+def _connected_pairs(q: TwinQuotient, failed: np.ndarray) -> np.ndarray:
+    """Host pairs that can still communicate, for each row of failed members per class.
 
-    ``failed`` is an ``(m, n_devices)`` boolean array over device indices.
-    The work runs on the twin quotient (``Topology.twin_quotient``).  Each
-    row reduces to the failed members of each class, so ``alive = members -
-    failed`` of them survive with ``alive * h`` hosts, ``alive * h * (h - 1)
-    / 2`` of whose pairs share a device (h is the class's hosts per member).
-    A class whose neighbour classes all failed has its survivors each on
-    their own, so it counts only the latter.  Every other surviving class
-    lies whole in one component of the surviving quotient.
+    ``failed`` is an ``(m, n_classes)`` integer array: row r fails
+    ``failed[r, j]`` of the ``q.members[j]`` devices of class j.  So ``alive
+    = members - failed`` of them survive with ``alive * h`` hosts, ``alive *
+    h * (h - 1) / 2`` of whose pairs share a device (h is the class's hosts
+    per member).  A class whose neighbour classes all failed has its
+    survivors each on their own, so it counts only the latter.  Every other
+    surviving class lies whole in one component of the surviving quotient.
 
     Each block of rows becomes one block-diagonal graph of classes (row r's
     class i is node r * n_classes + i) holding the class links whose ends
@@ -454,27 +453,18 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    m, n = failed.shape
-    q = t.twin_quotient
+    m, k = failed.shape
     a, b = q.links
-    k = q.n_classes
+    h = q.member_hosts
     out = np.zeros(m, dtype=np.int64)
-    if n == 0:
-        return out
-    step = max(1, min(m, _KERNEL_BLOCK_SLOTS // (n + len(a))))
-    # members and hosts per member of each class, row by row
-    members, h = np.tile(q.members, step), np.tile(q.member_hosts, step)
+    step = max(1, min(m, _KERNEL_BLOCK_SLOTS // max(1, k + len(a))))
     # block node ids of both ends of every class link, row by row
     offset = np.arange(step)[:, None] * k
     ends_a, ends_b = (offset + a).ravel(), (offset + b).ravel()
     for start in range(0, m, step):
-        block = failed[start : start + step]
-        rows = len(block)
-        slots = rows * k
-        row, dev = np.divmod(np.flatnonzero(block), n)
-        alive = members[:slots] - np.bincount(row * k + q.device_class[dev], minlength=slots)
-        hosts = alive * h[:slots]
-        survives = (alive > 0).reshape(rows, k)
+        alive = q.members - failed[start : start + step]
+        rows, slots = len(alive), alive.size
+        survives = alive > 0
         kept = np.flatnonzero(survives[:, a] & survives[:, b])
         u, v = ends_a[kept], ends_b[kept]
         lone = np.ones(slots, dtype=bool)
@@ -492,9 +482,10 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
             # a link whose ends share a label keeps sharing it: drop it
             cross = lu != lv
             u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
+        hosts = alive * h
         # host counts are integers far below 2**53, so float sums are exact
-        joined = np.bincount(label, weights=np.where(lone, 0, hosts), minlength=slots).astype(np.int64)
-        pairs = joined * (joined - 1) // 2 + np.where(lone, hosts * (h[:slots] - 1) // 2, 0)
+        joined = np.bincount(label, weights=np.where(lone, 0, hosts.ravel()), minlength=slots).astype(np.int64)
+        pairs = joined * (joined - 1) // 2 + np.where(lone, (hosts * (h - 1) // 2).ravel(), 0)
         out[start : start + rows] = pairs.reshape(rows, k).sum(axis=1)
     return out
 
@@ -502,9 +493,10 @@ def _connected_pairs(t: Topology, failed: np.ndarray) -> np.ndarray:
 def affected_fractions(t: Topology, failed: np.ndarray) -> np.ndarray:
     """``affected_fraction`` for each row of an ``(m, n_devices)`` failure mask.
 
-    Column i of ``failed`` is ``t.devices[i]``.  One connectivity-kernel pass
-    serves all rows; each value equals the single-set ``affected_fraction``
-    bit for bit.
+    Column i of ``failed`` is ``t.devices[i]``.  One ``bincount`` reduces
+    the mask to failed members per twin class, and one connectivity-kernel
+    pass serves all rows; each value equals the single-set
+    ``affected_fraction`` bit for bit.
     """
     import numpy as np
 
@@ -515,7 +507,12 @@ def affected_fractions(t: Topology, failed: np.ndarray) -> np.ndarray:
     total = n_hosts * (n_hosts - 1) // 2
     if total == 0:
         return np.zeros(len(failed))
-    return (total - _connected_pairs(t, failed)) / total
+    q = t.twin_quotient
+    (m, n), k = failed.shape, q.n_classes
+    cells = np.flatnonzero(failed)
+    counts = np.bincount(cells // n * k + q.device_class[cells % n], minlength=m * k).reshape(m, k)
+    del cells  # one index per failed device of every row: free it before the kernel runs
+    return (total - _connected_pairs(q, counts)) / total
 
 
 def affected_fraction(t: Topology, failed: set[str]) -> float:

@@ -324,24 +324,19 @@ def check_jensen_directions(seed: int = VERIFY_SEED, draws: int = 1000) -> Check
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    convex_violations = 0
-    concave_violations = 0
-    for _ in range(draws):
-        beta = rng.uniform(1.0, 4.0)
-        k = rng.uniform(1e-6, 10.0)
-        size = int(rng.integers(1, 9))
-        weights = FragmentWeights(tuple(rng.dirichlet(np.ones(size))))
-        x = rng.uniform(1e-9, 100.0)
-        if jensen_gap(HarmParams(k, beta), weights, x) < -1e-12:
-            convex_violations += 1
-    for _ in range(draws):
-        beta = rng.uniform(1e-6, 1.0)
-        k = rng.uniform(1e-6, 10.0)
-        size = int(rng.integers(1, 9))
-        weights = FragmentWeights(tuple(rng.dirichlet(np.ones(size))))
-        x = rng.uniform(1e-9, 100.0)
-        if jensen_gap(HarmParams(k, beta), weights, x) > 1e-12:
-            concave_violations += 1
+    violations = []
+    # the gap is >= 0 for beta >= 1 and <= 0 for beta < 1: count draws of the wrong sign
+    for (low, high), sign in (((1.0, 4.0), 1.0), ((1e-6, 1.0), -1.0)):
+        violations.append(0)
+        for _ in range(draws):
+            beta = rng.uniform(low, high)
+            k = rng.uniform(1e-6, 10.0)
+            size = int(rng.integers(1, 9))
+            weights = FragmentWeights(tuple(rng.dirichlet(np.ones(size))))
+            x = rng.uniform(1e-9, 100.0)
+            if sign * jensen_gap(HarmParams(k, beta), weights, x) < -1e-12:
+                violations[-1] += 1
+    convex_violations, concave_violations = violations
     passed = convex_violations == 0 and concave_violations == 0
     return CheckResult(
         "jensen-gap-directions",

@@ -350,6 +350,13 @@ HUGE_TRIALS_ARGS = [
     ["topo", "harm", "--topology", "{in}/sl.txt", "--trials", "1000000000000000"],
 ]
 
+# seeds the RNG cannot take; each ended in numpy's "expected non-negative integer", naming no flag
+NEGATIVE_SEED_ARGS = [
+    ["jensen", "--seed", "-5"],
+    ["topo", "harm", "--topology", "{in}/sl.txt", "--seed", "-1"],
+    ["risk", "tail-mean", "--config", "{in}/negative_seed.cfg"],
+]
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("args", NON_FINITE_ARGS[:2] + RANGE_ARGS)
@@ -360,7 +367,8 @@ class TestNonFiniteInput:
         assert proc.stderr.startswith("error:") and "finite" in proc.stderr
 
     @pytest.mark.parametrize(
-        "args", NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS + EMPTY_LIST_ARGS + HUGE_TRIALS_ARGS
+        "args",
+        NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS + EMPTY_LIST_ARGS + HUGE_TRIALS_ARGS + NEGATIVE_SEED_ARGS,
     )
     def test_no_report_written(self, cli_inputs, tmp_path, capsys, args):
         out = tmp_path / "report.csv"
@@ -377,6 +385,27 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {args[-2]} needs at least one value")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("args", [["risk", "curve", "--K-values", "1,abc"], ["harm-curve", "--betas", "1,abc"]])
+    def test_bad_list_value_names_flag_and_writes_no_chart(self, tmp_path, capsys, args):
+        # each printed "could not convert string to float: 'abc'", naming no flag
+        out, svg = tmp_path / "report.csv", tmp_path / "chart.svg"
+        assert run(args + ["--out", str(out), "--svg", str(svg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {args[-2]} expects comma-separated numbers, got '1,abc'\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("args", NEGATIVE_SEED_ARGS)
+    def test_negative_seed_is_named(self, cli_inputs, capsys, args):
+        assert run(fill(args, **{"in": cli_inputs})) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -")
+
+    def test_verify_rejects_negative_seed(self, capsys):
+        assert run(["verify", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
 
 def test_growth_with_large_saturation_finishes():
@@ -409,6 +438,7 @@ def cli_inputs(tmp_path_factory):
     (base / "tt.txt").write_text(serialize_topology(build_three_tier(2, 2, 2, 1, True)))
     (base / "scenario.cfg").write_text("harm.beta = 2\npareto.alpha = 4\ntrials = 500\n")
     (base / "bad.cfg").write_text("output.digits = 0\n")
+    (base / "negative_seed.cfg").write_text("seed = -1\n")
     return base
 
 

@@ -24,7 +24,7 @@ from fragrisk import (
     serialize_topology,
 )
 from fragrisk import topology
-from fragrisk.topology import UNREACHABLE, _linear_quantiles, affected_fractions
+from fragrisk.topology import UNREACHABLE, _connected_pairs, _linear_quantiles, affected_fractions
 from fragrisk.verify import (
     affected_fraction_bfs,
     check_hop_histogram_oracle,
@@ -86,6 +86,17 @@ def random_case(seed: int) -> Topology:
 
 def failed_ids(t: Topology, row) -> set[str]:
     return {d.id for d, hit in zip(t.devices, row) if hit}
+
+
+def first_members(t: Topology, counts: list[int]) -> set[str]:
+    """Ids of the first ``counts[c]`` devices of each twin class c."""
+    left = list(counts)
+    failed = set()
+    for d, c in zip(t.devices, t.twin_quotient.device_class.tolist()):
+        if left[c] > 0:
+            left[c] -= 1
+            failed.add(d.id)
+    return failed
 
 
 def access_chain(length: int, seed: int | None = None) -> Topology:
@@ -455,6 +466,21 @@ class TestConnectivityKernel:
         mask = np.array([[False, False, False], [True, True, True]])
         assert affected_fractions(ONE_HOST, mask).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("slots", [1, 10**9])
+    def test_kernel_takes_failed_members_per_class(self, monkeypatch, slots):
+        # one slot puts every row in its own block; 10**9 puts all rows in one
+        monkeypatch.setattr(topology, "_KERNEL_BLOCK_SLOTS", slots)
+        t = build_three_tier(2, 4, 3, 2, dual_homed=True)
+        q = t.twin_quotient
+        counts = np.random.default_rng(4).integers(0, q.members + 1, size=(30, q.n_classes))
+        counts = np.concatenate([np.zeros_like(q.members)[None], q.members[None], counts])
+        total = len(t.hosts) * (len(t.hosts) - 1) // 2
+        pairs = _connected_pairs(q, counts)
+        assert pairs.dtype == np.int64
+        assert pairs[:2].tolist() == [total, 0]
+        expected = [affected_fraction_bfs(t, first_members(t, row)) for row in counts.tolist()]
+        assert ((total - pairs) / total).tolist() == expected
+
     def test_mask_shape_checked(self):
         t = build_spine_leaf(2, 4, 1)
         with pytest.raises(ValueError, match="shape"):
@@ -512,6 +538,20 @@ class TestTwinQuotient:
         assert twin_classes(t) == {frozenset({"l0"}), frozenset({"l1"}), frozenset({"l2"}), frozenset({"s0"})}
         assert hop_histogram(t) == {UNREACHABLE: 5, 0: 1}
         assert affected_fraction(t, set()) == 5 / 6
+
+    @given(t=planted_twin_fabrics(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_moving_failures_within_a_class_keeps_the_fraction(self, t, data):
+        row = np.array(data.draw(st.lists(st.booleans(), min_size=len(t.devices), max_size=len(t.devices))), dtype=bool)
+        # fail other members of each class, as many as the row fails there
+        classes = t.twin_quotient.device_class
+        moved = np.zeros_like(row)
+        for c in set(classes.tolist()):
+            members = np.flatnonzero(classes == c).tolist()
+            moved[data.draw(st.permutations(members))[: row[members].sum()]] = True
+        got = affected_fractions(t, np.stack([row, moved]))
+        assert got[0].tobytes() == got[1].tobytes()
+        assert got[0] == affected_fraction_bfs(t, failed_ids(t, row))
 
     @given(t=planted_twin_fabrics(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
