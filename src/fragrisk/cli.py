@@ -10,6 +10,10 @@ Subcommands map one-to-one onto the analysis modules::
     compare      cost / power / fault-domain report
     verify       run every analytic-vs-oracle check
 
+``main`` resolves the scenario config (file, flags and seed) before any
+handler runs, so a bad config file or seed fails every subcommand, ``verify``
+included, before any work.
+
 Reports print to stdout or, with ``--out``, go to a file.  A command's
 outputs (``--out``, ``--svg``, ``--emit`` and the topology of ``topo
 build``) are written all together or not at all, and only after the
@@ -86,9 +90,20 @@ def _parse_values(flag: str, raw: str) -> tuple[float, ...]:
     return values
 
 
-def _check_range_end(flag: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{flag} must be finite and > 0, got {value}")
+def _float_list(raw: str) -> tuple[float, ...]:
+    try:
+        return _parse_floats(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {raw!r}") from None
+
+
+def _grid(flag: str, end: float, points: int) -> list[float]:
+    """``points`` evenly spaced values from 0 to ``end``; ``flag`` names ``end`` in errors."""
+    if points < 2:
+        raise ValueError("--points must be >= 2")
+    if not (math.isfinite(end) and end > 0):
+        raise ValueError(f"{flag} must be finite and > 0, got {end}")
+    return [end * i / (points - 1) for i in range(points)]
 
 
 def _load_topology(path: str):
@@ -98,8 +113,8 @@ def _load_topology(path: str):
 
 def _config_from_args(args) -> ScenarioConfig:
     # each config-backed flag's argparse dest is the ScenarioConfig field it sets
-    flags = vars(args)
-    return load_config(args.config, {f.name: flags.get(f.name) for f in fields(ScenarioConfig)})
+    flags = vars(args)  # verify takes no --config
+    return load_config(flags.get("config"), {f.name: flags.get(f.name) for f in fields(ScenarioConfig)})
 
 
 def _emit(out: str | None, text: str, side_files=(), stdout: str | None = None) -> None:
@@ -214,13 +229,9 @@ def _failure_model(cfg: ScenarioConfig, args) -> FailureModel:
 # ---------------------------------------------------------------------------
 
 
-def cmd_harm_curve(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_harm_curve(cfg: ScenarioConfig, args) -> int:
     betas = _parse_values("--betas", args.betas)
-    if args.points < 2:
-        raise ValueError("--points must be >= 2")
-    _check_range_end("--x-max", args.x_max)
-    xs = [args.x_max * i / (args.points - 1) for i in range(args.points)]
+    xs = _grid("--x-max", args.x_max, args.points)
     columns = ["x"] + [f"harm_beta_{beta:g}" for beta in betas]
     rows = []
     for x in xs:
@@ -229,8 +240,7 @@ def cmd_harm_curve(args) -> int:
     return 0
 
 
-def cmd_jensen(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_jensen(cfg: ScenarioConfig, args) -> int:
     params = _harm_params(cfg)
     weights = FragmentWeights(cfg.harm_weights)
     concentrated = harm(params, cfg.error_x)
@@ -248,8 +258,7 @@ def cmd_jensen(args) -> int:
     return 0
 
 
-def cmd_risk_density(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_risk_density(cfg: ScenarioConfig, args) -> int:
     p, h = _pareto_params(cfg), _harm_params(cfg)
     n = cfg.fragments
     if args.points < 1:
@@ -264,8 +273,7 @@ def cmd_risk_density(args) -> int:
     return 0
 
 
-def cmd_risk_tail_mean(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_risk_tail_mean(cfg: ScenarioConfig, args) -> int:
     p, h = _pareto_params(cfg), _harm_params(cfg)
     closed = tail_mean(p, h, cfg.fragments)
     estimate = mc_tail_mean(p, h, cfg.fragments, cfg.trials, cfg.seed)
@@ -279,16 +287,14 @@ def cmd_risk_tail_mean(args) -> int:
     return 0
 
 
-def cmd_risk_ratio(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_risk_ratio(cfg: ScenarioConfig, args) -> int:
     ratio = degradation_ratio(_pareto_params(cfg), _harm_params(cfg), args.K, cfg.fragments)
     report = ScenarioReport("risk-ratio", ["K", "ratio"], [[args.K, ratio]])
     _emit_report(report, cfg, args, stdout=f"{ratio:.6f}\n")
     return 0
 
 
-def cmd_risk_curve(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_risk_curve(cfg: ScenarioConfig, args) -> int:
     multipliers = list(_parse_values("--K-values", args.K_values))
     curve = degradation_curve(_pareto_params(cfg), _harm_params(cfg), multipliers)
     report = ScenarioReport("risk-curve", ["K", "ratio"], [[k, r] for k, r in curve])
@@ -296,14 +302,12 @@ def cmd_risk_curve(args) -> int:
     return 0
 
 
-def cmd_topo_build(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_topo_build(cfg: ScenarioConfig, args) -> int:
     _emit(args.out, serialize_topology(_build_from_config(cfg)))
     return 0
 
 
-def cmd_topo_hops(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_topo_hops(cfg: ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
     hist = hop_histogram(topo)
     rows = [[hops, hist[hops]] for hops in sorted(hist)]
@@ -313,8 +317,7 @@ def cmd_topo_hops(args) -> int:
     return 0
 
 
-def cmd_topo_fail(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_topo_fail(cfg: ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
     failed = {tok.strip() for tok in args.fail.split(",") if tok.strip()} if args.fail else set()
     fraction = affected_fraction(topo, failed)  # raises on unknown ids
@@ -329,8 +332,7 @@ def cmd_topo_fail(args) -> int:
     return 0
 
 
-def cmd_topo_harm(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_topo_harm(cfg: ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
     stats = failure_harm_mc(topo, _failure_model(cfg, args), _harm_params(cfg), cfg.trials, cfg.seed)
     report = ScenarioReport(
@@ -342,25 +344,18 @@ def cmd_topo_harm(args) -> int:
     return 0
 
 
-def cmd_growth(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_growth(cfg: ScenarioConfig, args) -> int:
     sig = GrowthSpec.sigmoid(args.saturation)
     lin = GrowthSpec.linear(args.ports_per_switch)
-    if args.points < 2:
-        raise ValueError("--points must be >= 2")
-    _check_range_end("--max-units", args.max_units)
-    rows = []
-    for i in range(args.points):
-        units = args.max_units * i / (args.points - 1)
-        rows.append([units, capacity_at(sig, units), capacity_at(lin, units)])
+    units = _grid("--max-units", args.max_units, args.points)
+    rows = [[u, capacity_at(sig, u), capacity_at(lin, u)] for u in units]
     report = ScenarioReport("growth", ["units", "sigmoid_capacity", "linear_capacity"], rows)
     report.extra_metadata["crossover_units"] = crossover(sig, lin)
     _emit_report(report, cfg, args)
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_compare(cfg: ScenarioConfig, args) -> int:
     design_a, design_b = (
         _load_topology(path) if path is not None else _build_from_config(replace(cfg, topology_kind=kind))
         for path, kind in ((args.a, "three-tier"), (args.b, "spine-leaf"))
@@ -377,9 +372,8 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    ScenarioConfig(seed=args.seed)  # rejects a seed the checks' RNGs cannot take
-    results = run_all_checks(seed=args.seed)
+def cmd_verify(cfg: ScenarioConfig, args) -> int:
+    results = run_all_checks(seed=cfg.seed)
     failed = sum(1 for r in results if not r.passed)
     lines = [result.line() for result in results]
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
@@ -438,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_harm_flags(p)
     _add_pareto_flags(p)
     _add_mc_flags(p)
-    p.add_argument("--weights", dest="harm_weights", type=_parse_floats, help="comma list of fragment shares")
+    p.add_argument("--weights", dest="harm_weights", type=_float_list, help="comma list of fragment shares")
     p.add_argument("--x", dest="error_x", type=float, help="error magnitude to evaluate")
     p.add_argument("--unit-value", dest="unit_value", type=float, default=None, help="value B at stake")
     p.set_defaults(func=cmd_jensen)
@@ -542,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     error = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = args.func(args)
+            code = args.func(_config_from_args(args), args)
         except (ValueError, OSError, OverflowError, MemoryError) as exc:
             code, error = 1, exc
     # a failure leads, so stderr's first line says why nothing was written

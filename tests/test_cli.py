@@ -58,6 +58,14 @@ class TestConfig:
         assert cfg.seed == 99
         assert cfg.trials == 10
 
+    def test_readme_example_parses(self):
+        # two of its value lines used to carry trailing comments, which the grammar rejects
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config files", 1)[1].split("```", 2)[1]
+        values = parse_config_text(block)
+        assert values["failure_core"] == 0.02
+        assert values["report_core_drop_probability"] == 0.001
+
 
 class TestRiskCommands:
     def test_ratio_prints_six_decimals(self, capsys):
@@ -159,6 +167,23 @@ class TestTopoCommands:
         assert "error:" in capsys.readouterr().err
 
 
+# every subcommand that takes --config
+BAD_CONFIG_ARGS = [
+    ["harm-curve"],
+    ["jensen"],
+    ["risk", "density"],
+    ["risk", "tail-mean"],
+    ["risk", "ratio", "--K", "2"],
+    ["risk", "curve"],
+    ["topo", "build"],
+    ["topo", "hops", "--topology", "{in}/sl.txt"],
+    ["topo", "fail", "--topology", "{in}/sl.txt"],
+    ["topo", "harm", "--topology", "{in}/sl.txt"],
+    ["growth"],
+    ["compare"],
+]
+
+
 class TestOutputContracts:
     def test_csv_full_precision_and_digits_flag(self, tmp_path):
         full = tmp_path / "full.csv"
@@ -251,6 +276,14 @@ class TestOutputContracts:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: output.")
+
+    @pytest.mark.parametrize("args", BAD_CONFIG_ARGS)
+    def test_bad_config_fails_every_subcommand(self, cli_inputs, tmp_path, capsys, args):
+        argv = fill(args, **{"in": cli_inputs}) + ["--config", str(cli_inputs / "bad.cfg")]
+        assert run(argv + ["--out", str(tmp_path / "out.txt")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: output.digits must be >= 1, got 0\n")
+        assert os.listdir(tmp_path) == []
 
     def test_warning_is_one_line(self, capsys):
         assert run(["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2"]) == 0
@@ -357,6 +390,14 @@ NEGATIVE_SEED_ARGS = [
     ["risk", "tail-mean", "--config", "{in}/negative_seed.cfg"],
 ]
 
+# grid sizes below the grid's minimum; --points is checked before the range end
+POINTS_ARGS = [
+    ["harm-curve", "--points", "1"],
+    ["growth", "--points", "1"],
+    ["risk", "density", "--points", "0"],
+    ["growth", "--points", "1", "--max-units", "inf"],
+]
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("args", NON_FINITE_ARGS[:2] + RANGE_ARGS)
@@ -368,7 +409,8 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize(
         "args",
-        NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS + EMPTY_LIST_ARGS + HUGE_TRIALS_ARGS + NEGATIVE_SEED_ARGS,
+        NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS + EMPTY_LIST_ARGS + HUGE_TRIALS_ARGS + NEGATIVE_SEED_ARGS
+        + POINTS_ARGS,
     )
     def test_no_report_written(self, cli_inputs, tmp_path, capsys, args):
         out = tmp_path / "report.csv"
@@ -395,6 +437,26 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert captured.err == f"error: {args[-2]} expects comma-separated numbers, got '1,abc'\n"
         assert os.listdir(tmp_path) == []
+
+    def test_bad_weights_name_the_flag(self, capsys):
+        # the message used to name the private parser: "invalid _parse_floats value"
+        with pytest.raises(SystemExit) as excinfo:
+            run(["jensen", "--weights", "0.5,abc"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "fragrisk jensen: error: argument --weights: expects comma-separated numbers, got '0.5,abc'\n"
+        )
+        assert "_parse_floats" not in captured.err
+
+    @pytest.mark.parametrize("args", POINTS_ARGS)
+    def test_points_below_minimum_is_named(self, capsys, args):
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        minimum = 1 if args[0] == "risk" else 2  # risk density's grid is a quantile grid
+        assert captured.err == f"error: --points must be >= {minimum}\n"
 
     @pytest.mark.parametrize("args", NEGATIVE_SEED_ARGS)
     def test_negative_seed_is_named(self, cli_inputs, capsys, args):
