@@ -92,9 +92,12 @@ def _parse_values(flag: str, raw: str) -> tuple[float, ...]:
 
 def _float_list(raw: str) -> tuple[float, ...]:
     try:
-        return _parse_floats(raw)
+        values = _parse_floats(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {raw!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {raw!r}")
+    return values
 
 
 def _grid(flag: str, end: float, points: int) -> list[float]:

@@ -34,6 +34,13 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
+def _parse_float_list(raw: str) -> tuple[float, ...]:
+    values = _parse_floats(raw)
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
+
+
 @dataclass
 class ScenarioConfig:
     """All tunables for the CLI, with defaults reproducing the canonical scenario."""
@@ -112,7 +119,7 @@ class ScenarioConfig:
 
 
 _SECTIONS = ("harm", "pareto", "topology", "failure", "cost", "ports", "output", "report")
-_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool, "tuple[float, ...]": _parse_floats}
+_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool, "tuple[float, ...]": _parse_float_list}
 
 
 def _config_key(field_name: str) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .report import ScenarioReport
-from .topology import Topology, affected_fractions
+from .topology import Topology, _class_fractions
 
 FIXED_PORT_ROLES = frozenset({"spine", "leaf"})
 
@@ -46,8 +46,6 @@ class CostAssumptions:
 
 
 def _design_metrics(t: Topology, c: CostAssumptions, ports: Mapping[str, int]) -> dict[str, float]:
-    import numpy as np
-
     if not t.devices:
         raise ValueError("a design needs at least one device to have a price or power per port")
     roles = {d.role for d in t.devices}
@@ -66,9 +64,10 @@ def _design_metrics(t: Topology, c: CostAssumptions, ports: Mapping[str, int]) -
         total_price += n * c.price_per_port(d.role)
         total_watts += n * c.watts_per_port(d.role)
 
-    # row i of the identity mask fails device i alone
-    single = affected_fractions(t, np.eye(len(t.devices), dtype=bool))
-    worst = float(single.max(initial=0.0))
+    # failing any one member of a twin class cuts the same pairs, so row j
+    # fails one member of class j alone
+    k = t.twin_quotient.n_classes
+    worst = max(_class_fractions(t, ([int(i == j) for i in range(k)] for j in range(k))), default=0.0)
     return {
         "total_ports": float(total_ports),
         "total_price": total_price,

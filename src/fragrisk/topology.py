@@ -7,25 +7,28 @@ access or leaf devices.  Failures remove whole devices; ``affected_fraction``
 measures the share of host pairs that lose connectivity, and
 ``failure_harm_mc`` feeds that fraction into the harm transform.
 
-Graph work runs in NumPy on the false-twin quotient that each ``Topology``
-caches, next to its device -> index map.  Devices with the same neighbour
-set and the same number of hosts are false twins; the quotient has one node
-per class of them, which is ``members`` identical devices with
+Graph work runs in plain Python on the false-twin quotient that each
+``Topology`` caches, next to its device -> index map.  Devices with the same
+neighbour set and the same number of hosts are false twins; the quotient has
+one node per class of them, which is ``members`` identical devices with
 ``member_hosts`` hosts each, and one link per linked class pair.  Twins are
 never linked to each other, and linked classes are linked member to member,
 so the quotient keeps connectivity and hop counts exactly: spine-leaf is 2
 nodes and 1 link at any size, and a graph with no twins is its own quotient.
+Each class's neighbour classes are held as one ``int`` bitset.
 
-One connectivity kernel serves every fault-domain query: it takes an
-``(m, n_classes)`` array of failed members per class, joins a bounded block
-of rows into one block-diagonal graph of surviving class links and labels
-its components by min-label hooking with full pointer jumping.
-``affected_fractions`` is where a device failure mask meets the quotient:
-one ``bincount`` reduces it to those per-class counts.  ``hop_histogram``
-runs a level-synchronous BFS over the quotient from all host-bearing
-classes at once and weights each class pair by its host pairs.  The
-per-pair breadth-first searches over devices that check these results live
-in ``fragrisk.verify`` only.
+One connectivity kernel serves every fault-domain query: it takes rows of
+failed members per class, forms each row's bitset of classes that keep a
+survivor, finds each distinct bitset's components once per call by bitset
+breadth-first search and counts each row's exact connected host pairs from
+its own alive counts.  ``affected_fractions`` is where a NumPy device
+failure mask meets the quotient: one ``bincount`` reduces it to those
+per-class counts.
+``hop_histogram`` runs one bitset breadth-first search per host-bearing
+class and weights each class pair by its host pairs.  NumPy is imported
+only where failure masks are drawn or handed in.  The per-pair
+breadth-first searches over devices that check these results live in
+``fragrisk.verify`` only.
 
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
@@ -47,7 +50,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from itertools import compress
+from operator import mul, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .harm import HarmParams, harm
 
@@ -61,10 +66,6 @@ HOST_ROLES = frozenset({"access", "leaf"})
 UNREACHABLE = -1
 
 FORMAT_HEADER = "topology/1"
-
-# A connectivity-kernel block holds about this many class-plus-class-link
-# slots (about 1 MB of working arrays); larger blocks only cost memory.
-_KERNEL_BLOCK_SLOTS = 15_000
 
 # failure_harm_mc deduplicates failure patterns over mask chunks of about
 # this many cells, filled from uniform draws of at most _DRAW_CELLS at a time.
@@ -109,13 +110,16 @@ class TwinQuotient(NamedTuple):
     ``members[j]`` devices that each carry ``member_hosts[j]`` hosts, so a
     failure pattern acts on the quotient only through how many members of
     each class it fails.  ``links`` holds both ends of each linked class
-    pair, lower class first.  All arrays are read-only ``int64``.
+    pair, lower class first, in ascending order.  ``neighbors[j]`` is the
+    bitset of class j's neighbour classes (bit i set when i -- j is a link).
+    Every field is a tuple of ``int``.
     """
 
-    device_class: np.ndarray
-    members: np.ndarray
-    member_hosts: np.ndarray
-    links: tuple[np.ndarray, np.ndarray]
+    device_class: tuple[int, ...]
+    members: tuple[int, ...]
+    member_hosts: tuple[int, ...]
+    links: tuple[tuple[int, ...], tuple[int, ...]]
+    neighbors: tuple[int, ...]
 
     @property
     def n_classes(self) -> int:
@@ -209,52 +213,41 @@ class Topology:
     def twin_quotient(self) -> TwinQuotient:
         """The false-twin quotient: one node per set of devices with equal neighbours and host counts.
 
-        Devices are grouped in one pass over their CSR rows; classes are
-        numbered in order of their first device, and devices with no links
-        and equal host counts share the empty row, so they form one class.
-        False twins are never linked to each other, and a link between two
-        classes means every member of one is linked to every member of the
-        other.
+        Devices are grouped by (sorted neighbour indices, host count);
+        classes are numbered in order of their first device, and devices
+        with no links and equal host counts share the empty neighbour tuple,
+        so they form one class.  False twins are never linked to each other,
+        and a link between two classes means every member of one is linked
+        to every member of the other.
         """
-        import numpy as np
-
         index = self.device_index
         n = len(self.devices)
-        ends = np.array([(index[a], index[b]) for a, b in self.links], dtype=np.int64).reshape(-1, 2)
-        indptr, neighbors = _csr(n, ends[:, 0], ends[:, 1])
-        hosts = np.bincount([index[d] for _, d in self.hosts], minlength=n).tolist()
-        bounds = indptr.tolist()
-        ids: dict[tuple[bytes, int], int] = {}
-        device_class = np.array(
-            [ids.setdefault((neighbors[s:e].tobytes(), h), len(ids)) for s, e, h in zip(bounds, bounds[1:], hosts)],
-            dtype=np.int64,
+        ends = [(index[a], index[b]) for a, b in self.links]
+        near: list[list[int]] = [[] for _ in range(n)]
+        for a, b in ends:
+            near[a].append(b)
+            near[b].append(a)
+        hosts = [0] * n
+        for _, d in self.hosts:
+            hosts[index[d]] += 1
+        ids: dict[tuple[tuple[int, ...], int], int] = {}
+        device_class = tuple(ids.setdefault((tuple(sorted(v)), h), len(ids)) for v, h in zip(near, hosts))
+        members = [0] * len(ids)
+        for c in device_class:
+            members[c] += 1
+        linked = {(device_class[a], device_class[b]) for a, b in ends}
+        class_links = sorted({(min(pair), max(pair)) for pair in linked})
+        neighbors = [0] * len(ids)
+        for a, b in class_links:
+            neighbors[a] |= 1 << b
+            neighbors[b] |= 1 << a
+        return TwinQuotient(
+            device_class,
+            tuple(members),
+            tuple(h for _, h in ids),
+            (tuple(a for a, _ in class_links), tuple(b for _, b in class_links)),
+            tuple(neighbors),
         )
-        k = len(ids)
-        members = np.bincount(device_class, minlength=k)
-        member_hosts = np.array([h for _, h in ids], dtype=np.int64)
-        # one class link per linked class pair (a sort, not np.unique, which
-        # imports numpy.ma for integer keys)
-        a, b = device_class[ends].T
-        key = np.sort(np.minimum(a, b) * k + np.maximum(a, b))
-        ca, cb = divmod(key[np.diff(key, prepend=-1) != 0], max(k, 1))
-        for array in (device_class, members, member_hosts, ca, cb):
-            array.flags.writeable = False
-        return TwinQuotient(device_class, members, member_hosts, (ca, cb))
-
-
-def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric CSR ``(indptr, neighbors)`` of n nodes joined by links a[i] -- b[i].
-
-    Node i's neighbours are ``neighbors[indptr[i]:indptr[i + 1]]``, ascending.
-    """
-    import numpy as np
-
-    src = np.concatenate([a, b]).astype(np.int64)
-    dst = np.concatenate([b, a]).astype(np.int64)
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order]
 
 
 def build_three_tier(
@@ -334,36 +327,12 @@ def build_spine_leaf(
     return Topology(tuple(devices), tuple(links), tuple(hosts))
 
 
-def _bfs_levels(indptr: np.ndarray, neighbors: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Hop count from each source to every node of a CSR graph; ``UNREACHABLE`` where none.
-
-    Returns an ``(len(sources), n_nodes)`` array.  All sources advance
-    together, level by level, over one flat index space (source r's node i
-    is r * n_nodes + i).  Each level gathers every neighbour of the
-    frontier and keeps each unvisited one once as the next frontier.
-    """
-    import numpy as np
-
-    n = len(indptr) - 1
-    degree = np.diff(indptr)
-    rows = len(sources)
-    dist = np.full(rows * n, UNREACHABLE, dtype=np.int64)
-    owner = np.empty(rows * n, dtype=np.int64)
-    frontier = np.arange(rows, dtype=np.int64) * n + sources
-    dist[frontier] = 0
-    level = 0
-    while len(frontier):
-        level += 1
-        node = frontier % n
-        deg = degree[node]
-        start = np.repeat(indptr[node] - (np.cumsum(deg) - deg), deg)
-        cand = np.repeat(frontier - node, deg) + neighbors[start + np.arange(len(start))]
-        cand = cand[dist[cand] == UNREACHABLE]
-        order = np.arange(len(cand))
-        owner[cand] = order  # scatter-mark: one surviving slot per node
-        frontier = cand[owner[cand] == order]
-        dist[frontier] = level
-    return dist.reshape(rows, n)
+def _bits(x: int):
+    """Indices of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def hop_histogram(t: Topology) -> dict[int, int]:
@@ -373,38 +342,44 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     pairs involving detached hosts) land in the ``UNREACHABLE`` (-1) bucket.
     Only buckets with at least one pair appear.
     """
-    import numpy as np
-
     q = t.twin_quotient
-    sources = np.flatnonzero(q.member_hosts)
-    m, h = q.members[sources], q.member_hosts[sources]
-    c = m * h
-    same = c * (h - 1)
-    apart = c * c - c * h
-    k = q.n_classes
-    indptr, neighbors = _csr(k, *q.links)
+    near = q.neighbors
+    c = [m * h for m, h in zip(q.members, q.member_hosts)]
+    all_hosts = sum(c)
 
     # Ordered host pairs by hop count (index hops + 1).  Devices of two
     # classes are as far apart as the classes are in the quotient, so class
     # pair (Q, R) carries c_Q * c_R of them.  Within a class, hosts on one
     # device are 0 hops apart and hosts on two devices 2 hops (through any
-    # shared neighbour), or unreachable if the class has no neighbour.  Rows
-    # of sources go in bounded blocks; every unordered pair is counted twice.
-    ordered = np.zeros(max(k, 3) + 1, dtype=np.int64)  # quotient hops < k; twins 2 apart
-    step = max(1, _KERNEL_BLOCK_SLOTS // max(1, k))
-    for start in range(0, len(sources), step):
-        block = slice(start, start + step)
-        hops = _bfs_levels(indptr, neighbors, sources[block])[:, sources]
-        weight = c[block, None] * c
-        rows = np.arange(len(weight))
-        weight[rows, start + rows] = same[block]
-        np.add.at(ordered, hops.ravel() + 1, weight.ravel())
-    has_neighbor = np.diff(indptr)[sources] > 0
-    np.add.at(ordered, np.where(has_neighbor, 2, UNREACHABLE) + 1, apart)
+    # shared neighbour), or unreachable if the class has no neighbour.  One
+    # BFS runs from each host-bearing class; every unordered pair is counted
+    # twice.
+    ordered = [0] * (max(q.n_classes, 3) + 1)  # quotient hops < n_classes; twins 2 apart
+    for source, h in enumerate(q.member_hosts):
+        if not h:
+            continue
+        cs = c[source]
+        ordered[1] += cs * (h - 1)  # 0 hops
+        ordered[(2 if near[source] else UNREACHABLE) + 1] += cs * cs - cs * h
+        seen = frontier = 1 << source
+        reached, level = cs, 0
+        while True:
+            reach = 0
+            for j in _bits(frontier):
+                reach |= near[j]
+            frontier = reach & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            level += 1
+            hosts = sum(c[j] for j in _bits(frontier))
+            ordered[level + 1] += cs * hosts
+            reached += hosts
+        ordered[UNREACHABLE + 1] += cs * (all_hosts - reached)
 
     attached, detached = len(t.hosts), len(t.detached_hosts)
     ordered[UNREACHABLE + 1] += 2 * detached * attached + detached * (detached - 1)
-    return {i - 1: int(v) // 2 for i, v in enumerate(ordered) if v}
+    return {i - 1: v // 2 for i, v in enumerate(ordered) if v}
 
 
 def _device_rows(t: Topology, ids: set[str]) -> list[int]:
@@ -431,63 +406,84 @@ def inject_failures(t: Topology, failed: set[str]) -> Topology:
     return Topology(devices, links, hosts, detached)
 
 
-def _connected_pairs(q: TwinQuotient, failed: np.ndarray) -> np.ndarray:
+def _components(near: Sequence[int], alive: int) -> list[list[int]]:
+    """The classes of each connected component of the classes in bitset ``alive``.
+
+    ``near[j]`` is the bitset of class j's neighbours.  Each component grows
+    from its lowest class by breadth-first search over the classes left.
+    """
+    out = []
+    rest = alive
+    while rest:
+        frontier = rest & -rest
+        rest ^= frontier
+        classes = []
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                j = low.bit_length() - 1
+                classes.append(j)
+                reach |= near[j]
+                frontier ^= low
+            frontier = reach & rest
+            rest ^= frontier
+        out.append(classes)
+    return out
+
+
+def _connected_pairs(q: TwinQuotient, failed: Iterable[Sequence[int]]) -> list[int]:
     """Host pairs that can still communicate, for each row of failed members per class.
 
-    ``failed`` is an ``(m, n_classes)`` integer array: row r fails
-    ``failed[r, j]`` of the ``q.members[j]`` devices of class j.  So ``alive
-    = members - failed`` of them survive with ``alive * h`` hosts, ``alive *
-    h * (h - 1) / 2`` of whose pairs share a device (h is the class's hosts
-    per member).  A class whose neighbour classes all failed has its
-    survivors each on their own, so it counts only the latter.  Every other
-    surviving class lies whole in one component of the surviving quotient.
+    Row r of ``failed`` fails ``failed[r][j]`` of the ``q.members[j]``
+    devices of class j.  So ``alive = members - failed`` of them survive
+    with ``alive * h`` hosts, ``alive * h * (h - 1) / 2`` of whose pairs
+    share a device (h is the class's hosts per member).  A class whose
+    neighbour classes all failed has its survivors each on their own, so it
+    counts only the latter.  Every other surviving class lies whole in one
+    component of the surviving quotient, and a component with c surviving
+    hosts contributes c * (c - 1) / 2 pairs.
 
-    Each block of rows becomes one block-diagonal graph of classes (row r's
-    class i is node r * n_classes + i) holding the class links whose ends
-    both survive.  Its components are found by min-label hooking: every
-    label is a root, each root with a link to a lower root hooks onto the
-    lowest such root, and full pointer jumping makes every label a root
-    again.  Labels only fall, so this ends once no surviving link joins two
-    labels.  A component with c surviving hosts contributes c * (c - 1) / 2
-    pairs.  Counts are exact ``int64``.
+    Rows that keep survivors in the same classes share their components:
+    those are found once per bitset of surviving classes and cached as the
+    host-bearing classes that stand alone and those of each joined
+    component.  Each row then sums its own alive counts over them.  Counts
+    are exact ``int``.
     """
-    import numpy as np
-
-    m, k = failed.shape
-    a, b = q.links
-    h = q.member_hosts
-    out = np.zeros(m, dtype=np.int64)
-    step = max(1, min(m, _KERNEL_BLOCK_SLOTS // max(1, k + len(a))))
-    # block node ids of both ends of every class link, row by row
-    offset = np.arange(step)[:, None] * k
-    ends_a, ends_b = (offset + a).ravel(), (offset + b).ravel()
-    for start in range(0, m, step):
-        alive = q.members - failed[start : start + step]
-        rows, slots = len(alive), alive.size
-        survives = alive > 0
-        kept = np.flatnonzero(survives[:, a] & survives[:, b])
-        u, v = ends_a[kept], ends_b[kept]
-        lone = np.ones(slots, dtype=bool)
-        lone[u] = lone[v] = False
-        label = np.arange(slots)
-        lu, lv = u, v  # every node starts as its own label
-        while len(u):
-            np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-            while True:
-                jumped = label[label]
-                if np.array_equal(jumped, label):
-                    break
-                label = jumped
-            lu, lv = label[u], label[v]
-            # a link whose ends share a label keeps sharing it: drop it
-            cross = lu != lv
-            u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
-        hosts = alive * h
-        # host counts are integers far below 2**53, so float sums are exact
-        joined = np.bincount(label, weights=np.where(lone, 0, hosts.ravel()), minlength=slots).astype(np.int64)
-        pairs = joined * (joined - 1) // 2 + np.where(lone, (hosts * (h - 1) // 2).ravel(), 0)
-        out[start : start + rows] = pairs.reshape(rows, k).sum(axis=1)
+    members, hosts, near = q.members, q.member_hosts, q.neighbors
+    within = [h * (h - 1) // 2 for h in hosts]
+    bits = [1 << j for j in range(q.n_classes)]
+    parts: dict[int, tuple[list[int], list[int], list[list[int]]]] = {}
+    out = []
+    for row in failed:
+        alive = list(map(sub, members, row))
+        key = sum(compress(bits, alive))  # distinct powers of two: the sum is the union
+        part = parts.get(key)
+        if part is None:
+            lone, joined = [], []
+            for classes in _components(near, key):
+                carrying = [j for j in classes if hosts[j]]
+                if len(classes) == 1:
+                    lone += [j for j in carrying if within[j]]
+                elif carrying:
+                    joined.append(carrying)
+            part = parts[key] = (lone, [within[j] for j in lone], joined)
+        lone, lone_within, joined = part
+        pairs = sum(map(mul, map(alive.__getitem__, lone), lone_within))
+        if joined:
+            alive_hosts = list(map(mul, alive, hosts))
+            for classes in joined:
+                c = sum(map(alive_hosts.__getitem__, classes))
+                pairs += c * (c - 1) // 2
+        out.append(pairs)
     return out
+
+
+def _class_fractions(t: Topology, failed: Iterable[Sequence[int]]) -> list[float]:
+    """``affected_fraction`` for each row of failed members per twin class (see ``_connected_pairs``)."""
+    n_hosts = len(t.hosts) + len(t.detached_hosts)
+    total = n_hosts * (n_hosts - 1) // 2
+    return [(total - pairs) / total if total else 0.0 for pairs in _connected_pairs(t.twin_quotient, failed)]
 
 
 def affected_fractions(t: Topology, failed: np.ndarray) -> np.ndarray:
@@ -495,24 +491,21 @@ def affected_fractions(t: Topology, failed: np.ndarray) -> np.ndarray:
 
     Column i of ``failed`` is ``t.devices[i]``.  One ``bincount`` reduces
     the mask to failed members per twin class, and one connectivity-kernel
-    pass serves all rows; each value equals the single-set
-    ``affected_fraction`` bit for bit.
+    call serves all rows, each handed over as its own list; each value
+    equals the single-set ``affected_fraction`` bit for bit.
     """
     import numpy as np
 
     failed = np.asarray(failed, dtype=bool)
     if failed.ndim != 2 or failed.shape[1] != len(t.devices):
         raise ValueError(f"failure mask must have shape (m, {len(t.devices)}), got {failed.shape}")
-    n_hosts = len(t.hosts) + len(t.detached_hosts)
-    total = n_hosts * (n_hosts - 1) // 2
-    if total == 0:
-        return np.zeros(len(failed))
     q = t.twin_quotient
     (m, n), k = failed.shape, q.n_classes
     cells = np.flatnonzero(failed)
-    counts = np.bincount(cells // n * k + q.device_class[cells % n], minlength=m * k).reshape(m, k)
+    device_class = np.array(q.device_class, dtype=np.int64)
+    counts = np.bincount(cells // n * k + device_class[cells % n], minlength=m * k).reshape(m, k)
     del cells  # one index per failed device of every row: free it before the kernel runs
-    return (total - _connected_pairs(q, counts)) / total
+    return np.array(_class_fractions(t, (row.tolist() for row in counts)), dtype=float)
 
 
 def affected_fraction(t: Topology, failed: set[str]) -> float:
@@ -522,11 +515,11 @@ def affected_fraction(t: Topology, failed: set[str]) -> float:
     whose device failed (or was already detached) count as disconnected.
     Topologies with fewer than two hosts have no pairs and yield 0.
     """
-    import numpy as np
-
-    mask = np.zeros((1, len(t.devices)), dtype=bool)
-    mask[0, _device_rows(t, set(failed))] = True
-    return float(affected_fractions(t, mask)[0])
+    q = t.twin_quotient
+    counts = [0] * q.n_classes
+    for i in _device_rows(t, set(failed)):
+        counts[q.device_class[i]] += 1
+    return _class_fractions(t, [counts])[0]
 
 
 @dataclass(frozen=True)

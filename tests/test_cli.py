@@ -450,6 +450,23 @@ class TestNonFiniteInput:
         )
         assert "_parse_floats" not in captured.err
 
+    def test_empty_weights_name_the_flag(self, capsys):
+        # it used to exit 1 with "at least one fragment weight is required", naming no flag
+        with pytest.raises(SystemExit) as excinfo:
+            run(["jensen", "--weights", ""])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("fragrisk jensen: error: argument --weights: needs at least one value, got ''\n")
+
+    def test_empty_config_weights_name_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("harm.beta = 2\nharm.weights =\n")
+        assert run(["jensen", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config line 2: bad value for 'harm.weights': needs at least one value\n"
+
     @pytest.mark.parametrize("args", POINTS_ARGS)
     def test_points_below_minimum_is_named(self, capsys, args):
         assert run(args) == 1
@@ -609,7 +626,7 @@ ARGV_SPACE = {
     },
     ("jensen",): {
         **COMMON_FLAGS, **HARM_FLAGS, **PARETO_FLAGS, **MC_FLAGS,
-        "--weights": ["0.5,0.5", "1", "inf,0", "nan", "abc"], "--x": NUMBERS, "--unit-value": NUMBERS,
+        "--weights": ["0.5,0.5", "1", "inf,0", "nan", "abc", ""], "--x": NUMBERS, "--unit-value": NUMBERS,
     },
     ("risk", "density"): {
         **COMMON_FLAGS, **HARM_FLAGS, **PARETO_FLAGS, "--fragments": INTEGERS, "--points": POINTS,
@@ -733,7 +750,7 @@ import sys
 import fragrisk
 from fragrisk.cli import main
 
-topo = sys.argv[1]
+topo, emitted = sys.argv[1:]
 try:
     main(["--help"])
 except SystemExit:
@@ -745,11 +762,16 @@ for args in (
     ["harm-curve"],
     ["growth"],
     ["topo", "build", "--kind", "three-tier", "--dual-homed", "--out", topo],
+    ["topo", "hops", "--topology", topo],
+    ["topo", "fail", "--topology", topo, "--fail", "core0,dist1"],
+    ["topo", "fail", "--topology", topo, "--fail", "acc0", "--emit", emitted],
+    ["compare"],
+    ["compare", "--a", topo, "--b", topo],
 ):
     assert main(args) == 0, args
-start_up = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
-assert main(["topo", "hops", "--topology", topo]) == 0
-print("numpy modules:", start_up, "then after topo hops:", "numpy" in sys.modules)
+before = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+assert main(["topo", "harm", "--topology", topo, "--p", "0.1", "--trials", "50"]) == 0
+print("numpy modules:", before, "then after topo harm:", "numpy" in sys.modules)
 """
 
 
@@ -779,9 +801,10 @@ def test_topology_commands_never_import_scipy(tmp_path):
 
 
 def test_closed_form_commands_never_import_numpy(tmp_path):
-    # importing NumPy was most of the start-up time of every command, --help included
-    line = probe_last_line(NUMPY_PROBE, str(tmp_path / "tt.txt"))
-    assert line == "numpy modules: [] then after topo hops: True"
+    # importing NumPy was most of the start-up time of every command, --help
+    # included, and of every graph command; only Monte Carlo draws need it
+    line = probe_last_line(NUMPY_PROBE, str(tmp_path / "tt.txt"), str(tmp_path / "emitted.txt"))
+    assert line == "numpy modules: [] then after topo harm: True"
 
 
 def test_cli_import_loads_every_traced_module():

@@ -92,7 +92,7 @@ def first_members(t: Topology, counts: list[int]) -> set[str]:
     """Ids of the first ``counts[c]`` devices of each twin class c."""
     left = list(counts)
     failed = set()
-    for d, c in zip(t.devices, t.twin_quotient.device_class.tolist()):
+    for d, c in zip(t.devices, t.twin_quotient.device_class):
         if left[c] > 0:
             left[c] -= 1
             failed.add(d.id)
@@ -136,7 +136,7 @@ def isolating_rows(t: Topology) -> np.ndarray:
 def twin_classes(t: Topology) -> set[frozenset[str]]:
     """The quotient's classes as sets of device ids."""
     classes: dict[int, set[str]] = {}
-    for d, c in zip(t.devices, t.twin_quotient.device_class.tolist()):
+    for d, c in zip(t.devices, t.twin_quotient.device_class):
         classes.setdefault(c, set()).add(d.id)
     return {frozenset(c) for c in classes.values()}
 
@@ -352,13 +352,19 @@ class TestHopHistogram:
         assert fast == networkx_hop_histogram(t)
         assert fast == hop_histogram_bfs(t)
 
-    def test_source_blocks_do_not_change_result(self, monkeypatch):
-        # a one-slot budget puts every host-bearing device in its own block
-        for t in (build_three_tier(2, 3, 2, 2, dual_homed=True), random_case(5), random_case(11)):
-            expected = hop_histogram_bfs(t)
-            monkeypatch.setattr(topology, "_KERNEL_BLOCK_SLOTS", 1)
-            assert hop_histogram(t) == expected
-            monkeypatch.undo()
+    def test_bitset_bfs_matches_oracle(self):
+        # l1 and l2 share the empty neighbour set: one class whose hosts are 0
+        # hops apart on one device and unreachable across its two devices;
+        # l0's class reaches only the hostless spine class
+        isolated = Topology(
+            (Device("l0", "leaf"), Device("l1", "leaf"), Device("l2", "leaf"), Device("s0", "spine")),
+            (("s0", "l0"),),
+            (("h0", "l0"), ("h1", "l1"), ("h2", "l1"), ("h3", "l2"), ("h4", "l2")),
+            ("h5",),
+        )
+        for t in (build_three_tier(2, 3, 2, 2, dual_homed=True), random_case(5), random_case(11), isolated):
+            assert hop_histogram(t) == hop_histogram_bfs(t)
+        assert hop_histogram(isolated) == {UNREACHABLE: 13, 0: 2}
 
     def test_oracle_check_passes(self):
         result = check_hop_histogram_oracle(cases=20, seed=3)
@@ -445,13 +451,11 @@ class TestConnectivityKernel:
         for row, value in zip(mask, got.tolist()):
             assert value == affected_fraction_bfs(t, failed_ids(t, row))
 
-    def test_blocks_do_not_change_result(self, monkeypatch):
+    def test_dense_rows_match_bfs(self):
         t = build_three_tier(2, 4, 3, 2, dual_homed=True)
         mask = np.random.default_rng(2).random((50, len(t.devices))) < 0.2
         expected = [affected_fraction_bfs(t, failed_ids(t, row)) for row in mask]
-        for slots in (1, 200, 10**9):
-            monkeypatch.setattr(topology, "_KERNEL_BLOCK_SLOTS", slots)
-            assert affected_fractions(t, mask).tolist() == expected
+        assert affected_fractions(t, mask).tolist() == expected
 
     def test_all_failed_rows(self):
         for t in (build_spine_leaf(2, 4, 2), build_three_tier(2, 2, 2, 1), random_case(8)):
@@ -466,20 +470,63 @@ class TestConnectivityKernel:
         mask = np.array([[False, False, False], [True, True, True]])
         assert affected_fractions(ONE_HOST, mask).tolist() == [0.0, 0.0]
 
-    @pytest.mark.parametrize("slots", [1, 10**9])
-    def test_kernel_takes_failed_members_per_class(self, monkeypatch, slots):
-        # one slot puts every row in its own block; 10**9 puts all rows in one
-        monkeypatch.setattr(topology, "_KERNEL_BLOCK_SLOTS", slots)
+    def assert_rows_match_bfs(self, t: Topology, counts: list[list[int]], per_call: int = 10**9) -> list[int]:
+        """The kernel's pair counts for ``counts``, after checking each row against the per-pair BFS.
+
+        The rows go to the kernel ``per_call`` at a time, so its component
+        cache is shared only within each call.
+        """
+        total = len(t.hosts) * (len(t.hosts) - 1) // 2
+        pairs = []
+        for start in range(0, len(counts), per_call):
+            pairs += _connected_pairs(t.twin_quotient, counts[start : start + per_call])
+        assert all(type(p) is int for p in pairs)
+        expected = [affected_fraction_bfs(t, first_members(t, row)) for row in counts]
+        assert [(total - p) / total for p in pairs] == expected
+        return pairs
+
+    @pytest.mark.parametrize("per_call", [1, 10**9])
+    def test_kernel_takes_failed_members_per_class(self, per_call):
+        # one row per call shares no cached components; 10**9 passes all rows in one call
         t = build_three_tier(2, 4, 3, 2, dual_homed=True)
         q = t.twin_quotient
-        counts = np.random.default_rng(4).integers(0, q.members + 1, size=(30, q.n_classes))
-        counts = np.concatenate([np.zeros_like(q.members)[None], q.members[None], counts])
-        total = len(t.hosts) * (len(t.hosts) - 1) // 2
-        pairs = _connected_pairs(q, counts)
-        assert pairs.dtype == np.int64
-        assert pairs[:2].tolist() == [total, 0]
-        expected = [affected_fraction_bfs(t, first_members(t, row)) for row in counts.tolist()]
-        assert ((total - pairs) / total).tolist() == expected
+        rng = np.random.default_rng(4)
+        counts = [[int(rng.integers(0, m + 1)) for m in q.members] for _ in range(30)]
+        pairs = self.assert_rows_match_bfs(t, [[0] * q.n_classes, list(q.members)] + counts, per_call)
+        # no failure keeps every pair; failing everything keeps none
+        assert pairs[:2] == [len(t.hosts) * (len(t.hosts) - 1) // 2, 0]
+
+    def test_rows_sharing_alive_classes_count_their_own_pairs(self):
+        # spine-leaf (3,4,2): class 0 is 4 leaves of 2 hosts, class 1 is 3 spines.
+        # Every row keeps survivors in both classes, so all share one
+        # alive-class bitset, one cached component search and ...
+        t = build_spine_leaf(3, 4, 2)
+        rows = [[0, 0], [1, 0], [2, 2], [3, 1], [1, 2], [0, 2]]
+        # ... each still counts its own pairs: 2a surviving hosts in one component
+        assert self.assert_rows_match_bfs(t, rows) == [28, 15, 6, 1, 15, 28]
+        # the same on a 3-tier fabric, failing all but at least one member of each class
+        t = build_three_tier(2, 4, 3, 2, dual_homed=True)
+        rng = np.random.default_rng(9)
+        rows = [[int(rng.integers(0, m)) for m in t.twin_quotient.members] for _ in range(20)]
+        assert len(set(self.assert_rows_match_bfs(t, rows))) > 1
+
+    def test_classes_whose_neighbours_all_failed(self):
+        # every spine fails: each surviving leaf keeps only its own host pair
+        t = build_spine_leaf(3, 4, 2)
+        assert self.assert_rows_match_bfs(t, [[0, 3], [1, 3], [3, 3], [4, 3], [4, 0]]) == [4, 3, 1, 0, 0]
+        # 3-tier: without cores the distributions form a ring through the
+        # dual-homed access classes, so failing two opposite ones splits it
+        # in two; failing every distribution leaves each access switch alone
+        t = build_three_tier(2, 4, 3, 2, dual_homed=True)
+        q = t.twin_quotient
+        roles = [d.role for d in t.devices]
+        first = {c: roles[q.device_class.index(c)] for c in range(q.n_classes)}
+        dists = [c for c in range(q.n_classes) if first[c] == "distribution"]
+        cores = [c for c in range(q.n_classes) if first[c] == "core"]
+        rows = [[q.members[c] if c in cores or c in (dists[0], dists[2]) else 0 for c in range(q.n_classes)]]
+        rows.append([q.members[c] if first[c] == "distribution" else 0 for c in range(q.n_classes)])
+        rows.append([q.members[c] if first[c] != "access" else 1 for c in range(q.n_classes)])
+        self.assert_rows_match_bfs(t, rows)
 
     def test_mask_shape_checked(self):
         t = build_spine_leaf(2, 4, 1)
@@ -495,10 +542,11 @@ class TestTwinQuotient:
         spines, leaves, hosts_per_leaf = shape
         q = build_spine_leaf(*shape).twin_quotient
         assert q.n_classes == 2
-        assert [end.tolist() for end in q.links] == [[0], [1]]
+        assert q.links == ((0,), (1,))
+        assert q.neighbors == (0b10, 0b01)
         # devices sort by id, so the leaves ("leaf0") come before the spines ("spine0")
-        assert q.members.tolist() == [leaves, spines]
-        assert q.member_hosts.tolist() == [hosts_per_leaf, 0]
+        assert q.members == (leaves, spines)
+        assert q.member_hosts == (hosts_per_leaf, 0)
 
     @pytest.mark.parametrize(
         "shape, devices, links, classes, class_links",
@@ -511,9 +559,10 @@ class TestTwinQuotient:
         assert (len(t.devices), len(t.links)) == (devices, links)
         q = t.twin_quotient
         assert (q.n_classes, len(q.links[0])) == (classes, class_links)
+        assert sum(bin(near).count("1") for near in q.neighbors) == 2 * class_links
         # (members, hosts per member) of each class: the access switches of
         # each distribution pair, then every core and distribution alone
-        assert Counter(zip(q.members.tolist(), q.member_hosts.tolist())) == {
+        assert Counter(zip(q.members, q.member_hosts)) == {
             (access_per_distribution, hosts_per_access): distributions,
             (1, 0): cores + distributions,
         }
@@ -544,9 +593,9 @@ class TestTwinQuotient:
     def test_moving_failures_within_a_class_keeps_the_fraction(self, t, data):
         row = np.array(data.draw(st.lists(st.booleans(), min_size=len(t.devices), max_size=len(t.devices))), dtype=bool)
         # fail other members of each class, as many as the row fails there
-        classes = t.twin_quotient.device_class
+        classes = np.array(t.twin_quotient.device_class, dtype=int)
         moved = np.zeros_like(row)
-        for c in set(classes.tolist()):
+        for c in set(t.twin_quotient.device_class):
             members = np.flatnonzero(classes == c).tolist()
             moved[data.draw(st.permutations(members))[: row[members].sum()]] = True
         got = affected_fractions(t, np.stack([row, moved]))
@@ -649,7 +698,7 @@ class TestLongDiameter:
             assert value == affected_fraction_bfs(self.CHAIN, failed_ids(self.CHAIN, row))
 
     def test_shuffled_ids(self):
-        # labels scattered along the chain take 6-7 hooking rounds to merge, not 3
+        # device indices scattered along the chain, so BFS order differs from index order
         chain = access_chain(300, seed=1)
         assert hop_histogram(chain) == hop_histogram_bfs(chain)
         mask = np.zeros((4, len(chain.devices)), dtype=bool)
