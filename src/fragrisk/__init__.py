@@ -22,7 +22,6 @@ from .topology import (
     FailureModel,
     Topology,
     affected_fraction,
-    affected_fractions,
     build_spine_leaf,
     build_three_tier,
     failure_harm_mc,
@@ -59,7 +58,6 @@ __all__ = [
     "hop_histogram",
     "inject_failures",
     "affected_fraction",
-    "affected_fractions",
     "failure_harm_mc",
     "serialize_topology",
     "parse_topology",

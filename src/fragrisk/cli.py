@@ -35,7 +35,7 @@ import sys
 import warnings
 from dataclasses import fields, replace
 
-from .config import DEFAULT_SEED, ScenarioConfig, _parse_floats, load_config
+from .config import DEFAULT_SEED, ScenarioConfig, load_config, parse_float_list
 from .costing import CostAssumptions, compare_designs
 from .growth import GrowthSpec, capacity_at, crossover
 from .harm import FragmentWeights, HarmParams, fragmented_harm, harm, jensen_gap, survival_comparison
@@ -80,24 +80,11 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _parse_values(flag: str, raw: str) -> tuple[float, ...]:
-    try:
-        values = _parse_floats(raw)
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {raw!r}") from None
-    if not values:
-        raise ValueError(f"{flag} needs at least one value, got {raw!r}")
-    return values
-
-
 def _float_list(raw: str) -> tuple[float, ...]:
     try:
-        values = _parse_floats(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {raw!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"needs at least one value, got {raw!r}")
-    return values
+        return parse_float_list(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _grid(flag: str, end: float, points: int) -> list[float]:
@@ -233,12 +220,11 @@ def _failure_model(cfg: ScenarioConfig, args) -> FailureModel:
 
 
 def cmd_harm_curve(cfg: ScenarioConfig, args) -> int:
-    betas = _parse_values("--betas", args.betas)
     xs = _grid("--x-max", args.x_max, args.points)
-    columns = ["x"] + [f"harm_beta_{beta:g}" for beta in betas]
+    columns = ["x"] + [f"harm_beta_{beta:g}" for beta in args.betas]
     rows = []
     for x in xs:
-        rows.append([x] + [harm(HarmParams(cfg.harm_k, beta), x) for beta in betas])
+        rows.append([x] + [harm(HarmParams(cfg.harm_k, beta), x) for beta in args.betas])
     _emit_report(ScenarioReport("harm-curve", columns, rows), cfg, args)
     return 0
 
@@ -298,8 +284,7 @@ def cmd_risk_ratio(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_risk_curve(cfg: ScenarioConfig, args) -> int:
-    multipliers = list(_parse_values("--K-values", args.K_values))
-    curve = degradation_curve(_pareto_params(cfg), _harm_params(cfg), multipliers)
+    curve = degradation_curve(_pareto_params(cfg), _harm_params(cfg), list(args.K_values))
     report = ScenarioReport("risk-curve", ["K", "ratio"], [[k, r] for k, r in curve])
     _emit_report(report, cfg, args)
     return 0
@@ -425,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("harm-curve", help="harm transform samples for plotting")
     _add_common(p, svg=True)
     _add_harm_flags(p)
-    p.add_argument("--betas", default="1.5,2,3", help="comma list of exponents to plot")
+    p.add_argument("--betas", type=_float_list, default="1.5,2,3", help="comma list of exponents to plot")
     p.add_argument("--x-max", dest="x_max", type=float, default=4.0)
     p.add_argument("--points", type=int, default=81)
     p.set_defaults(func=cmd_harm_curve)
@@ -471,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, svg=True)
     _add_harm_flags(p)
     _add_pareto_flags(p)
-    p.add_argument("--K-values", dest="K_values", default=",".join(str(k) for k in range(1, 33)))
+    p.add_argument("--K-values", dest="K_values", type=_float_list, default=",".join(str(k) for k in range(1, 33)))
     p.set_defaults(func=cmd_risk_curve)
 
     topo = sub.add_parser("topo", help="fabric construction and fault analysis")

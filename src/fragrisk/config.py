@@ -30,14 +30,17 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+def parse_float_list(raw: str) -> tuple[float, ...]:
+    """Comma-separated numbers, at least one; blank items are skipped.
 
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    values = _parse_floats(raw)
+    The one parser of number lists, for config values and command-line flags.
+    """
+    try:
+        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ValueError(f"expects comma-separated numbers, got {raw!r}") from None
     if not values:
-        raise ValueError("needs at least one value")
+        raise ValueError(f"needs at least one value, got {raw!r}")
     return values
 
 
@@ -119,7 +122,7 @@ class ScenarioConfig:
 
 
 _SECTIONS = ("harm", "pareto", "topology", "failure", "cost", "ports", "output", "report")
-_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool, "tuple[float, ...]": _parse_float_list}
+_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool, "tuple[float, ...]": parse_float_list}
 
 
 def _config_key(field_name: str) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .report import ScenarioReport
-from .topology import Topology, _class_fractions
+from .topology import Topology, affected_fraction
 
 FIXED_PORT_ROLES = frozenset({"spine", "leaf"})
 
@@ -64,10 +64,10 @@ def _design_metrics(t: Topology, c: CostAssumptions, ports: Mapping[str, int]) -
         total_price += n * c.price_per_port(d.role)
         total_watts += n * c.watts_per_port(d.role)
 
-    # failing any one member of a twin class cuts the same pairs, so row j
-    # fails one member of class j alone
-    k = t.twin_quotient.n_classes
-    worst = max(_class_fractions(t, ([int(i == j) for i in range(k)] for j in range(k))), default=0.0)
+    # failing any one member of a twin class cuts the same pairs, so one
+    # device per class stands for all of them
+    one_per_class = dict(zip(t.twin_quotient.device_class, t.devices)).values()
+    worst = max(affected_fraction(t, {d.id}) for d in one_per_class)
     return {
         "total_ports": float(total_ports),
         "total_price": total_price,

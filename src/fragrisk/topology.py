@@ -21,14 +21,14 @@ One connectivity kernel serves every fault-domain query: it takes rows of
 failed members per class, forms each row's bitset of classes that keep a
 survivor, finds each distinct bitset's components once per call by bitset
 breadth-first search and counts each row's exact connected host pairs from
-its own alive counts.  ``affected_fractions`` is where a NumPy device
-failure mask meets the quotient: one ``bincount`` reduces it to those
-per-class counts.
+its own alive counts.  ``failure_harm_mc`` draws failure masks a chunk at a
+time, reduces each chunk to those per-class counts with one ``bincount``
+and dedupes its trials on them, so the kernel sees each distinct row of a
+chunk once.
 ``hop_histogram`` runs one bitset breadth-first search per host-bearing
 class and weights each class pair by its host pairs.  NumPy is imported
-only where failure masks are drawn or handed in.  The per-pair
-breadth-first searches over devices that check these results live in
-``fragrisk.verify`` only.
+only where failure masks are drawn.  The per-pair breadth-first searches
+over devices that check these results live in ``fragrisk.verify`` only.
 
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
@@ -67,9 +67,8 @@ UNREACHABLE = -1
 
 FORMAT_HEADER = "topology/1"
 
-# failure_harm_mc deduplicates failure patterns over mask chunks of about
-# this many cells, filled from uniform draws of at most _DRAW_CELLS at a time.
-_SAMPLE_CHUNK_CELLS = 2_000_000
+# failure_harm_mc draws at most this many uniforms per chunk and dedupes
+# trials within each chunk
 _DRAW_CELLS = 250_000
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -486,28 +485,6 @@ def _class_fractions(t: Topology, failed: Iterable[Sequence[int]]) -> list[float
     return [(total - pairs) / total if total else 0.0 for pairs in _connected_pairs(t.twin_quotient, failed)]
 
 
-def affected_fractions(t: Topology, failed: np.ndarray) -> np.ndarray:
-    """``affected_fraction`` for each row of an ``(m, n_devices)`` failure mask.
-
-    Column i of ``failed`` is ``t.devices[i]``.  One ``bincount`` reduces
-    the mask to failed members per twin class, and one connectivity-kernel
-    call serves all rows, each handed over as its own list; each value
-    equals the single-set ``affected_fraction`` bit for bit.
-    """
-    import numpy as np
-
-    failed = np.asarray(failed, dtype=bool)
-    if failed.ndim != 2 or failed.shape[1] != len(t.devices):
-        raise ValueError(f"failure mask must have shape (m, {len(t.devices)}), got {failed.shape}")
-    q = t.twin_quotient
-    (m, n), k = failed.shape, q.n_classes
-    cells = np.flatnonzero(failed)
-    device_class = np.array(q.device_class, dtype=np.int64)
-    counts = np.bincount(cells // n * k + device_class[cells % n], minlength=m * k).reshape(m, k)
-    del cells  # one index per failed device of every row: free it before the kernel runs
-    return np.array(_class_fractions(t, (row.tolist() for row in counts)), dtype=float)
-
-
 def affected_fraction(t: Topology, failed: set[str]) -> float:
     """Fraction of host pairs of ``t`` that cannot communicate after failures.
 
@@ -563,9 +540,10 @@ def failure_harm_mc(
 
     Each trial fails every device independently with its role's probability,
     measures the affected fraction of host pairs, and applies the harm
-    transform to it.  Trials are deduplicated by failure pattern within each
-    sampling chunk, so the connectivity kernel and the harm transform run
-    once per distinct pattern of a chunk.  Returns the sample mean and the
+    transform to it.  The fraction depends only on how many members of each
+    twin class fail, so trials are deduplicated on those counts within each
+    sampling chunk: the connectivity kernel and the harm transform run once
+    per distinct row of a chunk.  Returns the sample mean and the
     p50/p90/p99 severity quantiles.  Deterministic per seed.
     """
     import numpy as np
@@ -575,28 +553,26 @@ def failure_harm_mc(
     probs = np.array([fm.probability(d.role) for d in t.devices])
     rng = np.random.default_rng(seed)
 
-    width = max(1, len(probs))
-    chunk = min(trials, max(1, _SAMPLE_CHUNK_CELLS // width))
-    draw_rows = min(chunk, max(1, _DRAW_CELLS // width))
-    # one mask buffer and one smaller uniform-draw buffer serve every chunk
-    mask = np.empty((chunk, len(probs)), dtype=bool)
-    draws = np.empty((draw_rows, len(probs)))
+    q = t.twin_quotient
+    n, k = len(probs), q.n_classes
+    device_class = np.array(q.device_class, dtype=np.int64)
+    # the narrowest type that holds any class's member count keeps row keys short
+    count_type = np.min_scalar_type(max(q.members, default=0))
+    chunk = min(trials, max(1, _DRAW_CELLS // max(1, n)))
+    draws = np.empty((chunk, n))  # one uniform-draw buffer serves every chunk
     samples = np.empty(trials)
     for done in range(0, trials, chunk):
-        n = min(chunk, trials - done)
-        fails = mask[:n]
-        for row in range(0, n, draw_rows):
-            part = fails[row : row + draw_rows]
-            np.less(rng.random(out=draws[: len(part)]), probs, out=part)
-        # one opaque bytes key per row: a 1-D unique, not a row-wise sort
-        keys = np.packbits(fails, axis=1)
-        if keys.shape[1] == 0:  # no devices: every trial is the empty pattern
-            keys = np.zeros((n, 1), dtype=np.uint8)
-        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        m = min(chunk, trials - done)
+        cells = np.flatnonzero(rng.random(out=draws[:m]) < probs)
+        counts = np.bincount(cells // n * k + device_class[cells % n], minlength=m * k)
+        counts = counts.astype(count_type).reshape(m, k)
+        # one opaque key per row, so a 1-D unique finds the distinct rows;
+        # with no devices every trial is the empty row
+        keys = counts.view(np.dtype((np.void, counts.itemsize * k))).ravel() if k else np.zeros(m)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        fractions = affected_fractions(t, fails[first])
-        values = np.array([harm(h, f) for f in fractions.tolist()])
-        samples[done : done + n] = values[inverse]
+        fractions = _class_fractions(t, counts[first].tolist())
+        values = np.array([harm(h, f) for f in fractions])
+        samples[done : done + m] = values[inverse]
 
     # severity quantiles: the q-th worst harm sits at the (1-q) quantile of
     # the signed (nonpositive) values

@@ -23,6 +23,14 @@ def run(args):
     return main(list(args))
 
 
+def exit_code(args) -> int:
+    """``run``'s exit code, also when argparse rejects a flag and exits."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -370,7 +378,8 @@ OVERFLOW_ARGS = [
     ["risk", "tail-mean", "--k", "1e308"],
 ]
 
-# value lists with no values; each printed a report with no data columns or rows and exited 0
+# value lists with no values; each printed a report with no data columns or rows and exited 0,
+# and argparse now rejects them with exit 2
 EMPTY_LIST_ARGS = [
     ["risk", "curve", "--K-values", ","],
     ["harm-curve", "--betas", ""],
@@ -414,28 +423,31 @@ class TestNonFiniteInput:
     )
     def test_no_report_written(self, cli_inputs, tmp_path, capsys, args):
         out = tmp_path / "report.csv"
-        assert run(fill(args, **{"in": cli_inputs}) + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        flag_error = args in EMPTY_LIST_ARGS
+        assert exit_code(fill(args, **{"in": cli_inputs}) + ["--out", str(out)]) == (2 if flag_error else 1)
+        err = capsys.readouterr().err
+        assert f"error: argument {args[-2]}:" in err if flag_error else err.startswith("error:")
         assert not out.exists()
 
     @pytest.mark.parametrize("args", EMPTY_LIST_ARGS)
     def test_empty_list_names_flag_and_writes_no_chart(self, tmp_path, capsys, args):
         # with --svg these failed inside the chart with "min() arg is an empty sequence"
         out, svg = tmp_path / "report.csv", tmp_path / "chart.svg"
-        assert run(args + ["--out", str(out), "--svg", str(svg)]) == 1
+        assert exit_code(args + ["--out", str(out), "--svg", str(svg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {args[-2]} needs at least one value")
+        assert captured.err.endswith(f"error: argument {args[-2]}: needs at least one value, got {args[-1]!r}\n")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("args", [["risk", "curve", "--K-values", "1,abc"], ["harm-curve", "--betas", "1,abc"]])
     def test_bad_list_value_names_flag_and_writes_no_chart(self, tmp_path, capsys, args):
-        # each printed "could not convert string to float: 'abc'", naming no flag
+        # each printed "could not convert string to float: 'abc'", naming no flag, and
+        # later exited 1 where other flag errors exit 2
         out, svg = tmp_path / "report.csv", tmp_path / "chart.svg"
-        assert run(args + ["--out", str(out), "--svg", str(svg)]) == 1
+        assert exit_code(args + ["--out", str(out), "--svg", str(svg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {args[-2]} expects comma-separated numbers, got '1,abc'\n"
+        assert captured.err.endswith(f"error: argument {args[-2]}: expects comma-separated numbers, got '1,abc'\n")
         assert os.listdir(tmp_path) == []
 
     def test_bad_weights_name_the_flag(self, capsys):
@@ -465,7 +477,18 @@ class TestNonFiniteInput:
         assert run(["jensen", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: config line 2: bad value for 'harm.weights': needs at least one value\n"
+        assert captured.err == "error: config line 2: bad value for 'harm.weights': needs at least one value, got ''\n"
+
+    def test_bad_config_weights_name_the_key(self, tmp_path, capsys):
+        # it used to say "could not convert string to float: 'x'"
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("harm.weights = 0.5,x\n")
+        assert run(["jensen", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: config line 1: bad value for 'harm.weights': expects comma-separated numbers, got '0.5,x'\n"
+        )
 
     @pytest.mark.parametrize("args", POINTS_ARGS)
     def test_points_below_minimum_is_named(self, capsys, args):

@@ -24,7 +24,7 @@ from fragrisk import (
     serialize_topology,
 )
 from fragrisk import topology
-from fragrisk.topology import UNREACHABLE, _connected_pairs, _linear_quantiles, affected_fractions
+from fragrisk.topology import UNREACHABLE, _connected_pairs, _linear_quantiles
 from fragrisk.verify import (
     affected_fraction_bfs,
     check_hop_histogram_oracle,
@@ -446,29 +446,27 @@ class TestConnectivityKernel:
     def test_rows_match_bfs_oracle(self, seed, rows, p):
         t = random_case(seed)
         mask = np.random.default_rng(seed + 1).random((rows, len(t.devices))) < p
-        got = affected_fractions(t, mask)
-        assert got.shape == (rows,)
-        for row, value in zip(mask, got.tolist()):
-            assert value == affected_fraction_bfs(t, failed_ids(t, row))
+        for row in mask:
+            failed = failed_ids(t, row)
+            assert affected_fraction(t, failed) == affected_fraction_bfs(t, failed)
 
     def test_dense_rows_match_bfs(self):
         t = build_three_tier(2, 4, 3, 2, dual_homed=True)
         mask = np.random.default_rng(2).random((50, len(t.devices))) < 0.2
         expected = [affected_fraction_bfs(t, failed_ids(t, row)) for row in mask]
-        assert affected_fractions(t, mask).tolist() == expected
+        assert [affected_fraction(t, failed_ids(t, row)) for row in mask] == expected
 
     def test_all_failed_rows(self):
         for t in (build_spine_leaf(2, 4, 2), build_three_tier(2, 2, 2, 1), random_case(8)):
             mask = np.ones((3, len(t.devices)), dtype=bool)
-            assert affected_fractions(t, mask).tolist() == [1.0, 1.0, 1.0]
+            assert [affected_fraction(t, failed_ids(t, row)) for row in mask] == [1.0, 1.0, 1.0]
 
     def test_no_devices(self):
-        assert affected_fractions(NO_DEVICES, np.zeros((4, 0), dtype=bool)).tolist() == [1.0] * 4
         assert affected_fraction(NO_DEVICES, set()) == 1.0
 
     def test_one_host(self):
         mask = np.array([[False, False, False], [True, True, True]])
-        assert affected_fractions(ONE_HOST, mask).tolist() == [0.0, 0.0]
+        assert [affected_fraction(ONE_HOST, failed_ids(ONE_HOST, row)) for row in mask] == [0.0, 0.0]
 
     def assert_rows_match_bfs(self, t: Topology, counts: list[list[int]], per_call: int = 10**9) -> list[int]:
         """The kernel's pair counts for ``counts``, after checking each row against the per-pair BFS.
@@ -527,13 +525,6 @@ class TestConnectivityKernel:
         rows.append([q.members[c] if first[c] == "distribution" else 0 for c in range(q.n_classes)])
         rows.append([q.members[c] if first[c] != "access" else 1 for c in range(q.n_classes)])
         self.assert_rows_match_bfs(t, rows)
-
-    def test_mask_shape_checked(self):
-        t = build_spine_leaf(2, 4, 1)
-        with pytest.raises(ValueError, match="shape"):
-            affected_fractions(t, np.zeros((2, 5), dtype=bool))
-        with pytest.raises(ValueError, match="shape"):
-            affected_fractions(t, np.zeros(6, dtype=bool))
 
 
 class TestTwinQuotient:
@@ -598,8 +589,8 @@ class TestTwinQuotient:
         for c in set(t.twin_quotient.device_class):
             members = np.flatnonzero(classes == c).tolist()
             moved[data.draw(st.permutations(members))[: row[members].sum()]] = True
-        got = affected_fractions(t, np.stack([row, moved]))
-        assert got[0].tobytes() == got[1].tobytes()
+        got = [affected_fraction(t, failed_ids(t, r)) for r in (row, moved)]
+        assert got[0].hex() == got[1].hex()
         assert got[0] == affected_fraction_bfs(t, failed_ids(t, row))
 
     @given(t=planted_twin_fabrics(), seed=st.integers(0, 2**32 - 1))
@@ -617,8 +608,9 @@ class TestTwinQuotient:
 
         rows = np.random.default_rng(seed).random((4, len(t.devices))) < 0.3
         mask = np.concatenate([isolating_rows(t), rows])
-        for row, value in zip(mask, affected_fractions(t, mask).tolist()):
-            assert value == affected_fraction_bfs(t, failed_ids(t, row))
+        for row in mask:
+            failed = failed_ids(t, row)
+            assert affected_fraction(t, failed) == affected_fraction_bfs(t, failed)
 
 
 def twin_free_spine_leaf() -> Topology:
@@ -649,8 +641,9 @@ class TestTwinFreeFabric:
         t = self.FABRIC
         rows = np.random.default_rng(6).random((20, len(t.devices))) < np.linspace(0.0, 0.6, 20)[:, None]
         mask = np.concatenate([isolating_rows(t), rows])
-        for row, value in zip(mask, affected_fractions(t, mask).tolist()):
-            assert value == affected_fraction_bfs(t, failed_ids(t, row))
+        for row in mask:
+            failed = failed_ids(t, row)
+            assert affected_fraction(t, failed) == affected_fraction_bfs(t, failed)
 
 
 class TestLinearQuantiles:
@@ -692,9 +685,9 @@ class TestLongDiameter:
         rng = np.random.default_rng(4)
         mask = rng.random((50, len(self.CHAIN.devices))) < rng.uniform(0.0, 0.05, (50, 1))
         mask[0] = False  # the intact chain: one component spanning every device
-        got = affected_fractions(self.CHAIN, mask)
+        got = [affected_fraction(self.CHAIN, failed_ids(self.CHAIN, row)) for row in mask]
         assert got[0] == 0.0
-        for row, value in zip(mask, got.tolist()):
+        for row, value in zip(mask, got):
             assert value == affected_fraction_bfs(self.CHAIN, failed_ids(self.CHAIN, row))
 
     def test_shuffled_ids(self):
@@ -703,8 +696,9 @@ class TestLongDiameter:
         assert hop_histogram(chain) == hop_histogram_bfs(chain)
         mask = np.zeros((4, len(chain.devices)), dtype=bool)
         mask[[1, 2, 3], [7, 300, 555]] = True
-        for row, value in zip(mask, affected_fractions(chain, mask).tolist()):
-            assert value == affected_fraction_bfs(chain, failed_ids(chain, row))
+        for row in mask:
+            failed = failed_ids(chain, row)
+            assert affected_fraction(chain, failed) == affected_fraction_bfs(chain, failed)
 
 
 class TestFailureModel:
@@ -761,8 +755,8 @@ class TestFailureHarmMc:
         assert stats.expected_harm == 0.0
 
     def test_crossing_chunks_matches_parent_values(self):
-        # 20,000 trials of 144 devices span two sampling chunks; the values
-        # were produced by the per-pattern BFS implementation
+        # 20,000 trials of 144 devices span twelve sampling chunks of 1,736
+        # rows; the values were produced by the per-pattern BFS implementation
         stats = failure_harm_mc(
             build_spine_leaf(16, 128, 4), FailureModel.uniform(0.0005), HarmParams(1.0, 1.5), 20_000, seed=2
         )
@@ -783,10 +777,33 @@ class TestFailureHarmMc:
         fm = FailureModel.uniform(0.1)
         h = HarmParams(1.0, 1.5)
         expected = failure_harm_mc(t, fm, h, 1001, seed=6)
-        for chunk, draw in ((1, 1), (500, 70), (4000, 10**9)):
-            monkeypatch.setattr(topology, "_SAMPLE_CHUNK_CELLS", chunk)
+        for draw in (1, 70, 10**9):
             monkeypatch.setattr(topology, "_DRAW_CELLS", draw)
             assert failure_harm_mc(t, fm, h, 1001, seed=6) == expected
+
+    def test_kernel_sees_distinct_class_counts_per_chunk(self, monkeypatch):
+        # at p=0.05 nearly every trial fails a distinct set of devices, but
+        # few distinct numbers of leaves and spines
+        t = build_spine_leaf(16, 128, 4)
+        fm = FailureModel.uniform(0.05)
+        class_fractions = topology._class_fractions
+        calls = []
+
+        def spy(t, failed):
+            failed = list(failed)
+            calls.append(failed)
+            return class_fractions(t, failed)
+
+        monkeypatch.setattr(topology, "_class_fractions", spy)
+        failure_harm_mc(t, fm, HarmParams(1.0, 1.5), 2000, seed=3)
+
+        fails = np.random.default_rng(3).random((2000, len(t.devices))) < 0.05
+        leaves = np.array([d.role == "leaf" for d in t.devices])
+        pairs = list(zip(fails[:, leaves].sum(axis=1).tolist(), fails[:, ~leaves].sum(axis=1).tolist()))
+        chunk = topology._DRAW_CELLS // len(t.devices)
+        distinct = sum(len(set(pairs[start : start + chunk])) for start in range(0, len(pairs), chunk))
+        assert all(len({tuple(row) for row in rows}) == len(rows) for rows in calls)
+        assert sum(len(rows) for rows in calls) <= distinct < 2000 / 4
 
     def test_matches_one_shot_per_pattern_recompute(self):
         # same uniform stream drawn at once, harm evaluated per distinct row
