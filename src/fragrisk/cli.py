@@ -328,6 +328,9 @@ def cmd_topo_harm(cfg: ScenarioConfig, args) -> int:
         ["expected_harm", "p50", "p90", "p99"],
         [[stats.expected_harm, stats.quantiles["p50"], stats.quantiles["p90"], stats.quantiles["p99"]]],
     )
+    report.extra_metadata.update(
+        trials=stats.trials, distinct_patterns=stats.distinct_patterns, std_error=stats.std_error
+    )
     _emit_report(report, cfg, args)
     return 0
 

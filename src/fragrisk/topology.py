@@ -21,14 +21,16 @@ One connectivity kernel serves every fault-domain query: it takes rows of
 failed members per class, forms each row's bitset of classes that keep a
 survivor, finds each distinct bitset's components once per call by bitset
 breadth-first search and counts each row's exact connected host pairs from
-its own alive counts.  ``failure_harm_mc`` draws failure masks a chunk at a
-time, reduces each chunk to those per-class counts with one ``bincount``
-and dedupes its trials on them, so the kernel sees each distinct row of a
-chunk once.
-``hop_histogram`` runs one bitset breadth-first search per host-bearing
-class and weights each class pair by its host pairs.  NumPy is imported
-only where failure masks are drawn.  The per-pair breadth-first searches
-over devices that check these results live in ``fragrisk.verify`` only.
+its own alive counts.  ``failure_harm_mc`` draws only the failures: the
+devices that share a failure probability form one Bernoulli stream of
+trials x devices cells, walked from failure to failure by geometric skips,
+so its cost grows with the failures drawn, not the cells.  It tallies the
+trials on their per-class counts, so the kernel sees each distinct row
+once, in one call, and the mean and quantiles come from that (harm, count)
+table.  ``hop_histogram`` runs one bitset breadth-first search per
+host-bearing class and weights each class pair by its host pairs.  Nothing
+here imports NumPy.  The per-pair breadth-first searches over devices that
+check these results live in ``fragrisk.verify`` only.
 
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
@@ -47,11 +49,14 @@ emitted form reproduces the topology exactly.
 
 from __future__ import annotations
 
+import math
+import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from operator import mul, sub
+from itertools import accumulate, compress
+from operator import floordiv, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .harm import HarmParams, harm
@@ -67,9 +72,8 @@ UNREACHABLE = -1
 
 FORMAT_HEADER = "topology/1"
 
-# failure_harm_mc draws at most this many uniforms per chunk and dedupes
-# trials within each chunk
-_DRAW_CELLS = 250_000
+# failure_harm_mc refuses runs expected to fail more devices than this in all
+_MAX_EXPECTED_FAILURES = 10**7
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -522,15 +526,21 @@ class FailureModel:
 
 @dataclass(frozen=True)
 class FailureHarmStats:
-    """Sample mean and severity quantiles of harm over Monte Carlo trials.
+    """Sample mean, standard error and severity quantiles of harm over Monte Carlo trials.
 
     Quantiles are by severity: p99 is the harm value whose magnitude is
     exceeded in only 1% of trials (harm is nonpositive, worse = more
-    negative).
+    negative).  ``distinct_patterns`` counts the distinct rows of failed
+    members per twin class among the trials; each was evaluated once.
+    ``std_error`` is the sample standard deviation of harm over
+    sqrt(``trials``), and 0 for a single trial.
     """
 
     expected_harm: float
     quantiles: dict[str, float]
+    trials: int
+    distinct_patterns: int
+    std_error: float
 
 
 def failure_harm_mc(
@@ -540,69 +550,131 @@ def failure_harm_mc(
 
     Each trial fails every device independently with its role's probability,
     measures the affected fraction of host pairs, and applies the harm
-    transform to it.  The fraction depends only on how many members of each
-    twin class fail, so trials are deduplicated on those counts within each
-    sampling chunk: the connectivity kernel and the harm transform run once
-    per distinct row of a chunk.  Returns the sample mean and the
-    p50/p90/p99 severity quantiles.  Deterministic per seed.
+    transform to it.  Only the failures are drawn, from one
+    ``random.Random(seed)`` (see ``_tally_failures``).  The fraction depends
+    only on how many members of each twin class fail, so trials are tallied
+    on those counts: the connectivity kernel and the harm transform run once
+    per distinct row, in one call, and the mean, standard error and
+    p50/p90/p99 severity quantiles come from the (harm, count) table.  A run
+    expected to fail more than ``_MAX_EXPECTED_FAILURES`` devices in all is
+    refused before any draw.  Deterministic per seed.
     """
-    import numpy as np
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    probs = np.array([fm.probability(d.role) for d in t.devices])
-    rng = np.random.default_rng(seed)
-
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     q = t.twin_quotient
-    n, k = len(probs), q.n_classes
-    device_class = np.array(q.device_class, dtype=np.int64)
-    # the narrowest type that holds any class's member count keeps row keys short
-    count_type = np.min_scalar_type(max(q.members, default=0))
-    chunk = min(trials, max(1, _DRAW_CELLS // max(1, n)))
-    draws = np.empty((chunk, n))  # one uniform-draw buffer serves every chunk
-    samples = np.empty(trials)
-    for done in range(0, trials, chunk):
-        m = min(chunk, trials - done)
-        cells = np.flatnonzero(rng.random(out=draws[:m]) < probs)
-        counts = np.bincount(cells // n * k + device_class[cells % n], minlength=m * k)
-        counts = counts.astype(count_type).reshape(m, k)
-        # one opaque key per row, so a 1-D unique finds the distinct rows;
-        # with no devices every trial is the empty row
-        keys = counts.view(np.dtype((np.void, counts.itemsize * k))).ravel() if k else np.zeros(m)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        fractions = _class_fractions(t, counts[first].tolist())
-        values = np.array([harm(h, f) for f in fractions])
-        samples[done : done + m] = values[inverse]
+    streams: dict[float, list[int]] = {}  # probability -> classes of its devices
+    for d, c in zip(t.devices, q.device_class):
+        streams.setdefault(fm.probability(d.role), []).append(c)
+    expected = trials * math.fsum(p * len(classes) for p, classes in streams.items())
+    if expected > _MAX_EXPECTED_FAILURES:
+        raise ValueError(
+            f"{trials} trials would fail about {expected:.3g} devices, "
+            f"more than the {_MAX_EXPECTED_FAILURES:.0e} one run may draw"
+        )
 
+    tally = _tally_failures(streams, random.Random(seed).random, q.members, trials)
+    fractions = _class_fractions(t, tally)
+    table = sorted(zip([harm(h, f) for f in fractions], tally.values()))
+    # the exact sum of each value repeated count times: v * 2**b is exact
+    try:
+        mean = math.fsum(math.ldexp(v, b) for v, count in table for b in _bits(count)) / trials
+    except OverflowError:
+        raise OverflowError(
+            "the harm summed over the trials is not finite (k is too large for float arithmetic)"
+        ) from None
+    spread = math.hypot(*(math.sqrt(count) * (v - mean) for v, count in table))
     # severity quantiles: the q-th worst harm sits at the (1-q) quantile of
     # the signed (nonpositive) values
-    q50, q90, q99 = _linear_quantiles(samples, (0.5, 0.1, 0.01))
+    q50, q90, q99 = _table_quantiles(table, (0.5, 0.1, 0.01))
     return FailureHarmStats(
-        expected_harm=float(samples.mean()),
+        expected_harm=mean,
         quantiles={"p50": q50, "p90": q90, "p99": q99},
+        trials=trials,
+        distinct_patterns=len(table),
+        std_error=spread / math.sqrt((trials - 1) * trials) if trials > 1 else 0.0,
     )
 
 
-def _linear_quantiles(values: np.ndarray, qs: tuple[float, ...]) -> list[float]:
-    """``np.quantile(values, qs)`` bit for bit, from one sort.
+def _tally_failures(
+    streams: dict[float, list[int]], rand, members: Sequence[int], trials: int
+) -> dict[Sequence[int], int]:
+    """Count the trials by their row of failed members per class, drawing only the failures.
 
-    ``np.quantile`` imports ``numpy.ma`` (about 15 ms) on its first call.
-    This is NumPy's default "linear" rule: the q-quantile sits at index
-    (n - 1) * q of the sorted values, and between neighbours a and b at
-    fraction t it is a + (b - a) * t, or b - (b - a) * (1 - t) once
-    t >= 0.5, as NumPy's ``_lerp`` rounds it.
+    ``streams`` maps each failure probability p to the twin class of each
+    device that fails with it.  For 0 < p < 1 those devices' cells, trial
+    after trial, form one Bernoulli(p) stream, walked by geometric skips
+    floor(log(1 - U) / log1p(-p)) with U = ``rand()``: every draw lands on a
+    failure except the last, which runs past the end, so the cost grows
+    with the failures, not the cells (Batagelj and Brandes, Phys. Rev. E
+    71, 2005).  Each stream draws its first skip in ascending order of p;
+    then the trials are visited in order, the streams in that order within
+    a trial, and each skip is drawn right after the failure before it.
+    Devices with p = 0 never fail and those with p = 1 always do, with no
+    draw: together they give the row of every trial that no stream
+    reaches.  Only distinct rows are kept: as ``bytes``, one byte per class,
+    when no class has more than 255 ``members``, else as tuples, which take
+    8 bytes per class.
     """
-    import numpy as np
+    log, floor = math.log, int
+    pack = bytes if max(members, default=0) < 256 else tuple
+    base = [0] * len(members)
+    walks = []  # per stream: devices per trial, classes, log1p(-p)
+    cells = []  # per stream: the cell of its next failure
+    for p in sorted(streams):
+        classes = streams[p]
+        if p == 1.0:
+            for c in classes:
+                base[c] += 1
+        elif p > 0.0:
+            # below 1e-300 the skip of every U but 0 passes 1e284 cells either
+            # way; the clamp only keeps it finite
+            log_q = min(math.log1p(-p), -1e-300)
+            walks.append((len(classes), classes, log_q))
+            cells.append(floor(log(1.0 - rand()) / log_q))
+    sizes = [n for n, _, _ in walks]
+    tally: dict[Sequence[int], int] = {}
+    while walks and (trial := min(map(floordiv, cells, sizes))) < trials:
+        row = base.copy()
+        for i, (n, classes, log_q) in enumerate(walks):
+            start = trial * n
+            j = cells[i] - start  # the device of the stream's next failure, if below n
+            while j < n:
+                row[classes[j]] += 1
+                j += 1 + floor(log(1.0 - rand()) / log_q)
+            cells[i] = start + j
+        key = pack(row)
+        tally[key] = tally.get(key, 0) + 1
+    reached = sum(tally.values())
+    if reached < trials:
+        key = pack(base)
+        tally[key] = tally.get(key, 0) + trials - reached
+    return tally
 
-    ordered = np.sort(values)
-    last = len(ordered) - 1
+
+def _table_quantiles(table: list[tuple[float, int]], qs: tuple[float, ...]) -> list[float]:
+    """``np.quantile`` bit for bit, of the sample that repeats each value of ``table`` its count times.
+
+    ``table`` holds (value, count) pairs in ascending value order.  This is
+    NumPy's default "linear" rule: the q-quantile sits at index (n - 1) * q
+    of the sorted sample, and between neighbours a and b at fraction t it
+    is a + (b - a) * t, or b - (b - a) * (1 - t) once t >= 0.5, as NumPy's
+    ``_lerp`` rounds it.  Sample positions are found in the running counts.
+    """
+    ends = list(accumulate(count for _, count in table))
+    last = ends[-1] - 1
+
+    def at(i: int) -> float:
+        return table[bisect_right(ends, i)][0]
+
     out = []
     for q in qs:
         index = last * q
         low = int(index)  # the floor, as the index is >= 0
         t = index - low
-        a, b = ordered[low], ordered[min(low + 1, last)]
-        out.append(float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t))
+        a, b = at(low), at(min(low + 1, last))
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return out
 
 

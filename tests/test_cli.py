@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 from fragrisk.cli import main
 from fragrisk.config import ScenarioConfig, load_config, parse_config_text
 from fragrisk.report import ScenarioReport
-from fragrisk.topology import build_spine_leaf, build_three_tier, inject_failures, parse_topology, serialize_topology
+from fragrisk.harm import HarmParams
+from fragrisk.topology import (
+    FailureModel,
+    build_spine_leaf,
+    build_three_tier,
+    inject_failures,
+    parse_topology,
+    serialize_topology,
+)
+from fragrisk.verify import exhaustive_failure_harm
 
 
 def run(args):
@@ -790,11 +799,12 @@ for args in (
     ["topo", "fail", "--topology", topo, "--fail", "acc0", "--emit", emitted],
     ["compare"],
     ["compare", "--a", topo, "--b", topo],
+    ["topo", "harm", "--topology", topo, "--p", "0.1", "--trials", "50"],
 ):
     assert main(args) == 0, args
 before = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
-assert main(["topo", "harm", "--topology", topo, "--p", "0.1", "--trials", "50"]) == 0
-print("numpy modules:", before, "then after topo harm:", "numpy" in sys.modules)
+assert main(["jensen", "--trials", "50"]) == 0
+print("numpy modules:", before, "then after jensen:", "numpy" in sys.modules)
 """
 
 
@@ -825,9 +835,9 @@ def test_topology_commands_never_import_scipy(tmp_path):
 
 def test_closed_form_commands_never_import_numpy(tmp_path):
     # importing NumPy was most of the start-up time of every command, --help
-    # included, and of every graph command; only Monte Carlo draws need it
+    # included, and of every graph command; only the Pareto sampler needs it
     line = probe_last_line(NUMPY_PROBE, str(tmp_path / "tt.txt"), str(tmp_path / "emitted.txt"))
-    assert line == "numpy modules: [] then after topo harm: True"
+    assert line == "numpy modules: [] then after jensen: True"
 
 
 def test_cli_import_loads_every_traced_module():
@@ -840,8 +850,10 @@ def test_topology_harm_never_imports_numpy_ma(tmp_path):
     assert probe_last_line(NUMPY_MA_PROBE, str(tmp_path / "tt.txt")) == "numpy.ma modules: []"
 
 
-# Reports on small fabrics, captured from the per-pattern BFS implementation;
-# the array kernel must reproduce them byte for byte.
+# Reports on small fabrics.  The hop and compare reports were captured from
+# the per-pattern BFS implementation; the harm reports come from the
+# geometric-skip sampler, and TestPinnedReports checks each of their means
+# against the exact mean over every failure pattern.
 PINNED = {
     "hops.tt": """# command: topo-hops
 # config_hash: df7d2b15dae2e7fb
@@ -863,24 +875,33 @@ hops,pairs
 """,
     "harm.sl": """# command: topo-harm
 # config_hash: a56f5a445ca02edf
+# distinct_patterns: 8
 # seed: 7
+# std_error: 0.0032597048330180595
+# trials: 2000
 # version: 0.1.0
 expected_harm,p50,p90,p99
--0.05917166882555279,0,-0.30645448293783728,-0.67926519276618424
+-0.066848010608933375,0,-0.30645448293783728,-0.67926519276618424
 """,
     "harm.tt": """# command: topo-harm
 # config_hash: 8df6d1ee344841e2
+# distinct_patterns: 153
 # seed: 11
+# std_error: 0.003002509894958955
+# trials: 3000
 # version: 0.1.0
 expected_harm,p50,p90,p99
--0.12878598263053803,0,-0.4368773121862799,-0.67926519276618424
+-0.12597853489136582,0,-0.4368773121862799,-0.67926519276618424
 """,
     "harm.inj": """# command: topo-harm
 # config_hash: c4144c0e53ee538a
+# distinct_patterns: 60
 # seed: 5
+# std_error: 0.004145386633212966
+# trials: 1500
 # version: 0.1.0
 expected_harm,p50,p90,p99
--0.27855744094720192,-0.17947875107838016,-0.4368773121862799,-0.82380815546277786
+-0.27563017897427577,-0.17947875107838016,-0.4368773121862799,-0.82380815546277786
 """,
     "compare": """# command: compare
 # config_hash: df7d2b15dae2e7fb
@@ -937,3 +958,19 @@ class TestPinnedReports:
             out = tmp_path / f"{name}.csv"
             assert run(args + ["--out", str(out)]) == 0
             assert read_bytes(out) == PINNED[name].encode(), name
+
+    @pytest.mark.parametrize(
+        "name, fabric, probabilities, trials",
+        [
+            ("harm.sl", "sl", {"spine": 0.05, "leaf": 0.05}, 2000),
+            ("harm.tt", "tt", {"core": 0.1, "distribution": 0.1, "access": 0.1}, 3000),
+            ("harm.inj", "inj", {"core": 0.2, "distribution": 0.05, "access": 0.05}, 1500),
+        ],
+    )
+    def test_pinned_harm_lies_near_exact(self, fabrics, name, fabric, probabilities, trials):
+        # each fabric has 6-11 devices, so every failure pattern can be enumerated
+        with open(fabrics[fabric]) as fh:
+            topo = parse_topology(fh.read())
+        exact_mean, exact_std = exhaustive_failure_harm(topo, FailureModel(probabilities), HarmParams(1.0, 1.5))
+        pinned = float(PINNED[name].splitlines()[-1].split(",")[0])
+        assert abs(pinned - exact_mean) <= 3.0 * exact_std / trials**0.5

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import statistics
 from collections import Counter
 
 import networkx as nx
@@ -24,7 +26,7 @@ from fragrisk import (
     serialize_topology,
 )
 from fragrisk import topology
-from fragrisk.topology import UNREACHABLE, _connected_pairs, _linear_quantiles
+from fragrisk.topology import UNREACHABLE, _connected_pairs, _table_quantiles
 from fragrisk.verify import (
     affected_fraction_bfs,
     check_hop_histogram_oracle,
@@ -97,6 +99,68 @@ def first_members(t: Topology, counts: list[int]) -> set[str]:
             left[c] -= 1
             failed.add(d.id)
     return failed
+
+
+def skip_stream_failures(t: Topology, fm: FailureModel, trials: int, seed: int) -> list[set[str]]:
+    """Each trial's failed device ids, from the geometric-skip streams, one trial at a time.
+
+    The devices of each failure probability p > 0 form one stream of trials
+    x devices cells.  p = 1 fails every cell without a draw; otherwise
+    floor(log(1 - U) / log1p(-p)) cells are skipped before each failure.
+    Each stream draws its first skip in ascending p; after that a skip is
+    drawn right after the failure before it.
+    """
+    rng = random.Random(seed)
+
+    def skip(p):
+        return 0 if p == 1.0 else math.floor(math.log(1 - rng.random()) / math.log1p(-p))
+
+    streams = []
+    for p in sorted({fm.probability(d.role) for d in t.devices} - {0.0}):
+        ids = [d.id for d in t.devices if fm.probability(d.role) == p]
+        streams.append([p, ids, skip(p)])
+    out = []
+    for trial in range(trials):
+        failed = set()
+        for stream in streams:
+            p, ids, cell = stream
+            while cell < (trial + 1) * len(ids):
+                failed.add(ids[cell - trial * len(ids)])
+                cell += 1 + skip(p)
+            stream[2] = cell
+        out.append(failed)
+    return out
+
+
+def class_counts(t: Topology, failed: set[str]) -> tuple[int, ...]:
+    """Failed members of each twin class."""
+    q = t.twin_quotient
+    counts = [0] * q.n_classes
+    for d, c in zip(t.devices, q.device_class):
+        counts[c] += d.id in failed
+    return tuple(counts)
+
+
+def spine_leaf_exact_harm(spines: int, leaves: int, hosts_per_leaf: int, p: float, h: HarmParams):
+    """Exact (mean, std) of harm on spine-leaf with every device failing with probability p.
+
+    Sums over the numbers a of failed spines and b of failed leaves, with
+    binomial weights.  While a spine survives every surviving host reaches
+    every other; with all spines down only hosts on one leaf still do.
+    """
+    hosts = leaves * hosts_per_leaf
+    total = math.comb(hosts, 2)
+    terms = []
+    for a in range(spines + 1):
+        for b in range(leaves + 1):
+            weight = math.comb(spines, a) * math.comb(leaves, b) * p ** (a + b) * (1 - p) ** (spines + leaves - a - b)
+            if a < spines:
+                connected = math.comb(hosts_per_leaf * (leaves - b), 2)
+            else:
+                connected = (leaves - b) * math.comb(hosts_per_leaf, 2)
+            terms.append((weight, harm(h, (total - connected) / total)))
+    mean = math.fsum(w * v for w, v in terms)
+    return mean, math.sqrt(math.fsum(w * (v - mean) ** 2 for w, v in terms))
 
 
 def access_chain(length: int, seed: int | None = None) -> Topology:
@@ -647,28 +711,34 @@ class TestTwinFreeFabric:
 
 
 class TestLinearQuantiles:
+    """``_table_quantiles`` of a (value, count) table against ``np.quantile`` of the repeated values."""
+
     QS = (0.5, 0.1, 0.01)
 
-    def assert_matches_numpy(self, values):
-        got = np.array(_linear_quantiles(values, self.QS))
-        assert got.tobytes() == np.quantile(values, self.QS).tobytes()
+    def assert_matches_numpy(self, values, counts):
+        table = sorted(zip(np.asarray(values).tolist(), np.asarray(counts).tolist()))
+        got = np.array(_table_quantiles(table, self.QS))
+        assert got.tobytes() == np.quantile(np.repeat(values, counts), self.QS).tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
     @settings(max_examples=100, deadline=None)
     def test_random_arrays(self, seed, n):
         rng = np.random.default_rng(seed)
-        self.assert_matches_numpy(rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8))
-        self.assert_matches_numpy(-rng.pareto(1.5, n))
+        counts = rng.integers(1, 4, n) ** rng.integers(1, 6, n)
+        self.assert_matches_numpy(rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8), counts)
+        self.assert_matches_numpy(-rng.pareto(1.5, n), counts)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
     @settings(max_examples=100, deadline=None)
     def test_tied_arrays(self, seed, n):
+        # equal values in separate rows of the table, as rows with equal harm give
         rng = np.random.default_rng(seed)
-        self.assert_matches_numpy(rng.choice(-rng.random(3), n))
+        self.assert_matches_numpy(rng.choice(-rng.random(3), n), rng.integers(1, 50, n))
 
     def test_one_and_two_values(self):
         for values in ([-0.25], [0.0], [-1.0, 0.0], [-0.3, -0.1], [-2.0, -2.0]):
-            self.assert_matches_numpy(np.array(values))
+            self.assert_matches_numpy(values, [1] * len(values))
+            self.assert_matches_numpy(values, [7] + [1] * (len(values) - 1))
 
 
 class TestLongDiameter:
@@ -722,6 +792,13 @@ class TestFailureHarmMc:
         assert stats.expected_harm == 0.0
         assert stats.quantiles == {"p50": 0.0, "p90": 0.0, "p99": 0.0}
 
+    def test_subnormal_probability_stays_finite(self):
+        # log1p(-5e-324) is subnormal, so an unclamped skip overflows float
+        stats = failure_harm_mc(
+            build_spine_leaf(2, 4, 1), FailureModel.uniform(5e-324), HarmParams(1.0, 1.5), 1000, seed=1
+        )
+        assert (stats.expected_harm, stats.distinct_patterns) == (0.0, 1)
+
     def test_certain_failure_full_harm(self):
         stats = failure_harm_mc(
             build_spine_leaf(2, 4, 1), FailureModel.uniform(1.0), HarmParams(2.0, 1.5), 500, seed=1
@@ -754,69 +831,141 @@ class TestFailureHarmMc:
         stats = failure_harm_mc(ONE_HOST, FailureModel.uniform(0.5), HarmParams(1.0, 1.5), 100, seed=1)
         assert stats.expected_harm == 0.0
 
-    def test_crossing_chunks_matches_parent_values(self):
-        # 20,000 trials of 144 devices span twelve sampling chunks of 1,736
-        # rows; the values were produced by the per-pattern BFS implementation
-        stats = failure_harm_mc(
-            build_spine_leaf(16, 128, 4), FailureModel.uniform(0.0005), HarmParams(1.0, 1.5), 20_000, seed=2
-        )
-        assert stats.expected_harm == -0.00012538920044845642
-        assert stats.quantiles == {"p50": 0.0, "p90": 0.0, "p99": -0.0019445314486869877}
-        stats = failure_harm_mc(
-            build_three_tier(2, 16, 8, 4, dual_homed=True),
-            FailureModel.uniform(0.002),
-            HarmParams(1.0, 2.0),
-            20_000,
-            seed=8,
-        )
-        assert stats.expected_harm == -7.829012272279152e-05
-        assert stats.quantiles == {"p50": 0.0, "p90": -0.0002427094177753082, "p99": -0.0009632307450975793}
-
-    def test_chunk_and_draw_sizes_do_not_change_result(self, monkeypatch):
-        t = build_three_tier(2, 3, 2, 2, dual_homed=True)
-        fm = FailureModel.uniform(0.1)
-        h = HarmParams(1.0, 1.5)
-        expected = failure_harm_mc(t, fm, h, 1001, seed=6)
-        for draw in (1, 70, 10**9):
-            monkeypatch.setattr(topology, "_DRAW_CELLS", draw)
-            assert failure_harm_mc(t, fm, h, 1001, seed=6) == expected
-
-    def test_kernel_sees_distinct_class_counts_per_chunk(self, monkeypatch):
-        # at p=0.05 nearly every trial fails a distinct set of devices, but
-        # few distinct numbers of leaves and spines
+    def test_large_fabric_values_are_pinned(self):
+        # 20,000 trials on fabrics of 144 and 146 devices; each pin is checked
+        # against the exact mean or a trial-by-trial rebuild of its stream
         t = build_spine_leaf(16, 128, 4)
-        fm = FailureModel.uniform(0.05)
-        class_fractions = topology._class_fractions
-        calls = []
+        fm, h = FailureModel.uniform(0.0005), HarmParams(1.0, 1.5)
+        stats = failure_harm_mc(t, fm, h, 20_000, seed=2)
+        assert stats.expected_harm == -0.00012489160521036335
+        assert stats.quantiles == {"p50": 0.0, "p90": 0.0, "p99": -0.0019445314486869877}
+        exact_mean, exact_std = spine_leaf_exact_harm(16, 128, 4, 0.0005, h)
+        assert abs(stats.expected_harm - exact_mean) <= 3.0 * exact_std / math.sqrt(20_000)
+
+        t = build_three_tier(2, 16, 8, 4, dual_homed=True)
+        fm, h = FailureModel.uniform(0.002), HarmParams(1.0, 2.0)
+        stats = failure_harm_mc(t, fm, h, 20_000, seed=8)
+        assert stats.expected_harm == -8.120315824477235e-05
+        assert stats.quantiles == {"p50": 0.0, "p90": -0.0002427094177753082, "p99": -0.0009632307450975793}
+        # the same stream drawn trial by trial, each distinct failed set measured on its own
+        fractions = {}
+        values = []
+        for failed in skip_stream_failures(t, fm, 20_000, seed=8):
+            key = frozenset(failed)
+            if key not in fractions:
+                fractions[key] = affected_fraction(t, failed)
+            values.append(harm(h, fractions[key]))
+        assert stats.expected_harm == math.fsum(values) / 20_000
+        q50, q90, q99 = np.quantile(values, [0.5, 0.1, 0.01])
+        assert stats.quantiles == {"p50": q50, "p90": q90, "p99": q99}
+
+    @pytest.mark.parametrize(
+        "t, most_rows",
+        # at p=0.05 nearly every trial fails a distinct set of devices, but
+        # spine-leaf has few distinct numbers of failed leaves and spines
+        [(build_spine_leaf(16, 128, 4), 2000 / 4), (build_three_tier(2, 8, 4, 2, dual_homed=True), 2000)],
+        ids=["spine-leaf", "three-tier"],
+    )
+    def test_kernel_sees_each_distinct_row_once(self, monkeypatch, t, most_rows):
+        class_fractions, components = topology._class_fractions, topology._components
+        calls, searches = [], []
 
         def spy(t, failed):
             failed = list(failed)
             calls.append(failed)
             return class_fractions(t, failed)
 
-        monkeypatch.setattr(topology, "_class_fractions", spy)
-        failure_harm_mc(t, fm, HarmParams(1.0, 1.5), 2000, seed=3)
+        def search_spy(near, alive):
+            searches.append(alive)
+            return components(near, alive)
 
-        fails = np.random.default_rng(3).random((2000, len(t.devices))) < 0.05
-        leaves = np.array([d.role == "leaf" for d in t.devices])
-        pairs = list(zip(fails[:, leaves].sum(axis=1).tolist(), fails[:, ~leaves].sum(axis=1).tolist()))
-        chunk = topology._DRAW_CELLS // len(t.devices)
-        distinct = sum(len(set(pairs[start : start + chunk])) for start in range(0, len(pairs), chunk))
-        assert all(len({tuple(row) for row in rows}) == len(rows) for rows in calls)
-        assert sum(len(rows) for rows in calls) <= distinct < 2000 / 4
+        monkeypatch.setattr(topology, "_class_fractions", spy)
+        monkeypatch.setattr(topology, "_components", search_spy)
+        fm = FailureModel.uniform(0.05)
+        failure_harm_mc(t, fm, HarmParams(1.0, 1.5), 2000, seed=3)
+        assert len(calls) == 1
+        rows = {class_counts(t, failed) for failed in skip_stream_failures(t, fm, 2000, seed=3)}
+        assert sorted(map(tuple, calls[0])) == sorted(rows)
+        assert len(rows) <= most_rows
+        # one component search per distinct bitset of the classes that keep a survivor
+        members = t.twin_quotient.members
+        alive = {sum(1 << j for j, (m, f) in enumerate(zip(members, row)) if m > f) for row in rows}
+        assert sorted(searches) == sorted(alive)
+
+    def test_certain_and_impossible_roles(self, monkeypatch):
+        # cores always fail and distributions never: only access switches draw
+        t = build_three_tier(2, 4, 3, 1, dual_homed=True)
+        q = t.twin_quotient
+        tally_failures = topology._tally_failures
+        tallies = []
+
+        def spy(*args):
+            tallies.append(tally_failures(*args))
+            return tallies[-1]
+
+        monkeypatch.setattr(topology, "_tally_failures", spy)
+        h, trials = HarmParams(1.0, 1.5), 4000
+        failure_harm_mc(t, FailureModel({"core": 1.0, "distribution": 0.0, "access": 0.3}), h, trials, seed=5)
+        failure_harm_mc(t, FailureModel({"access": 0.3}), h, trials, seed=5)
+        certain, drawn = tallies
+        probability = {"core": 1.0, "distribution": 0.0, "access": 0.3}
+        p_class = {c: probability[d.role] for d, c in zip(t.devices, q.device_class)}
+        for c, members in enumerate(q.members):
+            mean = sum(row[c] * count for row, count in certain.items()) / trials
+            p = p_class[c]
+            assert abs(mean - members * p) <= 4.0 * math.sqrt(members * p * (1 - p) / trials)
+        # p = 1 draws nothing: the access failures are the same stream with or without it
+        cores = {c for c, p in p_class.items() if p == 1.0}
+        assert Counter(
+            {tuple(0 if c in cores else f for c, f in enumerate(row)): n for row, n in certain.items()}
+        ) == Counter({tuple(row): n for row, n in drawn.items()})
+
+    def test_class_counts_past_one_byte(self):
+        # 300 leaves in one class: rows are kept as tuples, and ~270 of them fail
+        t = build_spine_leaf(2, 300, 1)
+        fm, h = FailureModel({"leaf": 0.9}), HarmParams(1.0, 1.5)
+        stats = failure_harm_mc(t, fm, h, 40, seed=3)
+        trials = skip_stream_failures(t, fm, 40, seed=3)
+        assert max(len(failed) for failed in trials) > 255
+        values = [harm(h, affected_fraction(t, failed)) for failed in trials]
+        assert stats.expected_harm == math.fsum(values) / 40
+        assert stats.distinct_patterns == len({class_counts(t, failed) for failed in trials})
+
+    def test_std_error_is_sample_sd_over_root_trials(self):
+        t = build_three_tier(2, 3, 2, 2, dual_homed=True)
+        fm, h = FailureModel.uniform(0.15), HarmParams(2.0, 1.5)
+        stats = failure_harm_mc(t, fm, h, 500, seed=4)
+        values = [harm(h, affected_fraction_bfs(t, failed)) for failed in skip_stream_failures(t, fm, 500, seed=4)]
+        assert stats.trials == 500
+        assert stats.std_error == pytest.approx(statistics.stdev(values) / math.sqrt(500), rel=1e-12)
+        assert failure_harm_mc(t, fm, h, 1, seed=4).std_error == 0.0
+
+    def test_negative_seed_rejected(self):
+        # random.Random would silently take abs(seed)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            failure_harm_mc(ONE_HOST, FailureModel.uniform(0.5), HarmParams(1.0, 1.5), 100, seed=-1)
+
+    def test_too_many_expected_failures_rejected(self):
+        t = build_spine_leaf(2, 4, 1)
+        h = HarmParams(1.0, 1.5)
+        with pytest.raises(ValueError, match="^1000000000000000 trials would fail"):
+            failure_harm_mc(t, FailureModel.uniform(0.05), h, 10**15, seed=1)
+        # failures, not trials, are what is drawn: a huge count of trials with none is exact
+        stats = failure_harm_mc(t, FailureModel.uniform(0.0), h, 10**15, seed=1)
+        assert (stats.expected_harm, stats.distinct_patterns, stats.std_error) == (0.0, 1, 0.0)
 
     def test_matches_one_shot_per_pattern_recompute(self):
-        # same uniform stream drawn at once, harm evaluated per distinct row
+        # the same skip stream drawn trial by trial, harm evaluated per trial by the BFS oracle
         t = build_three_tier(2, 3, 2, 2, dual_homed=True)
         fm = FailureModel.uniform(0.15)
         h = HarmParams(2.0, 1.5)
-        probs = np.array([fm.probability(d.role) for d in t.devices])
-        fails = np.random.default_rng(9).random((4000, len(probs))) < probs
-        values = [harm(h, affected_fraction_bfs(t, failed_ids(t, row))) for row in fails]
+        trials = skip_stream_failures(t, fm, 4000, seed=9)
+        values = [harm(h, affected_fraction_bfs(t, failed)) for failed in trials]
         stats = failure_harm_mc(t, fm, h, 4000, seed=9)
-        assert stats.expected_harm == float(np.mean(values))
+        assert stats.expected_harm == math.fsum(values) / 4000
         q50, q90, q99 = np.quantile(values, [0.5, 0.1, 0.01])
         assert stats.quantiles == {"p50": q50, "p90": q90, "p99": q99}
+        assert stats.distinct_patterns == len({class_counts(t, failed) for failed in trials})
 
     def test_quantiles_ordered_by_severity(self):
         stats = failure_harm_mc(
