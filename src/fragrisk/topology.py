@@ -43,8 +43,17 @@ Topologies serialize to a line-oriented text format (version header
 
 Device roles are core, distribution, access, spine, leaf; only leaves may
 carry a function tag (data-center, border, dmz, sdn, campus).  Ids match
-``[A-Za-z0-9_.-]+`` and may not be the reserved word ``host``.  Parsing the
-emitted form reproduces the topology exactly.
+``[A-Za-z0-9_.-]+`` in whole and may not be the reserved word ``host``.
+Parsing the emitted form reproduces the topology exactly.
+
+``parse_topology`` reads the text in one streaming pass over its lines and
+keeps one string per device id, so every link tuple shares the device ids'
+strings instead of holding two of its own.  ``Topology`` keeps each link
+tuple already in (lower id, higher id) order and sorts the links in place,
+which for canonical input such as ``serialize_topology`` output is one pass
+of comparisons that moves nothing.  Validation then walks the sorted links
+once: roles through one id -> role dict and a set of allowed role pairs,
+duplicates as equal neighbours.
 """
 
 from __future__ import annotations
@@ -75,13 +84,17 @@ FORMAT_HEADER = "topology/1"
 # failure_harm_mc refuses runs expected to fail more devices than this in all
 _MAX_EXPECTED_FAILURES = 10**7
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")  # whole id, by fullmatch
 
+# the (role, role) pairs a link may join, in either order
+_FABRIC_LINK_ROLES = frozenset({("spine", "leaf"), ("leaf", "spine")})
 _TIER_LINK_ROLES = frozenset(
     {
-        frozenset({"core"}),  # core -- core
-        frozenset({"core", "distribution"}),
-        frozenset({"distribution", "access"}),
+        ("core", "core"),
+        ("core", "distribution"),
+        ("distribution", "core"),
+        ("distribution", "access"),
+        ("access", "distribution"),
     }
 )
 
@@ -95,7 +108,7 @@ class Device:
     tag: str | None = None
 
     def __post_init__(self):
-        if not _ID_RE.match(self.id) or self.id == "host":
+        if not _ID_RE.fullmatch(self.id) or self.id == "host":
             raise ValueError(f"invalid device id {self.id!r}")
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}; expected one of {ROLES}")
@@ -145,63 +158,68 @@ class Topology:
 
     def __post_init__(self):
         devices = tuple(sorted(self.devices, key=lambda d: d.id))
-        links = tuple(sorted(tuple(sorted(pair)) for pair in self.links))
+        # each link as (lower id, higher id), reusing a tuple already in that
+        # order; sorting sorted links is one pass of comparisons and no moves
+        links = [
+            pair if type(pair) is tuple and len(pair) == 2 and pair[0] <= pair[1] else tuple(sorted(pair))
+            for pair in self.links
+        ]
+        links.sort()
         hosts = tuple(sorted((str(h), str(d)) for h, d in self.hosts))
         detached = tuple(sorted(str(h) for h in self.detached_hosts))
         object.__setattr__(self, "devices", devices)
-        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "links", tuple(links))
         object.__setattr__(self, "hosts", hosts)
         object.__setattr__(self, "detached_hosts", detached)
         self._validate()
 
     def _validate(self) -> None:
-        ids = [d.id for d in self.devices]
-        by_id = dict(zip(ids, self.devices))
-        if len(by_id) != len(ids):
+        role_of = {d.id: d.role for d in self.devices}
+        if len(role_of) != len(self.devices):
             raise ValueError("duplicate device ids")
 
-        roles = {d.role for d in self.devices}
+        roles = set(role_of.values())
         if roles & TIER_ROLES and roles & FABRIC_ROLES:
             raise ValueError("cannot mix 3-tier roles with spine/leaf roles in one topology")
 
-        seen = set()
-        for a, b in self.links:
+        fabric = bool(roles & FABRIC_ROLES)
+        allowed = _FABRIC_LINK_ROLES if fabric else _TIER_LINK_ROLES
+        previous = None
+        for pair in self.links:
+            a, b = pair
             if a == b:
                 raise ValueError(f"self-link on {a!r}")
-            if (a, b) in seen:
+            if pair == previous:  # links are sorted, so a repeat follows its first
                 raise ValueError(f"duplicate link {a!r} -- {b!r}")
-            seen.add((a, b))
-            for end in (a, b):
-                if end not in by_id:
-                    raise ValueError(f"link references unknown device {end!r}")
-            pair = frozenset({by_id[a].role, by_id[b].role})
-            if roles & FABRIC_ROLES:
-                if pair != frozenset({"spine", "leaf"}):
+            previous = pair
+            ends = (role_of.get(a), role_of.get(b))
+            if ends not in allowed:
+                for end in pair:
+                    if end not in role_of:
+                        raise ValueError(f"link references unknown device {end!r}")
+                if fabric:
                     raise ValueError(f"spine-leaf form allows only spine--leaf links, got {a!r} -- {b!r}")
-            elif pair not in _TIER_LINK_ROLES:
-                raise ValueError(f"3-tier form forbids link {a!r} -- {b!r} ({sorted(pair)})")
+                raise ValueError(f"3-tier form forbids link {a!r} -- {b!r} ({sorted(set(ends))})")
 
-        cores = [d for d in self.devices if d.role == "core"]
+        cores = [d for d, role in role_of.items() if role == "core"]
         if len(cores) > 2:
             raise ValueError("a 3-tier design cannot have more than 2 core switches")
-        if len(cores) == 2:
-            pair = tuple(sorted(c.id for c in cores))
-            if pair not in seen:
-                raise ValueError("two cores must be linked to each other")
+        if len(cores) == 2 and tuple(cores) not in self.links:  # devices are sorted, so cores are too
+            raise ValueError("two cores must be linked to each other")
 
         host_ids = set()
         for h, dev in self.hosts:
-            if not _ID_RE.match(h) or h == "host":
+            if not _ID_RE.fullmatch(h) or h == "host":
                 raise ValueError(f"invalid host id {h!r}")
             if h in host_ids:
                 raise ValueError(f"duplicate host id {h!r}")
             host_ids.add(h)
-            if dev not in by_id:
+            if dev not in role_of:
                 raise ValueError(f"host {h!r} attached to unknown device {dev!r}")
-            if by_id[dev].role not in HOST_ROLES:
-                raise ValueError(f"host {h!r} must attach to an access or leaf device, not {by_id[dev].role!r}")
+            if role_of[dev] not in HOST_ROLES:
+                raise ValueError(f"host {h!r} must attach to an access or leaf device, not {role_of[dev]!r}")
         for h in self.detached_hosts:
-            if not _ID_RE.match(h) or h == "host":
+            if not _ID_RE.fullmatch(h) or h == "host":
                 raise ValueError(f"invalid host id {h!r}")
             if h in host_ids:
                 raise ValueError(f"host {h!r} is both attached and detached")
@@ -696,31 +714,40 @@ def parse_topology(text: str) -> Topology:
     """Parse the text form; inverse of ``serialize_topology``.
 
     Blank lines and ``#`` comments are ignored.  The first significant line
-    must be the version header.
+    must be the version header.  Errors name the line's number in ``text``.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != FORMAT_HEADER:
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, line in lines:  # up to the first significant line
+        tokens = line.split()
+        if tokens and tokens[0][0] != "#":
+            break
+    else:
+        tokens = None
+    if tokens != [FORMAT_HEADER]:
         raise ValueError(f"missing or unsupported topology header (expected {FORMAT_HEADER!r})")
 
+    share = {}.setdefault  # one string object per device id, whichever line names it first
     devices: list[Device] = []
     links: list[tuple[str, str]] = []
     hosts: list[tuple[str, str]] = []
     detached: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         tokens = line.split()
-        if tokens[0] == "host":
-            if len(tokens) == 3 and tokens[2] == "detached":
-                detached.append(tokens[1])
-            elif len(tokens) == 4 and tokens[2] == "@":
-                hosts.append((tokens[1], tokens[3]))
-            else:
-                raise ValueError(f"line {lineno}: malformed host line {line!r}")
-        elif len(tokens) == 3 and tokens[1] == "--":
-            links.append((tokens[0], tokens[2]))
-        elif len(tokens) in (2, 3):
-            tag = tokens[2] if len(tokens) == 3 else None
-            devices.append(Device(tokens[0], tokens[1], tag))
-        else:
-            raise ValueError(f"line {lineno}: malformed line {line!r}")
+        if not tokens or tokens[0][0] == "#":
+            continue
+        match tokens:
+            case ["host", host, "detached"]:
+                detached.append(host)
+            case ["host", host, "@", device]:
+                hosts.append((host, share(device, device)))
+            case ["host", *_]:
+                raise ValueError(f"line {lineno}: malformed host line {line.strip()!r}")
+            case [a, "--", b]:
+                links.append((share(a, a), share(b, b)))
+            case [device, role]:
+                devices.append(Device(share(device, device), role))
+            case [device, role, tag]:
+                devices.append(Device(share(device, device), role, tag))
+            case _:
+                raise ValueError(f"line {lineno}: malformed line {line.strip()!r}")
     return Topology(tuple(devices), tuple(links), tuple(hosts), tuple(detached))

@@ -1,13 +1,16 @@
 import itertools
 import math
 import random
+import re
 import statistics
+import string
+import tracemalloc
 from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fragrisk import (
@@ -241,7 +244,12 @@ def planted_twin_fabrics(draw) -> Topology:
     return t
 
 
+#: the characters of a valid device or host id
+ID_CHARS = string.ascii_letters + string.digits + "_.-"
+
 NO_DEVICES = Topology((), (), (), ("h0", "h1", "h2"))
+SPINE_LEAF = build_spine_leaf(2, 2, 1)  # spine0, spine1, leaf0, leaf1; hosts h0, h1
+THREE_TIER = build_three_tier(2, 2, 1, 1)  # core0 -- core1, dist0, dist1, acc0, acc1
 ONE_HOST = build_spine_leaf(2, 1, 1)
 
 
@@ -359,6 +367,52 @@ class TestTopologyInvariants:
         devices = (Device("l0", "leaf"),)
         with pytest.raises(ValueError, match="duplicate host"):
             Topology(devices, (), (("h0", "l0"), ("h0", "l0")))
+
+    def test_ids_ending_in_a_newline_rejected(self):
+        # "$" would match before a trailing newline, and the emitted file would not parse
+        with pytest.raises(ValueError, match="invalid device id"):
+            Device("leaf0\n", "leaf")
+        devices = (Device("l0", "leaf"),)
+        with pytest.raises(ValueError, match="invalid host id"):
+            Topology(devices, (), (("h0\n", "l0"),))
+        with pytest.raises(ValueError, match="invalid host id"):
+            Topology(devices, (), (), ("h0\n",))
+
+    @given(name=st.text(st.sampled_from(ID_CHARS + " \t\n\r\x0b\x0c\x85\u2028#@"), max_size=6))
+    @example(name="leaf0\n")
+    @example(name="host")
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_ids_round_trip(self, name):
+        # an id is accepted exactly when it is made of ID_CHARS and is not "host",
+        # as a device, an attached host and a detached host alike
+        valid = bool(name) and set(name) <= set(ID_CHARS) and name != "host"
+        other = "x" + name  # a second valid id exactly when name is valid
+        builds = (
+            lambda: Topology((Device(name, "leaf"), Device(other, "spine")), ((other, name),), (("h", name),)),
+            lambda: Topology((Device("l", "leaf"),), (), ((name, "l"),), (other,)),
+            lambda: Topology((Device("l", "leaf"),), (), (), (name,)),
+        )
+        for build in builds:
+            if valid:
+                t = build()
+                assert parse_topology(serialize_topology(t)) == t
+            else:
+                with pytest.raises(ValueError, match="invalid (device|host) id"):
+                    build()
+
+    @given(cores=st.lists(st.text(st.sampled_from(ID_CHARS), min_size=1, max_size=3), min_size=2, max_size=2, unique=True))
+    @example(cores=["z0", "z1"])
+    @settings(max_examples=100, deadline=None)
+    def test_linked_cores_pass_wherever_their_link_sorts(self, cores):
+        # "z0 -- z1" sorts after "a0 -- d0" and both core -- d0 links
+        assume(not {"host", "a0", "d0"} & set(cores))
+        devices = tuple(Device(c, "core") for c in cores) + (Device("d0", "distribution"), Device("a0", "access"))
+        uplinks = tuple((c, "d0") for c in cores) + (("d0", "a0"),)
+        t = Topology(devices, uplinks + (tuple(cores),), (("h0", "a0"),))
+        assert tuple(sorted(cores)) in t.links
+        assert parse_topology(serialize_topology(t)) == t
+        with pytest.raises(ValueError, match="two cores must be linked"):
+            Topology(devices, uplinks, (("h0", "a0"),))
 
     def test_tag_restrictions(self):
         with pytest.raises(ValueError, match="leaf"):
@@ -1011,3 +1065,94 @@ class TestSerialization:
         ):
             with pytest.raises(ValueError):
                 parse_topology(bad)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("topology/1\n\n# c\nl0 leaf extra words here\n", "line 4: malformed line 'l0 leaf extra words here'"),
+            ("\n# c\ntopology/1\n  \n\t# d\nhost h0 on l0\n", "line 6: malformed host line 'host h0 on l0'"),
+            ("topology/1\r\n\r\n  host h0  @ l0 x  \r\n", "line 3: malformed host line 'host h0  @ l0 x'"),
+        ],
+    )
+    def test_errors_name_the_line_of_the_file(self, text, message):
+        # blank and comment lines count: the number is the line's own in the file
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_topology(text)
+
+    @given(t=planted_twin_fabrics(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_line_order_parses_to_the_same_topology(self, t, data):
+        # shuffled lines, link ends either way round, blank and comment lines
+        # anywhere (before the header too): the canonical topology again
+        header, *body = serialize_topology(t).splitlines()
+        body = data.draw(st.permutations(body))
+        for i, line in enumerate(body):
+            a, dash, *b = line.split()
+            if dash == "--" and data.draw(st.booleans()):
+                body[i] = f"{b[0]} -- {a}"
+        filler = st.lists(st.sampled_from(["", "  ", "\t", "# note", "  # spine0 -- leaf0", "#"]), max_size=2)
+        lines = data.draw(filler) + [header]
+        for line in body:
+            lines += data.draw(filler) + [line]
+        parsed = parse_topology("\n".join(lines) + data.draw(st.sampled_from(["", "\n"])))
+        assert parsed == t
+        assert serialize_topology(parsed) == serialize_topology(t)
+
+    @given(t=planted_twin_fabrics(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_link_repeated_reversed_anywhere_is_a_duplicate(self, t, data):
+        if not t.links:
+            return
+        a, b = data.draw(st.sampled_from(t.links))
+        lines = serialize_topology(t).splitlines()
+        lines.insert(data.draw(st.integers(1, len(lines))), f"{b} -- {a}")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'duplicate link {a!r} -- {b!r}')}$"):
+            parse_topology("\n".join(lines))
+
+    # one fault each, added to or removed from a valid file, and the exact error it raises
+    VALIDATE_FAULTS = [
+        (SPINE_LEAF, "leaf1 leaf", None, "duplicate device ids"),
+        (SPINE_LEAF, "core0 core", None, "cannot mix 3-tier roles with spine/leaf roles in one topology"),
+        (SPINE_LEAF, "leaf1 -- leaf1", None, "self-link on 'leaf1'"),
+        (SPINE_LEAF, "spine1 -- leaf0", None, "duplicate link 'leaf0' -- 'spine1'"),
+        (SPINE_LEAF, "spine0 -- leaf9", None, "link references unknown device 'leaf9'"),
+        (SPINE_LEAF, "leaf0 -- leaf1", None, "spine-leaf form allows only spine--leaf links, got 'leaf0' -- 'leaf1'"),
+        (SPINE_LEAF, "spine0 -- spine1", None, "spine-leaf form allows only spine--leaf links, got 'spine0' -- 'spine1'"),
+        (THREE_TIER, "acc0 -- core1", None, "3-tier form forbids link 'acc0' -- 'core1' (['access', 'core'])"),
+        (THREE_TIER, "acc0 -- acc1", None, "3-tier form forbids link 'acc0' -- 'acc1' (['access'])"),
+        (THREE_TIER, "core2 core", None, "a 3-tier design cannot have more than 2 core switches"),
+        (THREE_TIER, None, "core0 -- core1", "two cores must be linked to each other"),
+        (SPINE_LEAF, "host h#9 @ leaf0", None, "invalid host id 'h#9'"),
+        (SPINE_LEAF, "host h1 @ leaf0", None, "duplicate host id 'h1'"),
+        (SPINE_LEAF, "host h9 @ leaf9", None, "host 'h9' attached to unknown device 'leaf9'"),
+        (SPINE_LEAF, "host h9 @ spine0", None, "host 'h9' must attach to an access or leaf device, not 'spine'"),
+        (SPINE_LEAF, "host h-9 detached", None, None),
+        (SPINE_LEAF, "host h#9 detached", None, "invalid host id 'h#9'"),
+        (SPINE_LEAF, "host h1 detached", None, "host 'h1' is both attached and detached"),
+    ]
+
+    @pytest.mark.parametrize("base, added, removed, message", VALIDATE_FAULTS)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_each_validation_error_fires_alone(self, base, added, removed, message, seed):
+        header, *body = serialize_topology(base).splitlines()
+        body = [line for line in body if line != removed] + ([added] if added else [])
+        random.Random(seed).shuffle(body)
+        text = "\n".join([header, *body])
+        if message is None:  # the control: a valid line changes nothing but itself
+            assert parse_topology(text).detached_hosts == ("h-9",)
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_topology(text)
+
+    def test_parse_peak_memory(self):
+        # 16,384 links: with shared id strings and no per-link copies the parse
+        # peaks near 3 MB; a copy of every link and its two ids costs over 6 MB
+        text = serialize_topology(build_spine_leaf(32, 512, 2))
+        tracemalloc.start()
+        try:
+            parse_topology(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_500_000
