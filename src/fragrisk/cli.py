@@ -68,6 +68,8 @@ from .topology import (
 from .verify import run_all_checks
 
 OUT_DIR_ENV = "FRAGRISK_OUT_DIR"
+# the most rows a --points grid may build; each costs about 17 us and 0.4 KB
+MAX_POINTS = 10**6
 
 
 def _positive_int(raw: str) -> int:
@@ -87,10 +89,16 @@ def _float_list(raw: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _check_points(points: int, minimum: int) -> None:
+    if points < minimum:
+        raise ValueError(f"--points must be >= {minimum}")
+    if points > MAX_POINTS:
+        raise ValueError(f"--points must be <= {MAX_POINTS}")
+
+
 def _grid(flag: str, end: float, points: int) -> list[float]:
     """``points`` evenly spaced values from 0 to ``end``; ``flag`` names ``end`` in errors."""
-    if points < 2:
-        raise ValueError("--points must be >= 2")
+    _check_points(points, 2)
     if not (math.isfinite(end) and end > 0):
         raise ValueError(f"{flag} must be finite and > 0, got {end}")
     return [end * i / (points - 1) for i in range(points)]
@@ -169,7 +177,7 @@ def _emit(out: str | None, text: str, side_files=(), stdout: str | None = None) 
 def _emit_report(report: ScenarioReport, cfg: ScenarioConfig, args, side_files=(), stdout=None) -> None:
     """Stamp ``report`` with the config hash (and seed), render it, add ``--svg``, then ``_emit``."""
     report.config_hash = cfg.config_hash()
-    if hasattr(args, "seed"):  # exactly the commands that take --seed draw random numbers
+    if hasattr(args, "seed"):  # every command that takes --seed; all but jensen draw random numbers
         report.seed = cfg.seed
     if cfg.report_core_drop_probability is not None:
         report.extra_metadata.setdefault("core_drop_probability", cfg.report_core_drop_probability)
@@ -235,9 +243,7 @@ def cmd_jensen(cfg: ScenarioConfig, args) -> int:
     concentrated = harm(params, cfg.error_x)
     split = fragmented_harm(params, weights, cfg.error_x)
     gap = jensen_gap(params, weights, cfg.error_x)
-    cen, dec = survival_comparison(
-        params, cfg.unit_value, weights, _pareto_params(cfg), cfg.trials, cfg.seed
-    )
+    cen, dec = survival_comparison(params, cfg.unit_value, weights, _pareto_params(cfg))
     report = ScenarioReport(
         "jensen",
         ["x", "harm", "fragmented_harm", "jensen_gap", "centralized_mean", "decentralized_mean", "mean_gap"],
@@ -250,8 +256,7 @@ def cmd_jensen(cfg: ScenarioConfig, args) -> int:
 def cmd_risk_density(cfg: ScenarioConfig, args) -> int:
     p, h = _pareto_params(cfg), _harm_params(cfg)
     n = cfg.fragments
-    if args.points < 1:
-        raise ValueError("--points must be >= 1")
+    _check_points(args.points, 1)
     rows = []
     for i in range(args.points):
         q = (i + 1) / args.points  # quantile grid covers the support evenly
@@ -422,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_harm_flags(p)
     _add_pareto_flags(p)
-    _add_mc_flags(p)
+    # the means are closed form; both flags are still accepted so existing command lines run
+    p.add_argument("--trials", type=int, default=None, help="accepted for compatibility; changes no number")
+    p.add_argument("--seed", type=int, default=None, help="accepted for compatibility; changes no number")
     p.add_argument("--weights", dest="harm_weights", type=_float_list, help="comma list of fragment shares")
     p.add_argument("--x", dest="error_x", type=float, help="error magnitude to evaluate")
     p.add_argument("--unit-value", dest="unit_value", type=float, default=None, help="value B at stake")

@@ -3,8 +3,8 @@
 Harm is modeled as -k * x**beta for an error of magnitude x.  Splitting the
 exposure into weighted fragments changes total harm: with beta > 1 the split
 strictly reduces harm magnitude, with beta < 1 it increases it, and beta = 1
-is neutral.  ``survival_comparison`` measures the same effect on surviving
-value under a Pareto error model via paired Monte Carlo.
+is neutral.  ``survival_comparison`` gives the same effect on mean surviving
+value under a Pareto error model, in closed form.
 """
 
 from __future__ import annotations
@@ -75,10 +75,8 @@ class FragmentWeights:
         return len(self.w)
 
     def power_sum(self, beta: float) -> float:
-        """sum(w_i ** beta); equals 1.0 exactly at beta = 1 for exact weights."""
-        import numpy as np
-
-        return float(np.sum(np.asarray(self.w) ** beta))
+        """sum(w_i ** beta), correctly rounded; equals 1.0 exactly at beta = 1 for exact weights."""
+        return math.fsum(v**beta for v in self.w)
 
 
 def _check_magnitude(x: float) -> float:
@@ -124,26 +122,18 @@ def survival_comparison(
     unit_value: float,
     weights: FragmentWeights,
     error_model: ParetoParams,
-    trials: int,
-    seed: int,
 ) -> tuple[float, float]:
     """Mean surviving value of one concentrated unit vs the fragmented split.
 
-    Draws ``trials`` Pareto errors once and evaluates both arms on the same
-    draws: the concentrated arm keeps B + harm(X), the fragmented arm keeps
-    sum_i (w_i * B + harm(w_i * X)).  Returns (centralized_mean,
-    decentralized_mean).  For beta > 1 the fragmented mean dominates up to
-    Monte Carlo noise; for beta = 1 the two arms agree draw by draw.
+    The concentrated arm keeps B + harm(X), the fragmented arm keeps
+    sum_i (w_i * B + harm(w_i * X)).  With E[X**beta] = alpha * L**beta /
+    (alpha - beta) for a Pareto error X, the means are B - k E[X**beta] and
+    (sum w) B - k E[X**beta] sum w**beta.  Returns (centralized_mean,
+    decentralized_mean).  For beta > 1 the fragmented mean is the larger; for
+    beta = 1 the two are equal.
 
     Requires error_model.alpha > params.beta so the mean harm is finite.
-    Deterministic for a fixed seed.
     """
-    import numpy as np
-
-    from .pareto import pareto_sample
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not error_model.alpha > params.beta:
         raise ValueError(
             "harm mean diverges: requires tail index alpha > harm exponent beta "
@@ -152,10 +142,8 @@ def survival_comparison(
     if not 0 < unit_value < math.inf:
         raise ValueError(f"unit value must be finite and positive, got {unit_value}")
 
-    x = pareto_sample(error_model, trials, seed)
-    hx = params.k * x**params.beta
-    weight_sum = float(np.sum(np.asarray(weights.w)))
-    power_sum = weights.power_sum(params.beta)
-    centralized = unit_value - hx
-    decentralized = weight_sum * unit_value - hx * power_sum
-    return float(centralized.mean()), float(decentralized.mean())
+    moment = error_model.alpha * error_model.scale**params.beta / (error_model.alpha - params.beta)
+    mean_loss = params.k * moment  # -E[harm(X)]
+    centralized = unit_value - mean_loss
+    decentralized = math.fsum(weights.w) * unit_value - mean_loss * weights.power_sum(params.beta)
+    return centralized, decentralized

@@ -125,16 +125,14 @@ class TwinQuotient(NamedTuple):
     ``device_class[i]`` is the class of device i.  Class j is
     ``members[j]`` devices that each carry ``member_hosts[j]`` hosts, so a
     failure pattern acts on the quotient only through how many members of
-    each class it fails.  ``links`` holds both ends of each linked class
-    pair, lower class first, in ascending order.  ``neighbors[j]`` is the
-    bitset of class j's neighbour classes (bit i set when i -- j is a link).
+    each class it fails.  ``neighbors[j]`` is the bitset of class j's
+    neighbour classes (bit i set when i -- j is a link).
     Every field is a tuple of ``int``.
     """
 
     device_class: tuple[int, ...]
     members: tuple[int, ...]
     member_hosts: tuple[int, ...]
-    links: tuple[tuple[int, ...], tuple[int, ...]]
     neighbors: tuple[int, ...]
 
     @property
@@ -256,19 +254,11 @@ class Topology:
         members = [0] * len(ids)
         for c in device_class:
             members[c] += 1
-        linked = {(device_class[a], device_class[b]) for a, b in ends}
-        class_links = sorted({(min(pair), max(pair)) for pair in linked})
         neighbors = [0] * len(ids)
-        for a, b in class_links:
+        for a, b in {(device_class[a], device_class[b]) for a, b in ends}:
             neighbors[a] |= 1 << b
             neighbors[b] |= 1 << a
-        return TwinQuotient(
-            device_class,
-            tuple(members),
-            tuple(h for _, h in ids),
-            (tuple(a for a, _ in class_links), tuple(b for _, b in class_links)),
-            tuple(neighbors),
-        )
+        return TwinQuotient(device_class, tuple(members), tuple(h for _, h in ids), tuple(neighbors))
 
 
 def build_three_tier(

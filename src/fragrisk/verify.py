@@ -347,27 +347,33 @@ def check_jensen_directions(seed: int = VERIFY_SEED, draws: int = 1000) -> Check
 
 
 def check_survival_comparison(trials: int = 10**6, seed: int = VERIFY_SEED) -> CheckResult:
+    import numpy as np
+
+    # alpha > 2 beta, so each arm's surviving value has finite variance and 3 SE is a sound bound
     p = ParetoParams(alpha=4.0, scale=1.0)
-    h = HarmParams(k=1.0, beta=2.0)
-    weights = FragmentWeights((0.5, 0.5))
-    cen, dec = survival_comparison(h, 10.0, weights, p, trials, seed)
-    gap = dec - cen
+    h = HarmParams(k=1.0, beta=1.5)
+    shares = (0.2, 0.3, 0.5)
+    unit_value = 10.0
+    weights = FragmentWeights(shares)
+    exact = survival_comparison(h, unit_value, weights, p)
 
-    # Same draws as the comparison: the paired difference is k*X^2/2 here.
-    x = pareto_sample(p, trials, seed)
-    diffs = 0.5 * x**2
-    se = float(diffs.std(ddof=1)) / math.sqrt(trials)
-    analytic = 0.5 * (p.alpha * p.scale**2 / (p.alpha - 2.0))
-    passed = abs(gap - analytic) <= 3.0 * se
+    # paired Monte Carlo, both arms on the same draws; the shares sum to 1, so the split keeps B in total
+    hx = h.k * pareto_sample(p, trials, seed) ** h.beta
+    arms = (unit_value - hx, unit_value - hx * float(np.sum(np.asarray(shares) ** h.beta)))
+    passed = True
+    details = []
+    for name, closed, draws in zip(("centralized", "decentralized"), exact, arms):
+        mean = float(draws.mean())
+        se = float(draws.std(ddof=1)) / math.sqrt(trials)
+        passed = passed and abs(closed - mean) <= 3.0 * se
+        details.append(f"{name} {closed:.5f} vs mc {mean:.5f} (3*SE={3 * se:.5f})")
 
-    h1 = HarmParams(k=1.0, beta=1.0)
-    cen1, dec1 = survival_comparison(h1, 10.0, weights, p, trials, seed)
+    cen1, dec1 = survival_comparison(HarmParams(k=1.0, beta=1.0), unit_value, weights, p)
     linear_exact = cen1 == dec1
     return CheckResult(
         "survival-comparison-mc",
         passed and linear_exact,
-        f"gap {gap:.5f} vs analytic {analytic} within 3*SE={3 * se:.5f}; "
-        f"beta=1 arms bitwise equal: {linear_exact}",
+        f"{'; '.join(details)}; beta=1 arms bitwise equal: {linear_exact}",
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fragrisk.cli import main
+from fragrisk.cli import MAX_POINTS, main
 from fragrisk.config import ScenarioConfig, load_config, parse_config_text
 from fragrisk.report import ScenarioReport
 from fragrisk.harm import HarmParams
@@ -114,6 +114,21 @@ class TestRiskCommands:
         assert doc["columns"] == ["xi", "density"]
         assert len(doc["rows"]) == 100
         assert doc["metadata"]["command"] == "risk-density"
+
+
+class TestJensenCommand:
+    ARGS = ["jensen", "--k", "1", "--beta", "2", "--weights", "0.5,0.5", "--alpha", "4"]
+
+    def test_prints_exact_means(self, capsys):
+        # E[X^2] = 2 at alpha=4, L=1, so the arms keep 10 - 2 and 10 - 2 * (0.25 + 0.25)
+        assert run(self.ARGS) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1,-1,-0.5,0.5,8,9,1"
+
+    def test_trials_and_seed_change_no_number(self, capsys):
+        assert run(self.ARGS) == 0
+        default = capsys.readouterr().out.splitlines()[-1]
+        assert run(self.ARGS + ["--trials", "7", "--seed", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == default
 
 
 class TestTopoCommands:
@@ -320,21 +335,21 @@ class TestOutputContracts:
 
 
 class TestDeterminism:
+    # risk tail-mean draws from the Pareto sampler; jensen's means are closed form
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["jensen", "--k", "1", "--beta", "2", "--weights", "0.5,0.5", "--alpha", "4",
-                "--trials", "5000", "--seed", "42"]
+        args = ["risk", "tail-mean", "--alpha", "4", "--beta", "1.5", "--trials", "5000", "--seed", "42"]
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
         assert read_bytes(a) == read_bytes(b)
 
     def test_different_seed_different_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["jensen", "--k", "1", "--beta", "2", "--weights", "0.5,0.5", "--alpha", "4",
-                "--trials", "5000"]
+        args = ["risk", "tail-mean", "--alpha", "4", "--beta", "1.5", "--trials", "5000"]
         run(args + ["--seed", "42", "--out", str(a)])
         run(args + ["--seed", "43", "--out", str(b)])
-        assert read_bytes(a) != read_bytes(b)
+        # the estimate differs, not only the seed in the metadata
+        assert read_bytes(a).splitlines()[-1] != read_bytes(b).splitlines()[-1]
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -397,7 +412,6 @@ EMPTY_LIST_ARGS = [
 # trial counts whose sample arrays cannot be allocated; each was a MemoryError traceback
 HUGE_TRIALS_ARGS = [
     ["risk", "tail-mean", "--trials", "1000000000000000"],
-    ["jensen", "--trials", "1000000000000000"],
     ["topo", "harm", "--topology", "{in}/sl.txt", "--trials", "1000000000000000"],
 ]
 
@@ -416,6 +430,13 @@ POINTS_ARGS = [
     ["growth", "--points", "1", "--max-units", "inf"],
 ]
 
+# grid sizes above MAX_POINTS; each built rows until memory ran out
+HUGE_POINTS_ARGS = [
+    ["harm-curve", "--points", "1000000000000"],
+    ["growth", "--points", "1000001"],
+    ["risk", "density", "--points", "1000000000000"],
+]
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("args", NON_FINITE_ARGS[:2] + RANGE_ARGS)
@@ -428,7 +449,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "args",
         NON_FINITE_ARGS + RANGE_ARGS + OVERFLOW_ARGS + EMPTY_LIST_ARGS + HUGE_TRIALS_ARGS + NEGATIVE_SEED_ARGS
-        + POINTS_ARGS,
+        + POINTS_ARGS + HUGE_POINTS_ARGS,
     )
     def test_no_report_written(self, cli_inputs, tmp_path, capsys, args):
         out = tmp_path / "report.csv"
@@ -506,6 +527,12 @@ class TestNonFiniteInput:
         assert captured.out == ""
         minimum = 1 if args[0] == "risk" else 2  # risk density's grid is a quantile grid
         assert captured.err == f"error: --points must be >= {minimum}\n"
+
+    @pytest.mark.parametrize("args", HUGE_POINTS_ARGS)
+    def test_points_above_maximum_fail_at_once(self, args):
+        # a fresh interpreter, so a grid that is built anyway fails the test at its timeout
+        proc = run_subprocess(args, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: --points must be <= {MAX_POINTS}\n")
 
     @pytest.mark.parametrize("args", NEGATIVE_SEED_ARGS)
     def test_negative_seed_is_named(self, cli_inputs, capsys, args):
@@ -800,11 +827,12 @@ for args in (
     ["compare"],
     ["compare", "--a", topo, "--b", topo],
     ["topo", "harm", "--topology", topo, "--p", "0.1", "--trials", "50"],
+    ["jensen", "--trials", "50"],
 ):
     assert main(args) == 0, args
 before = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
-assert main(["jensen", "--trials", "50"]) == 0
-print("numpy modules:", before, "then after jensen:", "numpy" in sys.modules)
+assert main(["risk", "tail-mean", "--trials", "50"]) == 0
+print("numpy modules:", before, "then after risk tail-mean:", "numpy" in sys.modules)
 """
 
 
@@ -837,7 +865,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     # importing NumPy was most of the start-up time of every command, --help
     # included, and of every graph command; only the Pareto sampler needs it
     line = probe_last_line(NUMPY_PROBE, str(tmp_path / "tt.txt"), str(tmp_path / "emitted.txt"))
-    assert line == "numpy modules: [] then after jensen: True"
+    assert line == "numpy modules: [] then after risk tail-mean: True"
 
 
 def test_cli_import_loads_every_traced_module():

@@ -12,7 +12,6 @@ from fragrisk import (
     fragmented_harm,
     harm,
     jensen_gap,
-    pareto_sample,
     survival_comparison,
 )
 
@@ -182,41 +181,57 @@ class TestSurvivalComparison:
         params = HarmParams(1.0, 1.0)
         error_model = ParetoParams(4.0, 1.0)
         for weights in (FragmentWeights((0.5, 0.5)), FragmentWeights((0.3, 0.7)), FragmentWeights.equal(4)):
-            cen, dec = survival_comparison(params, 10.0, weights, error_model, 2000, seed=11)
+            cen, dec = survival_comparison(params, 10.0, weights, error_model)
             assert cen == dec
 
     def test_single_fragment_identical(self):
-        cen, dec = survival_comparison(
-            HarmParams(1.0, 2.0), 10.0, FragmentWeights((1.0,)), ParetoParams(4.0, 1.0), 2000, seed=3
-        )
+        weights = FragmentWeights((1.0,))
+        cen, dec = survival_comparison(HarmParams(1.0, 2.0), 10.0, weights, ParetoParams(4.0, 1.0))
         assert cen == dec
 
-    def test_deterministic_per_seed(self):
-        args = (HarmParams(1.0, 2.0), 10.0, FragmentWeights((0.5, 0.5)), ParetoParams(4.0, 1.0), 5000)
-        assert survival_comparison(*args, seed=42) == survival_comparison(*args, seed=42)
-        assert survival_comparison(*args, seed=42) != survival_comparison(*args, seed=43)
-
     def test_mean_gap_matches_analytic_moment(self):
-        # For beta=2 and an even 2-way split the paired difference per draw is
-        # k*X^2/2, with mean alpha*L^2/(2*(alpha-2)) = 1.0 at alpha=4, L=1.
-        trials = 200_000
-        error_model = ParetoParams(4.0, 1.0)
-        cen, dec = survival_comparison(
-            HarmParams(1.0, 2.0), 10.0, FragmentWeights((0.5, 0.5)), error_model, trials, seed=42
-        )
-        draws = pareto_sample(error_model, trials, seed=42)
-        diffs = 0.5 * draws**2
-        se = diffs.std(ddof=1) / math.sqrt(trials)
-        assert abs((dec - cen) - 1.0) <= 3.0 * se
+        # For beta=2 and an even 2-way split the gap is k*E[X^2]/2 = alpha*L^2/(2*(alpha-2)) = 1.0
+        # at alpha=4, L=1: the arms keep 10 - 2 and 10 - 2/2.
+        weights = FragmentWeights((0.5, 0.5))
+        cen, dec = survival_comparison(HarmParams(1.0, 2.0), 10.0, weights, ParetoParams(4.0, 1.0))
+        assert (cen, dec, dec - cen) == (8.0, 9.0, 1.0)
+
+    @pytest.mark.parametrize("alpha, beta, scale", [(4.0, 1.5, 2.0), (3.0, 0.5, 0.5), (2.5, 2.0, 1.0)])
+    def test_means_are_closed_form(self, alpha, beta, scale):
+        # E[X^beta] = alpha L^beta / (alpha - beta); here with k = 2 and a 3-way split
+        shares = (0.2, 0.3, 0.5)
+        moment = alpha * scale**beta / (alpha - beta)
+        error_model = ParetoParams(alpha, scale)
+        cen, dec = survival_comparison(HarmParams(2.0, beta), 7.0, FragmentWeights(shares), error_model)
+        assert cen == pytest.approx(7.0 - 2.0 * moment, rel=1e-14)
+        assert dec == pytest.approx(7.0 - 2.0 * moment * sum(w**beta for w in shares), rel=1e-14)
+        assert (dec > cen) == (beta > 1.0)
 
     def test_diverging_mean_rejected(self):
-        with pytest.raises(ValueError, match="diverges"):
+        weights = FragmentWeights((0.5, 0.5))
+        for alpha in (1.5, 2.0):  # alpha < beta and alpha == beta
+            with pytest.raises(ValueError, match="diverges"):
+                survival_comparison(HarmParams(1.0, 2.0), 10.0, weights, ParetoParams(alpha, 1.0))
+
+    @pytest.mark.parametrize("unit_value", [0.0, -1.0, math.inf, math.nan])
+    def test_unit_value_must_be_finite_and_positive(self, unit_value):
+        with pytest.raises(ValueError, match="unit value"):
             survival_comparison(
-                HarmParams(1.0, 2.0), 10.0, FragmentWeights((0.5, 0.5)), ParetoParams(1.5, 1.0), 100, 1
+                HarmParams(1.0, 2.0), unit_value, FragmentWeights((0.5, 0.5)), ParetoParams(4.0, 1.0)
             )
 
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            survival_comparison(
-                HarmParams(1.0, 2.0), 10.0, FragmentWeights((0.5, 0.5)), ParetoParams(4.0, 1.0), 0, 1
-            )
+    @pytest.mark.parametrize("shift", [(1e-2, 0.0), (0.0, 1e-2), (-1e-2, -1e-2)])
+    def test_verify_oracle_fails_an_off_closed_form(self, monkeypatch, shift):
+        # the check must compare against its own Monte Carlo, not the closed form with itself
+        from fragrisk import verify
+
+        assert verify.check_survival_comparison().passed
+
+        def off(params, *args):
+            cen, dec = survival_comparison(params, *args)
+            if params.beta == 1.0:  # leave the beta=1 arms equal, so only the Monte Carlo can fail
+                return cen, dec
+            return cen + shift[0], dec + shift[1]
+
+        monkeypatch.setattr(verify, "survival_comparison", off)
+        assert not verify.check_survival_comparison().passed

@@ -651,7 +651,6 @@ class TestTwinQuotient:
         spines, leaves, hosts_per_leaf = shape
         q = build_spine_leaf(*shape).twin_quotient
         assert q.n_classes == 2
-        assert q.links == ((0,), (1,))
         assert q.neighbors == (0b10, 0b01)
         # devices sort by id, so the leaves ("leaf0") come before the spines ("spine0")
         assert q.members == (leaves, spines)
@@ -667,8 +666,12 @@ class TestTwinQuotient:
         t = build_three_tier(*shape, dual_homed=True)
         assert (len(t.devices), len(t.links)) == (devices, links)
         q = t.twin_quotient
-        assert (q.n_classes, len(q.links[0])) == (classes, class_links)
+        assert q.n_classes == classes
         assert sum(bin(near).count("1") for near in q.neighbors) == 2 * class_links
+        # each class link is in both ends' bitsets, and false twins are never linked
+        pairs = {(a, b) for a, near in enumerate(q.neighbors) for b in range(q.n_classes) if near >> b & 1}
+        assert pairs == {(b, a) for a, b in pairs}
+        assert not any(a == b for a, b in pairs)
         # (members, hosts per member) of each class: the access switches of
         # each distribution pair, then every core and distribution alone
         assert Counter(zip(q.members, q.member_hosts)) == {
