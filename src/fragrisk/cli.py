@@ -33,39 +33,14 @@ import os
 import stat
 import sys
 import warnings
-from dataclasses import fields, replace
 
-from .config import DEFAULT_SEED, ScenarioConfig, load_config, parse_float_list
-from .costing import CostAssumptions, compare_designs
-from .growth import GrowthSpec, capacity_at, crossover
-from .harm import FragmentWeights, HarmParams, fragmented_harm, harm, jensen_gap, survival_comparison
-from .pareto import (
-    ParetoParams,
-    degradation_curve,
-    degradation_ratio,
-    fragment_harm_density,
-    harm_quantile,
-    mc_tail_mean,
-    tail_mean,
-)
-from .report import ScenarioReport, svg_line_chart
-from .topology import (
-    ROLES,
-    FailureModel,
-    UNREACHABLE,
-    affected_fraction,
-    build_spine_leaf,
-    build_three_tier,
-    failure_harm_mc,
-    hop_histogram,
-    inject_failures,
-    parse_topology,
-    serialize_topology,
-)
-# perfbench/tracer.py looks up fragrisk.{harm,pareto,growth,topology,costing,
-# report,verify} in sys.modules right after importing this module, so importing
-# it must load all seven; only this import loads verify
-from .verify import run_all_checks
+# each analysis module runs on first use (see fragrisk/__init__.py), so a
+# command pays only for the modules its handler calls into
+from . import config, costing, growth, pareto, topology, verify
+from . import report as reporting  # handlers name their ScenarioReport `report`
+
+# fragrisk.harm is the harm function, so the module is taken from sys.modules
+harm_model = sys.modules[f"{__package__}.harm"]
 
 OUT_DIR_ENV = "FRAGRISK_OUT_DIR"
 # the most rows a --points grid may build; each costs about 17 us and 0.4 KB
@@ -84,7 +59,7 @@ def _positive_int(raw: str) -> int:
 
 def _float_list(raw: str) -> tuple[float, ...]:
     try:
-        return parse_float_list(raw)
+        return config.parse_float_list(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -106,13 +81,17 @@ def _grid(flag: str, end: float, points: int) -> list[float]:
 
 def _load_topology(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_topology(fh.read())
+        return topology.parse_topology(fh.read())
 
 
-def _config_from_args(args) -> ScenarioConfig:
+def _config_from_args(args) -> config.ScenarioConfig:
+    from dataclasses import fields
+
     # each config-backed flag's argparse dest is the ScenarioConfig field it sets
     flags = vars(args)  # verify takes no --config
-    return load_config(flags.get("config"), {f.name: flags.get(f.name) for f in fields(ScenarioConfig)})
+    return config.load_config(
+        flags.get("config"), {f.name: flags.get(f.name) for f in fields(config.ScenarioConfig)}
+    )
 
 
 def _emit(out: str | None, text: str, side_files=(), stdout: str | None = None) -> None:
@@ -174,32 +153,41 @@ def _emit(out: str | None, text: str, side_files=(), stdout: str | None = None) 
     sys.stdout.write(stdout)
 
 
-def _emit_report(report: ScenarioReport, cfg: ScenarioConfig, args, side_files=(), stdout=None) -> None:
-    """Stamp ``report`` with the config hash (and seed), render it, add ``--svg``, then ``_emit``."""
+def _distinct_messages(caught) -> list[str]:
+    return list(dict.fromkeys(str(w.message) for w in caught))
+
+
+def _emit_report(
+    report: reporting.ScenarioReport, cfg: config.ScenarioConfig, args, side_files=(), stdout=None
+) -> None:
+    """Stamp ``report`` with the config hash, seed and warnings so far, render it, add ``--svg``, then ``_emit``."""
     report.config_hash = cfg.config_hash()
     if hasattr(args, "seed"):  # every command that takes --seed; all but jensen draw random numbers
         report.seed = cfg.seed
     if cfg.report_core_drop_probability is not None:
         report.extra_metadata.setdefault("core_drop_probability", cfg.report_core_drop_probability)
+    messages = _distinct_messages(args.caught_warnings)
+    if messages:
+        report.extra_metadata["warnings"] = " | ".join(messages)
     svg = getattr(args, "svg", None)
     if svg is not None:
-        side_files = [*side_files, (svg, svg_line_chart(report))]
+        side_files = [*side_files, (svg, reporting.svg_line_chart(report))]
     _emit(args.out, report.render(cfg.output_format, cfg.output_digits), side_files, stdout)
 
 
-def _harm_params(cfg: ScenarioConfig) -> HarmParams:
-    return HarmParams(cfg.harm_k, cfg.harm_beta)
+def _harm_params(cfg: config.ScenarioConfig) -> harm_model.HarmParams:
+    return harm_model.HarmParams(cfg.harm_k, cfg.harm_beta)
 
 
-def _pareto_params(cfg: ScenarioConfig) -> ParetoParams:
-    return ParetoParams(cfg.pareto_alpha, cfg.pareto_scale)
+def _pareto_params(cfg: config.ScenarioConfig) -> pareto.ParetoParams:
+    return pareto.ParetoParams(cfg.pareto_alpha, cfg.pareto_scale)
 
 
-def _build_from_config(cfg: ScenarioConfig):
+def _build_from_config(cfg: config.ScenarioConfig):
     if cfg.topology_kind == "spine-leaf":
-        return build_spine_leaf(cfg.topology_spines, cfg.topology_leaves, cfg.topology_hosts_per_leaf)
+        return topology.build_spine_leaf(cfg.topology_spines, cfg.topology_leaves, cfg.topology_hosts_per_leaf)
     if cfg.topology_kind == "three-tier":
-        return build_three_tier(
+        return topology.build_three_tier(
             cfg.topology_cores,
             cfg.topology_distributions,
             cfg.topology_access_per_distribution,
@@ -209,7 +197,7 @@ def _build_from_config(cfg: ScenarioConfig):
     raise ValueError(f"unknown topology kind {cfg.topology_kind!r} (expected spine-leaf or three-tier)")
 
 
-def _failure_model(cfg: ScenarioConfig, args) -> FailureModel:
+def _failure_model(cfg: config.ScenarioConfig, args) -> topology.FailureModel:
     probs = cfg.failure_probabilities()
     if args.p is not None:
         probs = {role: args.p for role in probs}
@@ -219,7 +207,7 @@ def _failure_model(cfg: ScenarioConfig, args) -> FailureModel:
             probs[role.strip()] = float(value)
         except ValueError:  # no "=", or no number after it
             raise ValueError(f"--p-role expects role=probability, got {override!r}") from None
-    return FailureModel(probs)
+    return topology.FailureModel(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +215,24 @@ def _failure_model(cfg: ScenarioConfig, args) -> FailureModel:
 # ---------------------------------------------------------------------------
 
 
-def cmd_harm_curve(cfg: ScenarioConfig, args) -> int:
+def cmd_harm_curve(cfg: config.ScenarioConfig, args) -> int:
     xs = _grid("--x-max", args.x_max, args.points)
     columns = ["x"] + [f"harm_beta_{beta:g}" for beta in args.betas]
     rows = []
     for x in xs:
-        rows.append([x] + [harm(HarmParams(cfg.harm_k, beta), x) for beta in args.betas])
-    _emit_report(ScenarioReport("harm-curve", columns, rows), cfg, args)
+        rows.append([x] + [harm_model.harm(harm_model.HarmParams(cfg.harm_k, beta), x) for beta in args.betas])
+    _emit_report(reporting.ScenarioReport("harm-curve", columns, rows), cfg, args)
     return 0
 
 
-def cmd_jensen(cfg: ScenarioConfig, args) -> int:
+def cmd_jensen(cfg: config.ScenarioConfig, args) -> int:
     params = _harm_params(cfg)
-    weights = FragmentWeights(cfg.harm_weights)
-    concentrated = harm(params, cfg.error_x)
-    split = fragmented_harm(params, weights, cfg.error_x)
-    gap = jensen_gap(params, weights, cfg.error_x)
-    cen, dec = survival_comparison(params, cfg.unit_value, weights, _pareto_params(cfg))
-    report = ScenarioReport(
+    weights = harm_model.FragmentWeights(cfg.harm_weights)
+    concentrated = harm_model.harm(params, cfg.error_x)
+    split = harm_model.fragmented_harm(params, weights, cfg.error_x)
+    gap = harm_model.jensen_gap(params, weights, cfg.error_x)
+    cen, dec = harm_model.survival_comparison(params, cfg.unit_value, weights, _pareto_params(cfg))
+    report = reporting.ScenarioReport(
         "jensen",
         ["x", "harm", "fragmented_harm", "jensen_gap", "centralized_mean", "decentralized_mean", "mean_gap"],
         [[cfg.error_x, concentrated, split, gap, cen, dec, dec - cen]],
@@ -253,26 +241,26 @@ def cmd_jensen(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def cmd_risk_density(cfg: ScenarioConfig, args) -> int:
+def cmd_risk_density(cfg: config.ScenarioConfig, args) -> int:
     p, h = _pareto_params(cfg), _harm_params(cfg)
     n = cfg.fragments
     _check_points(args.points, 1)
     rows = []
     for i in range(args.points):
         q = (i + 1) / args.points  # quantile grid covers the support evenly
-        xi = harm_quantile(p, h, n, q)
-        rows.append([xi, fragment_harm_density(p, h, n, xi)])
-    report = ScenarioReport("risk-density", ["xi", "density"], rows)
+        xi = pareto.harm_quantile(p, h, n, q)
+        rows.append([xi, pareto.fragment_harm_density(p, h, n, xi)])
+    report = reporting.ScenarioReport("risk-density", ["xi", "density"], rows)
     _emit_report(report, cfg, args)
     return 0
 
 
-def cmd_risk_tail_mean(cfg: ScenarioConfig, args) -> int:
+def cmd_risk_tail_mean(cfg: config.ScenarioConfig, args) -> int:
     p, h = _pareto_params(cfg), _harm_params(cfg)
-    closed = tail_mean(p, h, cfg.fragments)
-    estimate = mc_tail_mean(p, h, cfg.fragments, cfg.trials, cfg.seed)
+    closed = pareto.tail_mean(p, h, cfg.fragments)
+    estimate = pareto.mc_tail_mean(p, h, cfg.fragments, cfg.trials, cfg.seed)
     rel = abs(estimate - closed) / abs(closed)
-    report = ScenarioReport(
+    report = reporting.ScenarioReport(
         "risk-tail-mean",
         ["fragments", "closed_form", "mc_estimate", "relative_error"],
         [[cfg.fragments, closed, estimate, rel]],
@@ -281,54 +269,56 @@ def cmd_risk_tail_mean(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def cmd_risk_ratio(cfg: ScenarioConfig, args) -> int:
-    ratio = degradation_ratio(_pareto_params(cfg), _harm_params(cfg), args.K, cfg.fragments)
-    report = ScenarioReport("risk-ratio", ["K", "ratio"], [[args.K, ratio]])
+def cmd_risk_ratio(cfg: config.ScenarioConfig, args) -> int:
+    ratio = pareto.degradation_ratio(_pareto_params(cfg), _harm_params(cfg), args.K, cfg.fragments)
+    report = reporting.ScenarioReport("risk-ratio", ["K", "ratio"], [[args.K, ratio]])
     _emit_report(report, cfg, args, stdout=f"{ratio:.6f}\n")
     return 0
 
 
-def cmd_risk_curve(cfg: ScenarioConfig, args) -> int:
-    curve = degradation_curve(_pareto_params(cfg), _harm_params(cfg), list(args.K_values))
-    report = ScenarioReport("risk-curve", ["K", "ratio"], [[k, r] for k, r in curve])
+def cmd_risk_curve(cfg: config.ScenarioConfig, args) -> int:
+    curve = pareto.degradation_curve(_pareto_params(cfg), _harm_params(cfg), list(args.K_values))
+    report = reporting.ScenarioReport("risk-curve", ["K", "ratio"], [[k, r] for k, r in curve])
     _emit_report(report, cfg, args)
     return 0
 
 
-def cmd_topo_build(cfg: ScenarioConfig, args) -> int:
-    _emit(args.out, serialize_topology(_build_from_config(cfg)))
+def cmd_topo_build(cfg: config.ScenarioConfig, args) -> int:
+    _emit(args.out, topology.serialize_topology(_build_from_config(cfg)))
     return 0
 
 
-def cmd_topo_hops(cfg: ScenarioConfig, args) -> int:
+def cmd_topo_hops(cfg: config.ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
-    hist = hop_histogram(topo)
+    hist = topology.hop_histogram(topo)
     rows = [[hops, hist[hops]] for hops in sorted(hist)]
-    report = ScenarioReport("topo-hops", ["hops", "pairs"], rows)
-    report.extra_metadata["unreachable_bucket"] = UNREACHABLE
+    report = reporting.ScenarioReport("topo-hops", ["hops", "pairs"], rows)
+    report.extra_metadata["unreachable_bucket"] = topology.UNREACHABLE
     _emit_report(report, cfg, args)
     return 0
 
 
-def cmd_topo_fail(cfg: ScenarioConfig, args) -> int:
+def cmd_topo_fail(cfg: config.ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
     failed = {tok.strip() for tok in args.fail.split(",") if tok.strip()} if args.fail else set()
-    fraction = affected_fraction(topo, failed)  # raises on unknown ids
+    fraction = topology.affected_fraction(topo, failed)  # raises on unknown ids
     detached = len(topo.detached_hosts) + sum(d in failed for _, d in topo.hosts)
-    report = ScenarioReport(
+    report = reporting.ScenarioReport(
         "topo-fail",
         ["failed_devices", "affected_fraction", "detached_hosts"],
         [[len(failed), fraction, detached]],
     )
-    side_files = [] if args.emit is None else [(args.emit, serialize_topology(inject_failures(topo, failed)))]
+    side_files = []
+    if args.emit is not None:
+        side_files.append((args.emit, topology.serialize_topology(topology.inject_failures(topo, failed))))
     _emit_report(report, cfg, args, side_files=side_files)
     return 0
 
 
-def cmd_topo_harm(cfg: ScenarioConfig, args) -> int:
+def cmd_topo_harm(cfg: config.ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
-    stats = failure_harm_mc(topo, _failure_model(cfg, args), _harm_params(cfg), cfg.trials, cfg.seed)
-    report = ScenarioReport(
+    stats = topology.failure_harm_mc(topo, _failure_model(cfg, args), _harm_params(cfg), cfg.trials, cfg.seed)
+    report = reporting.ScenarioReport(
         "topo-harm",
         ["expected_harm", "p50", "p90", "p99"],
         [[stats.expected_harm, stats.quantiles["p50"], stats.quantiles["p90"], stats.quantiles["p99"]]],
@@ -340,36 +330,38 @@ def cmd_topo_harm(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def cmd_growth(cfg: ScenarioConfig, args) -> int:
-    sig = GrowthSpec.sigmoid(args.saturation)
-    lin = GrowthSpec.linear(args.ports_per_switch)
+def cmd_growth(cfg: config.ScenarioConfig, args) -> int:
+    sig = growth.GrowthSpec.sigmoid(args.saturation)
+    lin = growth.GrowthSpec.linear(args.ports_per_switch)
     units = _grid("--max-units", args.max_units, args.points)
-    rows = [[u, capacity_at(sig, u), capacity_at(lin, u)] for u in units]
-    report = ScenarioReport("growth", ["units", "sigmoid_capacity", "linear_capacity"], rows)
-    report.extra_metadata["crossover_units"] = crossover(sig, lin)
+    rows = [[u, growth.capacity_at(sig, u), growth.capacity_at(lin, u)] for u in units]
+    report = reporting.ScenarioReport("growth", ["units", "sigmoid_capacity", "linear_capacity"], rows)
+    report.extra_metadata["crossover_units"] = growth.crossover(sig, lin)
     _emit_report(report, cfg, args)
     return 0
 
 
-def cmd_compare(cfg: ScenarioConfig, args) -> int:
+def cmd_compare(cfg: config.ScenarioConfig, args) -> int:
+    from dataclasses import replace
+
     design_a, design_b = (
         _load_topology(path) if path is not None else _build_from_config(replace(cfg, topology_kind=kind))
         for path, kind in ((args.a, "three-tier"), (args.b, "spine-leaf"))
     )
-    assumptions = CostAssumptions(
+    assumptions = costing.CostAssumptions(
         cfg.cost_modular_price_per_port,
         cfg.cost_modular_watts_per_port,
         cfg.cost_fixed_price_ratio,
         cfg.cost_fixed_watts_ratio,
     )
-    ports = {role: getattr(cfg, f"ports_{role}") for role in ROLES}
-    report = compare_designs(design_a, design_b, assumptions, ports)
+    ports = {role: getattr(cfg, f"ports_{role}") for role in topology.ROLES}
+    report = costing.compare_designs(design_a, design_b, assumptions, ports)
     _emit_report(report, cfg, args)
     return 0
 
 
-def cmd_verify(cfg: ScenarioConfig, args) -> int:
-    results = run_all_checks(seed=cfg.seed)
+def cmd_verify(cfg: config.ScenarioConfig, args) -> int:
+    results = verify.run_all_checks(seed=cfg.seed)
     failed = sum(1 for r in results if not r.passed)
     lines = [result.line() for result in results]
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
@@ -522,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run every analytic-vs-oracle check")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -533,6 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     error = None
     with warnings.catch_warnings(record=True) as caught:
+        args.caught_warnings = caught  # _emit_report records the ones raised before it renders
         try:
             code = args.func(_config_from_args(args), args)
         except (ValueError, OSError, OverflowError, MemoryError) as exc:
@@ -540,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     # a failure leads, so stderr's first line says why nothing was written
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
-    for message in dict.fromkeys(str(w.message) for w in caught):
+    for message in _distinct_messages(caught):
         print(f"warning: {message}", file=sys.stderr)
     return code
 

@@ -15,7 +15,6 @@ listing), and that hash is stamped into every report.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 
 DEFAULT_SEED = 42
@@ -117,6 +116,8 @@ class ScenarioConfig:
         return sorted(items)
 
     def config_hash(self) -> str:
+        import hashlib
+
         blob = "\n".join(f"{k}={v}" for k, v in self.canonical_items())
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -9,7 +9,6 @@ formatting (17 significant digits unless narrowed), sorted metadata.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -68,6 +67,8 @@ class ScenarioReport:
         return out.getvalue()
 
     def to_json(self, digits: int | None = None) -> str:
+        import json
+
         def cell(value: Cell):
             if isinstance(value, float) and digits:
                 return float(format(value, f".{digits}g"))

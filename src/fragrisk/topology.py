@@ -83,6 +83,8 @@ FORMAT_HEADER = "topology/1"
 
 # failure_harm_mc refuses runs expected to fail more devices than this in all
 _MAX_EXPECTED_FAILURES = 10**7
+# the most devices + hosts + links a builder makes; each costs about 3 us and 0.4 KB
+MAX_FABRIC_ELEMENTS = 10**6
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+")  # whole id, by fullmatch
 
@@ -261,6 +263,15 @@ class Topology:
         return TwinQuotient(device_class, tuple(members), tuple(h for _, h in ids), tuple(neighbors))
 
 
+def _check_fabric_size(devices: int, hosts: int, links: int) -> None:
+    """Refuse, before anything is built, a fabric above ``MAX_FABRIC_ELEMENTS``."""
+    if devices + hosts + links > MAX_FABRIC_ELEMENTS:
+        raise ValueError(
+            f"a built fabric may have at most {MAX_FABRIC_ELEMENTS:,} devices, hosts and links in all, "
+            f"got {devices} devices, {hosts} hosts and {links} links"
+        )
+
+
 def build_three_tier(
     cores: int,
     distributions: int,
@@ -281,6 +292,12 @@ def build_three_tier(
         )
     if distributions < 1 or access_per_distribution < 1 or hosts_per_access < 1:
         raise ValueError("distributions, access_per_distribution, hosts_per_access must all be >= 1")
+    access = distributions * access_per_distribution
+    _check_fabric_size(
+        cores + distributions + access,
+        access * hosts_per_access,
+        (cores == 2) + distributions * cores + access * (2 if dual_homed and distributions >= 2 else 1),
+    )
 
     devices = [Device(f"core{i}", "core") for i in range(cores)]
     devices += [Device(f"dist{j}", "distribution") for j in range(distributions)]
@@ -323,6 +340,7 @@ def build_spine_leaf(
         raise ValueError("spines, leaves, hosts_per_leaf must all be >= 1")
     if leaf_tags is not None and len(leaf_tags) > leaves:
         raise ValueError("more leaf tags than leaves")
+    _check_fabric_size(spines + leaves, leaves * hosts_per_leaf, spines * leaves)
 
     devices = [Device(f"spine{i}", "spine") for i in range(spines)]
     for j in range(leaves):

@@ -1,4 +1,6 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -160,7 +162,7 @@ class TestTopoCommands:
         def refuse(t, failed):
             raise AssertionError("topo fail rebuilt the failed fabric without --emit")
 
-        monkeypatch.setattr("fragrisk.cli.inject_failures", refuse)
+        monkeypatch.setattr("fragrisk.topology.inject_failures", refuse)
         assert run(["topo", "fail", "--topology", str(cli_inputs / "sl.txt"), "--fail", "leaf0,spine0"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].split(",")[-1] == "2"
 
@@ -325,6 +327,25 @@ class TestOutputContracts:
             "warning: alpha=2.0 is at or below 1 + beta = 2.5; the mean converges "
             "but lies outside the conventionally safe regime\n"
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_warning_recorded_in_report(self, tmp_path, capsys, fmt):
+        message = (
+            "alpha=2.0 is at or below 1 + beta = 2.5; the mean converges "
+            "but lies outside the conventionally safe regime"
+        )
+        warned, quiet = tmp_path / "warned", tmp_path / "quiet"
+        args = ["risk", "tail-mean", "--beta", "1.5", "--trials", "1000", "--format", fmt]
+        assert run(args + ["--alpha", "2", "--out", str(warned)]) == 0
+        assert capsys.readouterr().err == f"warning: {message}\n"
+        assert run(args + ["--alpha", "4", "--out", str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
+        if fmt == "csv":
+            assert warned.read_text().splitlines().count(f"# warnings: {message}") == 1
+            assert "# warnings" not in quiet.read_text()
+        else:
+            assert json.loads(warned.read_text())["metadata"]["warnings"] == message
+            assert "warnings" not in json.loads(quiet.read_text())["metadata"]
 
     def test_drop_probability_annotation_carried(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
@@ -552,6 +573,28 @@ def test_growth_with_large_saturation_finishes():
     proc = run_subprocess(["growth", "--saturation", "1e9"])
     assert proc.returncode == 0, proc.stderr
     assert "# crossover_units: 20833333.333333332\n" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args, cfg",
+    [
+        (["topo", "build", "--kind", "spine-leaf", "--spines", "2", "--leaves", "100000000",
+          "--hosts-per-leaf", "100000000"], ""),
+        (["topo", "build", "--kind", "three-tier", "--distributions", "1000", "--access-per-distribution", "1000"], ""),
+        (["compare"], "topology.leaves = 100000000\n"),
+    ],
+    ids=["spine-leaf", "three-tier", "compare-default-designs"],
+)
+def test_oversized_fabric_fails_at_once(tmp_path, args, cfg):
+    # found by hand: topo build grew past 178 MB in 3 s on the spine-leaf call and was still building
+    config = tmp_path / "big.cfg"
+    config.write_text(cfg)
+    out = tmp_path / "out"
+    proc = run_subprocess(args + ["--config", str(config), "--out", str(out)], timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: a built fabric may have at most 1,000,000 devices, hosts and links")
+    assert not out.exists()
 
 
 PARTIAL_OUTPUT_ARGS = [
@@ -836,12 +879,47 @@ print("numpy modules:", before, "then after risk tail-mean:", "numpy" in sys.mod
 """
 
 
-TRACED_MODULES_PROBE = """
+TRACED_MODULES = ("harm", "pareto", "growth", "topology", "costing", "report", "verify")
+
+
+def public_functions(module) -> list[str]:
+    """The functions perfbench/tracer.py wraps in ``module``: public, and defined there."""
+    return sorted(
+        attr
+        for attr, value in vars(module).items()
+        if inspect.isfunction(value) and value.__module__ == module.__name__ and not attr.startswith("_")
+    )
+
+
+TRACED_MODULES_PROBE = f"""
+import inspect
+import json
 import sys
 import fragrisk.cli
 
-traced = ("harm", "pareto", "growth", "topology", "costing", "report", "verify")
-print("missing:", [m for m in traced if f"fragrisk.{m}" not in sys.modules])
+{inspect.getsource(public_functions)}
+print(json.dumps({{m: public_functions(sys.modules[f"fragrisk.{{m}}"]) for m in {TRACED_MODULES!r}}}))
+"""
+
+
+# a module registered but not yet run is still the lazy loader's subclass of ModuleType
+LOADED_MODULES_PROBE = """
+import json
+import sys
+import types
+
+before = set(sys.modules)
+from fragrisk.cli import main
+
+try:
+    assert main(sys.argv[1:]) == 0
+except SystemExit:  # --help
+    pass
+ran = sorted(
+    n.split(".")[1] for n, m in sys.modules.items() if n.startswith("fragrisk.") and type(m) is types.ModuleType
+)
+stdlib = [m for m in ("dataclasses", "hashlib", "json") if m in sys.modules and m not in before]
+print(json.dumps({"ran": ran, "stdlib": stdlib}))
 """
 
 
@@ -869,8 +947,36 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
 
 
 def test_cli_import_loads_every_traced_module():
-    # perfbench/tracer.py wraps these modules' functions right after `import fragrisk.cli`
-    assert probe_last_line(TRACED_MODULES_PROBE) == "missing: []"
+    # perfbench/tracer.py wraps these modules' functions right after `import fragrisk.cli`: each must
+    # be in sys.modules (registered lazily), and vars() must run it, so every public function is seen
+    functions = json.loads(probe_last_line(TRACED_MODULES_PROBE))
+    expected = {m: public_functions(importlib.import_module(f"fragrisk.{m}")) for m in TRACED_MODULES}
+    assert all(expected.values())
+    assert functions == expected
+
+
+TOPO_MODULES = ["cli", "config", "harm", "report", "topology"]
+
+
+@pytest.mark.parametrize(
+    "args, ran",
+    [
+        (["--help"], ["cli"]),
+        (["topo", "hops", "--topology", "{topo}"], TOPO_MODULES),
+        (["topo", "fail", "--topology", "{topo}", "--fail", "leaf0"], TOPO_MODULES),
+        (["topo", "harm", "--topology", "{topo}", "--p", "0.1", "--trials", "100"], TOPO_MODULES),
+        (["compare"], sorted(TOPO_MODULES + ["costing"])),
+        (["verify"], sorted(TOPO_MODULES + ["costing", "growth", "pareto", "verify"])),
+    ],
+    ids=["help", "topo-hops", "topo-fail", "topo-harm", "compare", "verify"],
+)
+def test_each_command_runs_only_its_modules(tmp_path, args, ran):
+    topo = tmp_path / "sl.txt"
+    topo.write_text(serialize_topology(build_spine_leaf(2, 4, 2)))
+    loaded = json.loads(probe_last_line(LOADED_MODULES_PROBE, *(a.format(topo=topo) for a in args)))
+    assert loaded["ran"] == ran
+    if args == ["--help"]:
+        assert loaded["stdlib"] == []
 
 
 def test_topology_harm_never_imports_numpy_ma(tmp_path):

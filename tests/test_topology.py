@@ -318,6 +318,26 @@ class TestBuildSpineLeaf:
         assert tags == {"leaf0": "border", "leaf1": None, "leaf2": "dmz"}
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (build_spine_leaf, (3, 5, 2)),
+        (build_three_tier, (1, 3, 2, 2)),
+        (build_three_tier, (2, 3, 2, 2, True)),
+        (build_three_tier, (2, 1, 2, 2, True)),
+    ],
+)
+def test_builder_size_bound_is_exact(monkeypatch, build, args):
+    # the builders count devices + hosts + links from their arguments before building anything
+    t = build(*args)
+    size = len(t.devices) + len(t.hosts) + len(t.links)
+    monkeypatch.setattr(topology, "MAX_FABRIC_ELEMENTS", size)
+    assert build(*args) == t
+    monkeypatch.setattr(topology, "MAX_FABRIC_ELEMENTS", size - 1)
+    with pytest.raises(ValueError, match=f"at most {size - 1:,} devices, hosts and links"):
+        build(*args)
+
+
 class TestTopologyInvariants:
     def test_role_mixing_rejected(self):
         with pytest.raises(ValueError, match="mix"):
