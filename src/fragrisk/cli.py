@@ -64,6 +64,14 @@ def _float_list(raw: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _role_probability(raw: str) -> tuple[str, float]:
+    role, _, value = raw.partition("=")
+    try:
+        return role.strip(), float(value)
+    except ValueError:  # no "=", or no number after it
+        raise argparse.ArgumentTypeError(f"expects role=probability, got {raw!r}") from None
+
+
 def _check_points(points: int, minimum: int) -> None:
     if points < minimum:
         raise ValueError(f"--points must be >= {minimum}")
@@ -80,7 +88,7 @@ def _grid(flag: str, end: float, points: int) -> list[float]:
 
 
 def _load_topology(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not text
         return topology.parse_topology(fh.read())
 
 
@@ -201,12 +209,7 @@ def _failure_model(cfg: config.ScenarioConfig, args) -> topology.FailureModel:
     probs = cfg.failure_probabilities()
     if args.p is not None:
         probs = {role: args.p for role in probs}
-    for override in args.p_role or []:
-        role, _, value = override.partition("=")
-        try:
-            probs[role.strip()] = float(value)
-        except ValueError:  # no "=", or no number after it
-            raise ValueError(f"--p-role expects role=probability, got {override!r}") from None
+    probs.update(args.p_role or ())
     return topology.FailureModel(probs)
 
 
@@ -496,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_flags(p)
     p.add_argument("--topology", required=True)
     p.add_argument("--p", type=float, default=None, help="uniform per-device failure probability")
-    p.add_argument("--p-role", dest="p_role", action="append", help="role=probability override")
+    p.add_argument("--p-role", type=_role_probability, action="append", help="role=probability override")
     p.set_defaults(func=cmd_topo_harm)
 
     p = sub.add_parser("growth", help="sigmoid vs linear capacity growth")

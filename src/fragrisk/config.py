@@ -168,7 +168,7 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
     """Config from defaults, then file (if given), then non-None overrides."""
     values: dict[str, object] = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not text
             values.update(parse_config_text(fh.read()))
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})

@@ -4,10 +4,6 @@ A modular chassis fills its slots and saturates: capacity follows
 saturation * erf(units).  A fixed-port design adds switches without bound:
 capacity is ports_per_switch * units.  ``crossover`` finds the module count
 beyond which the linear design always wins.
-
-The error function is implemented here (confluent series, all-positive
-terms) so the numbers are reproducible without relying on any platform
-primitive.
 """
 
 from __future__ import annotations
@@ -17,39 +13,10 @@ from dataclasses import dataclass
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
-# erf(26) differs from 1 by ~1e-294; beyond this the series buys nothing.
-_SERIES_CUTOFF = 26.0
-
 
 def erf_value(x: float) -> float:
-    """Gauss error function, accurate to ~1e-15 relative on [-6, 6].
-
-    Uses the all-positive-term series
-
-        erf(x) = 2/sqrt(pi) * exp(-x*x) * sum_{n>=0} (2x^2)^n * x / (1*3*...*(2n+1))
-
-    which involves no cancellation, then clamps to the open range (-1, 1)
-    boundary 1.0 where rounding overshoots.  Odd by construction:
-    erf(-x) == -erf(x) exactly.
-    """
-    x = float(x)
-    if math.isnan(x):
-        return x
-    ax = abs(x)
-    if ax >= _SERIES_CUTOFF:
-        return math.copysign(1.0, x)
-    term = ax
-    total = ax
-    twice_sq = 2.0 * ax * ax
-    n = 0
-    while n < 400:
-        n += 1
-        term *= twice_sq / (2 * n + 1)
-        total += term
-        if term <= total * 1e-18:
-            break
-    value = min(_TWO_OVER_SQRT_PI * math.exp(-ax * ax) * total, 1.0)
-    return math.copysign(value, x)
+    """Gauss error function, ``math.erf``: odd, within [-1, 1], and exactly 1.0 from x = 6 on."""
+    return math.erf(x)
 
 
 @dataclass(frozen=True)

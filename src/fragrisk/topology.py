@@ -17,20 +17,20 @@ so the quotient keeps connectivity and hop counts exactly: spine-leaf is 2
 nodes and 1 link at any size, and a graph with no twins is its own quotient.
 Each class's neighbour classes are held as one ``int`` bitset.
 
-One connectivity kernel serves every fault-domain query: it takes rows of
-failed members per class, forms each row's bitset of classes that keep a
-survivor, finds each distinct bitset's components once per call by bitset
-breadth-first search and counts each row's exact connected host pairs from
-its own alive counts.  ``failure_harm_mc`` draws only the failures: the
-devices that share a failure probability form one Bernoulli stream of
-trials x devices cells, walked from failure to failure by geometric skips,
-so its cost grows with the failures drawn, not the cells.  It tallies the
-trials on their per-class counts, so the kernel sees each distinct row
-once, in one call, and the mean and quantiles come from that (harm, count)
-table.  ``hop_histogram`` runs one bitset breadth-first search per
-host-bearing class and weights each class pair by its host pairs.  Nothing
-here imports NumPy.  The per-pair breadth-first searches over devices that
-check these results live in ``fragrisk.verify`` only.
+Every graph query runs on one breadth-first search, ``_levels``, over the
+quotient.  The connectivity kernel takes rows of failed members per class,
+forms each row's bitset of classes that keep a survivor, finds each
+distinct bitset's components once per call and counts each row's exact
+connected host pairs from its own alive counts.  ``failure_harm_mc`` draws
+only the failures: the devices that share a failure probability form one
+Bernoulli stream of trials x devices cells, walked from failure to failure
+by geometric skips, so its cost grows with the failures drawn, not the
+cells.  It tallies the trials on their per-class counts, so the kernel sees
+each distinct row once, in one call, and the mean and weighted-CDF
+quantiles come from that (harm, count) table.  ``hop_histogram`` searches
+from each host-bearing class and weights each class pair by its host
+pairs.  Nothing here imports NumPy.  The per-pair breadth-first searches
+over devices that check these results live in ``fragrisk.verify`` only.
 
 Topologies serialize to a line-oriented text format (version header
 ``topology/1``)::
@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress
@@ -364,6 +364,28 @@ def _bits(x: int):
         x ^= low
 
 
+def _levels(near: Sequence[int], start: int, allowed: int):
+    """Each level of a breadth-first search from bitset ``start`` within bitset ``allowed``.
+
+    ``near[j]`` is the bitset of class j's neighbours.  Each level comes as
+    its bitset and its classes, ascending; the first level is ``start``.
+    """
+    frontier, rest = start, allowed & ~start
+    while frontier:
+        classes = []
+        reach = 0
+        left = frontier
+        while left:
+            low = left & -left
+            j = low.bit_length() - 1
+            classes.append(j)
+            reach |= near[j]
+            left ^= low
+        yield frontier, classes
+        frontier = reach & rest
+        rest ^= frontier
+
+
 def hop_histogram(t: Topology) -> dict[int, int]:
     """Histogram of shortest device-hop counts over all unordered host pairs.
 
@@ -384,24 +406,18 @@ def hop_histogram(t: Topology) -> dict[int, int]:
     # BFS runs from each host-bearing class; every unordered pair is counted
     # twice.
     ordered = [0] * (max(q.n_classes, 3) + 1)  # quotient hops < n_classes; twins 2 apart
+    every = (1 << q.n_classes) - 1
     for source, h in enumerate(q.member_hosts):
         if not h:
             continue
         cs = c[source]
         ordered[1] += cs * (h - 1)  # 0 hops
         ordered[(2 if near[source] else UNREACHABLE) + 1] += cs * cs - cs * h
-        seen = frontier = 1 << source
-        reached, level = cs, 0
-        while True:
-            reach = 0
-            for j in _bits(frontier):
-                reach |= near[j]
-            frontier = reach & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-            level += 1
-            hosts = sum(c[j] for j in _bits(frontier))
+        levels = _levels(near, 1 << source, every)
+        next(levels)  # level 0, the source itself
+        reached = cs
+        for level, (_, classes) in enumerate(levels, 1):
+            hosts = sum(map(c.__getitem__, classes))
             ordered[level + 1] += cs * hosts
             reached += hosts
         ordered[UNREACHABLE + 1] += cs * (all_hosts - reached)
@@ -438,26 +454,16 @@ def inject_failures(t: Topology, failed: set[str]) -> Topology:
 def _components(near: Sequence[int], alive: int) -> list[list[int]]:
     """The classes of each connected component of the classes in bitset ``alive``.
 
-    ``near[j]`` is the bitset of class j's neighbours.  Each component grows
-    from its lowest class by breadth-first search over the classes left.
+    ``near[j]`` is the bitset of class j's neighbours.  Each component joins
+    the levels of a breadth-first search from its lowest remaining class.
     """
     out = []
-    rest = alive
-    while rest:
-        frontier = rest & -rest
-        rest ^= frontier
-        classes = []
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                j = low.bit_length() - 1
-                classes.append(j)
-                reach |= near[j]
-                frontier ^= low
-            frontier = reach & rest
-            rest ^= frontier
-        out.append(classes)
+    while alive:
+        component = []
+        for frontier, classes in _levels(near, alive & -alive, alive):
+            component += classes
+            alive ^= frontier
+        out.append(component)
     return out
 
 
@@ -680,28 +686,15 @@ def _tally_failures(
 
 
 def _table_quantiles(table: list[tuple[float, int]], qs: tuple[float, ...]) -> list[float]:
-    """``np.quantile`` bit for bit, of the sample that repeats each value of ``table`` its count times.
+    """Weighted-CDF quantiles of the (value, count) pairs of ``table``, in ascending value order.
 
-    ``table`` holds (value, count) pairs in ascending value order.  This is
-    NumPy's default "linear" rule: the q-quantile sits at index (n - 1) * q
-    of the sorted sample, and between neighbours a and b at fraction t it
-    is a + (b - a) * t, or b - (b - a) * (1 - t) once t >= 0.5, as NumPy's
-    ``_lerp`` rounds it.  Sample positions are found in the running counts.
+    The q-quantile is the least value whose running count reaches q times
+    the total: NumPy's ``inverted_cdf`` rule on the sample that repeats each
+    value its count times.  It is always a value of the table, never an
+    interpolation between two.
     """
     ends = list(accumulate(count for _, count in table))
-    last = ends[-1] - 1
-
-    def at(i: int) -> float:
-        return table[bisect_right(ends, i)][0]
-
-    out = []
-    for q in qs:
-        index = last * q
-        low = int(index)  # the floor, as the index is >= 0
-        t = index - low
-        a, b = at(low), at(min(low + 1, last))
-        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
-    return out
+    return [table[bisect_left(ends, q * ends[-1])][0] for q in qs]
 
 
 def serialize_topology(t: Topology) -> str:

@@ -77,6 +77,13 @@ class TestConfig:
         assert cfg.seed == 99
         assert cfg.trials == 10
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # it used to fail as "config line 1: unknown key '\ufeffharm.k'"
+        cfg_file = tmp_path / "scenario.cfg"
+        cfg_file.write_text("\ufeffharm.k = 2\nseed = 7\n", encoding="utf-8")
+        cfg = load_config(str(cfg_file))
+        assert (cfg.harm_k, cfg.seed) == (2.0, 7)
+
     def test_readme_example_parses(self):
         # two of its value lines used to carry trailing comments, which the grammar rejects
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -178,13 +185,34 @@ class TestTopoCommands:
         detached = capsys.readouterr().out.splitlines()[-1].split(",")[-1]
         assert int(detached) == len(inject_failures(t, failed).detached_hosts)
 
-    @pytest.mark.parametrize("override", ["spine", "spine=", "spine=abc"])
+    @pytest.mark.parametrize("override", ["spine", "spine=", "spine=abc", "leaf=0.1=2"])
     def test_p_role_needs_a_probability(self, cli_inputs, capsys, override):
-        # spine=abc used to fail with "could not convert string to float: 'abc'"
+        # a malformed value is a flag error (exit 2), as for --weights; it used to exit 1
+        assert exit_code(["topo", "harm", "--topology", str(cli_inputs / "sl.txt"), "--p-role", override]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"fragrisk topo harm: error: argument --p-role: expects role=probability, got '{override}'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [("bogus=0.1", "unknown role 'bogus'"), ("leaf=2", "failure probability for 'leaf' must be in [0, 1]")],
+    )
+    def test_p_role_domain_errors_exit_1(self, cli_inputs, capsys, override, message):
         assert run(["topo", "harm", "--topology", str(cli_inputs / "sl.txt"), "--p-role", override]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --p-role expects role=probability, got '{override}'\n"
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_topology_with_byte_order_mark_loads(self, cli_inputs, tmp_path, capsys):
+        # some Windows editors start UTF-8 files with one; it failed as a missing topology header
+        marked = tmp_path / "marked.txt"
+        marked.write_text("\ufeff" + (cli_inputs / "sl.txt").read_text(), encoding="utf-8")
+        assert run(["topo", "hops", "--topology", str(cli_inputs / "sl.txt")]) == 0
+        plain = capsys.readouterr().out
+        assert run(["topo", "hops", "--topology", str(marked)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_harm_runs(self, tmp_path, capsys):
         topo = tmp_path / "fabric.txt"

@@ -38,9 +38,9 @@ class TestErfValue:
                 assert abs(erf_value(float(x)) - reference) / abs(reference) <= 1e-7
 
     def test_against_platform_erf(self):
-        # extra sanity on top of the quadrature oracle
-        for x in np.linspace(-6.0, 6.0, 241):
-            assert erf_value(float(x)) == pytest.approx(math.erf(float(x)), rel=1e-12, abs=1e-300)
+        # past the old 400-term series' reach too: it collapsed to 0.52 at x = 20
+        for x in np.linspace(-30.0, 30.0, 601):
+            assert erf_value(float(x)) == math.erf(float(x))
 
     def test_nan_propagates(self):
         assert math.isnan(erf_value(float("nan")))
@@ -118,6 +118,16 @@ class TestCrossover:
         sig, lin = GrowthSpec.sigmoid(100.0), GrowthSpec.linear(3)
         u = crossover(sig, lin)
         assert capacity_at(lin, 10.0 * u) >= capacity_at(sig, 10.0 * u)
+
+    def test_crossover_past_seventeen_units(self):
+        # erf(20) rounds to 1, so the line 5u meets the saturated 100 at 20 units; a truncated
+        # erf series collapsed there and put the crossover at 19.169
+        sig, lin = GrowthSpec.sigmoid(100.0), GrowthSpec.linear(5)
+        u = crossover(sig, lin)
+        assert u == pytest.approx(20.0, abs=1e-8)
+        for v in np.linspace(u, 50.0, 301):
+            assert capacity_at(lin, float(v)) >= capacity_at(sig, float(v))
+        assert capacity_at(sig, 25.0) == 100.0
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):

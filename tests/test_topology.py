@@ -787,15 +787,16 @@ class TestTwinFreeFabric:
             assert affected_fraction(t, failed) == affected_fraction_bfs(t, failed)
 
 
-class TestLinearQuantiles:
-    """``_table_quantiles`` of a (value, count) table against ``np.quantile`` of the repeated values."""
+class TestTableQuantiles:
+    """``_table_quantiles`` of a (value, count) table against the weighted CDF of the repeated values."""
 
     QS = (0.5, 0.1, 0.01)
 
     def assert_matches_numpy(self, values, counts):
         table = sorted(zip(np.asarray(values).tolist(), np.asarray(counts).tolist()))
         got = np.array(_table_quantiles(table, self.QS))
-        assert got.tobytes() == np.quantile(np.repeat(values, counts), self.QS).tobytes()
+        sample = np.repeat(values, counts)
+        assert got.tobytes() == np.quantile(sample, self.QS, method="inverted_cdf").tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
     @settings(max_examples=100, deadline=None)
@@ -933,7 +934,7 @@ class TestFailureHarmMc:
                 fractions[key] = affected_fraction(t, failed)
             values.append(harm(h, fractions[key]))
         assert stats.expected_harm == math.fsum(values) / 20_000
-        q50, q90, q99 = np.quantile(values, [0.5, 0.1, 0.01])
+        q50, q90, q99 = np.quantile(values, [0.5, 0.1, 0.01], method="inverted_cdf")
         assert stats.quantiles == {"p50": q50, "p90": q90, "p99": q99}
 
     @pytest.mark.parametrize(
@@ -1040,7 +1041,7 @@ class TestFailureHarmMc:
         values = [harm(h, affected_fraction_bfs(t, failed)) for failed in trials]
         stats = failure_harm_mc(t, fm, h, 4000, seed=9)
         assert stats.expected_harm == math.fsum(values) / 4000
-        q50, q90, q99 = np.quantile(values, [0.5, 0.1, 0.01])
+        q50, q90, q99 = np.quantile(values, [0.5, 0.1, 0.01], method="inverted_cdf")
         assert stats.quantiles == {"p50": q50, "p90": q90, "p99": q99}
         assert stats.distinct_patterns == len({class_counts(t, failed) for failed in trials})
 
