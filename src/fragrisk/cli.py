@@ -11,8 +11,16 @@ Subcommands map one-to-one onto the analysis modules::
     verify       run every analytic-vs-oracle check
 
 ``main`` resolves the scenario config (file, flags and seed) before any
-handler runs, so a bad config file or seed fails every subcommand, ``verify``
-included, before any work.
+handler runs, so a malformed config file, an unknown key, a negative seed,
+or a bad output format, digit count or topology kind fails every subcommand
+that takes it, ``verify`` included, before any work.  Numeric range checks
+(``harm.k = -1``, a port ratio above 1) stay with the model that owns them
+and fail only the commands that use it, because checking them up front
+would load every model module.
+
+The parser gives flags only to the subcommand that ``argv``'s leading words
+name; every subcommand name is registered, so help and invalid-choice errors
+list them all.
 
 Reports print to stdout or, with ``--out``, go to a file.  A command's
 outputs (``--out``, ``--svg``, ``--emit`` and the topology of ``topo
@@ -93,12 +101,10 @@ def _load_topology(path: str):
 
 
 def _config_from_args(args) -> config.ScenarioConfig:
-    from dataclasses import fields
-
     # each config-backed flag's argparse dest is the ScenarioConfig field it sets
     flags = vars(args)  # verify takes no --config
     return config.load_config(
-        flags.get("config"), {f.name: flags.get(f.name) for f in fields(config.ScenarioConfig)}
+        flags.get("config"), {name: flags.get(name) for name in config.ScenarioConfig.__annotations__}
     )
 
 
@@ -194,15 +200,14 @@ def _pareto_params(cfg: config.ScenarioConfig) -> pareto.ParetoParams:
 def _build_from_config(cfg: config.ScenarioConfig):
     if cfg.topology_kind == "spine-leaf":
         return topology.build_spine_leaf(cfg.topology_spines, cfg.topology_leaves, cfg.topology_hosts_per_leaf)
-    if cfg.topology_kind == "three-tier":
-        return topology.build_three_tier(
-            cfg.topology_cores,
-            cfg.topology_distributions,
-            cfg.topology_access_per_distribution,
-            cfg.topology_hosts_per_access,
-            cfg.topology_dual_homed,
-        )
-    raise ValueError(f"unknown topology kind {cfg.topology_kind!r} (expected spine-leaf or three-tier)")
+    # ScenarioConfig admits no other kind
+    return topology.build_three_tier(
+        cfg.topology_cores,
+        cfg.topology_distributions,
+        cfg.topology_access_per_distribution,
+        cfg.topology_hosts_per_access,
+        cfg.topology_dual_homed,
+    )
 
 
 def _failure_model(cfg: config.ScenarioConfig, args) -> topology.FailureModel:
@@ -345,10 +350,10 @@ def cmd_growth(cfg: config.ScenarioConfig, args) -> int:
 
 
 def cmd_compare(cfg: config.ScenarioConfig, args) -> int:
-    from dataclasses import replace
-
     design_a, design_b = (
-        _load_topology(path) if path is not None else _build_from_config(replace(cfg, topology_kind=kind))
+        _load_topology(path)
+        if path is not None
+        else _build_from_config(config.ScenarioConfig(**{**vars(cfg), "topology_kind": kind}))
         for path, kind in ((args.a, "three-tier"), (args.b, "spine-leaf"))
     )
     assumptions = costing.CostAssumptions(
@@ -403,7 +408,17 @@ def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (fixed default)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The ``fragrisk`` parser for ``argv``.
+
+    Every subcommand is registered, with its help line, but only the one
+    that ``argv``'s leading words name gets its flags, so a command builds
+    one subcommand's flags, not all of them.
+    """
+
+    def need(*path: str) -> bool:
+        return tuple(argv[: len(path)]) == path
+
     parser = argparse.ArgumentParser(
         prog="fragrisk",
         description="Fragmentation vs concentration of heavy-tailed harm, with fabric fault-domain analysis",
@@ -411,121 +426,137 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("harm-curve", help="harm transform samples for plotting")
-    _add_common(p, svg=True)
-    _add_harm_flags(p)
-    p.add_argument("--betas", type=_float_list, default="1.5,2,3", help="comma list of exponents to plot")
-    p.add_argument("--x-max", dest="x_max", type=float, default=4.0)
-    p.add_argument("--points", type=int, default=81)
-    p.set_defaults(func=cmd_harm_curve)
+    if need("harm-curve"):
+        _add_common(p, svg=True)
+        _add_harm_flags(p)
+        p.add_argument("--betas", type=_float_list, default="1.5,2,3", help="comma list of exponents to plot")
+        p.add_argument("--x-max", dest="x_max", type=float, default=4.0)
+        p.add_argument("--points", type=int, default=81)
+        p.set_defaults(func=cmd_harm_curve)
 
     p = sub.add_parser("jensen", help="concentrated vs fragmented harm for one scenario")
-    _add_common(p)
-    _add_harm_flags(p)
-    _add_pareto_flags(p)
-    # the means are closed form; both flags are still accepted so existing command lines run
-    p.add_argument("--trials", type=int, default=None, help="accepted for compatibility; changes no number")
-    p.add_argument("--seed", type=int, default=None, help="accepted for compatibility; changes no number")
-    p.add_argument("--weights", dest="harm_weights", type=_float_list, help="comma list of fragment shares")
-    p.add_argument("--x", dest="error_x", type=float, help="error magnitude to evaluate")
-    p.add_argument("--unit-value", dest="unit_value", type=float, default=None, help="value B at stake")
-    p.set_defaults(func=cmd_jensen)
+    if need("jensen"):
+        _add_common(p)
+        _add_harm_flags(p)
+        _add_pareto_flags(p)
+        # the means are closed form; both flags are still accepted so existing command lines run
+        p.add_argument("--trials", type=int, default=None, help="accepted for compatibility; changes no number")
+        p.add_argument("--seed", type=int, default=None, help="accepted for compatibility; changes no number")
+        p.add_argument("--weights", dest="harm_weights", type=_float_list, help="comma list of fragment shares")
+        p.add_argument("--x", dest="error_x", type=float, help="error magnitude to evaluate")
+        p.add_argument("--unit-value", dest="unit_value", type=float, default=None, help="value B at stake")
+        p.set_defaults(func=cmd_jensen)
 
     risk = sub.add_parser("risk", help="Pareto harm distribution analyses")
     risk_sub = risk.add_subparsers(dest="risk_command", required=True)
 
     p = risk_sub.add_parser("density", help="fragment harm density samples")
-    _add_common(p)
-    _add_harm_flags(p)
-    _add_pareto_flags(p)
-    p.add_argument("--fragments", "-N", type=int, default=None)
-    p.add_argument("--points", type=int, default=100)
-    p.set_defaults(func=cmd_risk_density)
+    if need("risk", "density"):
+        _add_common(p)
+        _add_harm_flags(p)
+        _add_pareto_flags(p)
+        p.add_argument("--fragments", "-N", type=int, default=None)
+        p.add_argument("--points", type=int, default=100)
+        p.set_defaults(func=cmd_risk_density)
 
     p = risk_sub.add_parser("tail-mean", help="closed-form vs Monte Carlo tail mean")
-    _add_common(p)
-    _add_harm_flags(p)
-    _add_pareto_flags(p)
-    _add_mc_flags(p)
-    p.add_argument("--fragments", "-N", type=int, default=None)
-    p.set_defaults(func=cmd_risk_tail_mean)
+    if need("risk", "tail-mean"):
+        _add_common(p)
+        _add_harm_flags(p)
+        _add_pareto_flags(p)
+        _add_mc_flags(p)
+        p.add_argument("--fragments", "-N", type=int, default=None)
+        p.set_defaults(func=cmd_risk_tail_mean)
 
     p = risk_sub.add_parser("ratio", help="mean degradation ratio for a multiplier K")
-    _add_common(p)
-    _add_harm_flags(p)
-    _add_pareto_flags(p)
-    p.add_argument("--K", type=float, required=True, help="fragment multiplier")
-    p.add_argument("--fragments", "-N", type=int, default=None)
-    p.set_defaults(func=cmd_risk_ratio)
+    if need("risk", "ratio"):
+        _add_common(p)
+        _add_harm_flags(p)
+        _add_pareto_flags(p)
+        p.add_argument("--K", type=float, required=True, help="fragment multiplier")
+        p.add_argument("--fragments", "-N", type=int, default=None)
+        p.set_defaults(func=cmd_risk_ratio)
 
     p = risk_sub.add_parser("curve", help="degradation ratio curve over K")
-    _add_common(p, svg=True)
-    _add_harm_flags(p)
-    _add_pareto_flags(p)
-    p.add_argument("--K-values", dest="K_values", type=_float_list, default=",".join(str(k) for k in range(1, 33)))
-    p.set_defaults(func=cmd_risk_curve)
+    if need("risk", "curve"):
+        _add_common(p, svg=True)
+        _add_harm_flags(p)
+        _add_pareto_flags(p)
+        p.add_argument(
+            "--K-values", dest="K_values", type=_float_list, default=",".join(str(k) for k in range(1, 33))
+        )
+        p.set_defaults(func=cmd_risk_curve)
 
     topo = sub.add_parser("topo", help="fabric construction and fault analysis")
     topo_sub = topo.add_subparsers(dest="topo_command", required=True)
 
     p = topo_sub.add_parser("build", help="construct a fabric and emit its text form")
-    p.add_argument("--config", help="scenario config file")
-    p.add_argument("--out", help="write the topology file here instead of stdout")
-    p.add_argument("--kind", dest="topology_kind", choices=("spine-leaf", "three-tier"))
-    p.add_argument("--spines", dest="topology_spines", type=int)
-    p.add_argument("--leaves", dest="topology_leaves", type=int)
-    p.add_argument("--hosts-per-leaf", dest="topology_hosts_per_leaf", type=int)
-    p.add_argument("--cores", dest="topology_cores", type=int)
-    p.add_argument("--distributions", dest="topology_distributions", type=int)
-    p.add_argument("--access-per-distribution", dest="topology_access_per_distribution", type=int)
-    p.add_argument("--hosts-per-access", dest="topology_hosts_per_access", type=int)
-    p.add_argument("--dual-homed", dest="topology_dual_homed", action="store_const", const=True)
-    p.set_defaults(func=cmd_topo_build)
+    if need("topo", "build"):
+        p.add_argument("--config", help="scenario config file")
+        p.add_argument("--out", help="write the topology file here instead of stdout")
+        p.add_argument("--kind", dest="topology_kind", choices=("spine-leaf", "three-tier"))
+        p.add_argument("--spines", dest="topology_spines", type=int)
+        p.add_argument("--leaves", dest="topology_leaves", type=int)
+        p.add_argument("--hosts-per-leaf", dest="topology_hosts_per_leaf", type=int)
+        p.add_argument("--cores", dest="topology_cores", type=int)
+        p.add_argument("--distributions", dest="topology_distributions", type=int)
+        p.add_argument("--access-per-distribution", dest="topology_access_per_distribution", type=int)
+        p.add_argument("--hosts-per-access", dest="topology_hosts_per_access", type=int)
+        p.add_argument("--dual-homed", dest="topology_dual_homed", action="store_const", const=True)
+        p.set_defaults(func=cmd_topo_build)
 
     p = topo_sub.add_parser("hops", help="hop histogram over all host pairs")
-    _add_common(p)
-    p.add_argument("--topology", required=True, help="topology file to analyze")
-    p.set_defaults(func=cmd_topo_hops)
+    if need("topo", "hops"):
+        _add_common(p)
+        p.add_argument("--topology", required=True, help="topology file to analyze")
+        p.set_defaults(func=cmd_topo_hops)
 
     p = topo_sub.add_parser("fail", help="inject device failures and measure the fault domain")
-    _add_common(p)
-    p.add_argument("--topology", required=True)
-    p.add_argument("--fail", default="", help="comma list of device ids to fail")
-    p.add_argument("--emit", help="write the injected topology here")
-    p.set_defaults(func=cmd_topo_fail)
+    if need("topo", "fail"):
+        _add_common(p)
+        p.add_argument("--topology", required=True)
+        p.add_argument("--fail", default="", help="comma list of device ids to fail")
+        p.add_argument("--emit", help="write the injected topology here")
+        p.set_defaults(func=cmd_topo_fail)
 
     p = topo_sub.add_parser("harm", help="Monte Carlo expected harm of random failures")
-    _add_common(p)
-    _add_harm_flags(p)
-    _add_mc_flags(p)
-    p.add_argument("--topology", required=True)
-    p.add_argument("--p", type=float, default=None, help="uniform per-device failure probability")
-    p.add_argument("--p-role", type=_role_probability, action="append", help="role=probability override")
-    p.set_defaults(func=cmd_topo_harm)
+    if need("topo", "harm"):
+        _add_common(p)
+        _add_harm_flags(p)
+        _add_mc_flags(p)
+        p.add_argument("--topology", required=True)
+        p.add_argument("--p", type=float, default=None, help="uniform per-device failure probability")
+        p.add_argument("--p-role", type=_role_probability, action="append", help="role=probability override")
+        p.set_defaults(func=cmd_topo_harm)
 
     p = sub.add_parser("growth", help="sigmoid vs linear capacity growth")
-    _add_common(p, svg=True)
-    p.add_argument("--saturation", type=float, default=100.0, help="modular chassis port limit")
-    p.add_argument("--ports-per-switch", dest="ports_per_switch", type=int, default=48)
-    p.add_argument("--max-units", dest="max_units", type=float, default=5.0)
-    p.add_argument("--points", type=int, default=51)
-    p.set_defaults(func=cmd_growth)
+    if need("growth"):
+        _add_common(p, svg=True)
+        p.add_argument("--saturation", type=float, default=100.0, help="modular chassis port limit")
+        p.add_argument("--ports-per-switch", dest="ports_per_switch", type=int, default=48)
+        p.add_argument("--max-units", dest="max_units", type=float, default=5.0)
+        p.add_argument("--points", type=int, default=51)
+        p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("compare", help="cost/power/fault-domain comparison of two designs")
-    _add_common(p)
-    p.add_argument("--a", help="topology file for design a (default: 3-tier from config)")
-    p.add_argument("--b", help="topology file for design b (default: spine-leaf from config)")
-    p.set_defaults(func=cmd_compare)
+    if need("compare"):
+        _add_common(p)
+        p.add_argument("--a", help="topology file for design a (default: 3-tier from config)")
+        p.add_argument("--b", help="topology file for design b (default: spine-leaf from config)")
+        p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run every analytic-vs-oracle check")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
+    if need("verify"):
+        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     error = None
     with warnings.catch_warnings(record=True) as caught:
         args.caught_warnings = caught  # _emit_report records the ones raised before it renders

@@ -15,8 +15,6 @@ listing), and that hash is stamped into every report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 DEFAULT_SEED = 42
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -43,9 +41,14 @@ def parse_float_list(raw: str) -> tuple[float, ...]:
     return values
 
 
-@dataclass
 class ScenarioConfig:
-    """All tunables for the CLI, with defaults reproducing the canonical scenario."""
+    """All tunables for the CLI, with defaults reproducing the canonical scenario.
+
+    The annotated class attributes are the one list of fields: each value is
+    that field's default, and each annotation names its config-file parser
+    (see ``KEY_SPECS``).  Fields are set by keyword; an instance holds only
+    the values given to it and reads every other field from the class.
+    """
 
     harm_k: float = 1.0
     harm_beta: float = 1.5
@@ -89,13 +92,19 @@ class ScenarioConfig:
     output_digits: int | None = None
     report_core_drop_probability: float | None = None
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        unknown = values.keys() - ScenarioConfig.__annotations__
+        if unknown:
+            raise TypeError(f"ScenarioConfig has no fields {sorted(unknown)}")
+        self.__dict__.update(values)
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output.format must be csv or json, got {self.output_format!r}")
         if self.output_digits is not None and self.output_digits < 1:
             raise ValueError(f"output.digits must be >= 1, got {self.output_digits}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.topology_kind not in ("spine-leaf", "three-tier"):
+            raise ValueError(f"unknown topology kind {self.topology_kind!r} (expected spine-leaf or three-tier)")
 
     def failure_probabilities(self) -> dict[str, float]:
         out = {}
@@ -106,13 +115,13 @@ class ScenarioConfig:
 
     def canonical_items(self) -> list[tuple[str, str]]:
         items = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in ScenarioConfig.__annotations__:
+            value = getattr(self, name)
             if isinstance(value, tuple):
                 text = ",".join(repr(v) for v in value)
             else:
                 text = repr(value)
-            items.append((_KEY_BY_FIELD[f.name], text))
+            items.append((_KEY_BY_FIELD[name], text))
         return sorted(items)
 
     def config_hash(self) -> str:
@@ -136,7 +145,8 @@ def _config_key(field_name: str) -> str:
 
 # config-file key -> (field name, parser), one per ScenarioConfig field
 KEY_SPECS: dict[str, tuple[str, object]] = {
-    _config_key(f.name): (f.name, _PARSERS[f.type.removesuffix(" | None")]) for f in fields(ScenarioConfig)
+    _config_key(name): (name, _PARSERS[kind.removesuffix(" | None")])
+    for name, kind in ScenarioConfig.__annotations__.items()
 }
 
 _KEY_BY_FIELD = {field_name: key for key, (field_name, _) in KEY_SPECS.items()}

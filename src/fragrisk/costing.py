@@ -8,7 +8,6 @@ per port and 75% fewer watts per port.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .report import ScenarioReport
@@ -17,22 +16,35 @@ from .topology import Topology, affected_fraction
 FIXED_PORT_ROLES = frozenset({"spine", "leaf"})
 
 
-@dataclass(frozen=True)
 class CostAssumptions:
-    """Base modular price/watts per port and the fixed-port discount ratios."""
+    """Base modular price/watts per port and the fixed-port discount ratios; read-only."""
 
-    modular_price_per_port: float = 1.0
-    modular_watts_per_port: float = 1.0
-    fixed_price_ratio: float = 0.25
-    fixed_watts_ratio: float = 0.25
+    modular_price_per_port: float
+    modular_watts_per_port: float
+    fixed_price_ratio: float
+    fixed_watts_ratio: float
 
-    def __post_init__(self):
-        if not self.modular_price_per_port > 0 or not self.modular_watts_per_port > 0:
+    def __init__(
+        self,
+        modular_price_per_port: float = 1.0,
+        modular_watts_per_port: float = 1.0,
+        fixed_price_ratio: float = 0.25,
+        fixed_watts_ratio: float = 0.25,
+    ):
+        if not modular_price_per_port > 0 or not modular_watts_per_port > 0:
             raise ValueError("base price and watts per port must be positive")
-        for name in ("fixed_price_ratio", "fixed_watts_ratio"):
-            ratio = getattr(self, name)
+        for name, ratio in (("fixed_price_ratio", fixed_price_ratio), ("fixed_watts_ratio", fixed_watts_ratio)):
             if not 0.0 < ratio <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {ratio}")
+        self.__dict__.update(
+            modular_price_per_port=modular_price_per_port,
+            modular_watts_per_port=modular_watts_per_port,
+            fixed_price_ratio=fixed_price_ratio,
+            fixed_watts_ratio=fixed_watts_ratio,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def price_per_port(self, role: str) -> float:
         if role in FIXED_PORT_ROLES:

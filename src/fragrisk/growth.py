@@ -9,7 +9,6 @@ beyond which the linear design always wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -19,25 +18,28 @@ def erf_value(x: float) -> float:
     return math.erf(x)
 
 
-@dataclass(frozen=True)
 class GrowthSpec:
-    """Either a sigmoid-limited modular design or an unbounded linear one."""
+    """Either a sigmoid-limited modular design or an unbounded linear one; read-only."""
 
     kind: str  # "sigmoid" or "linear"
-    saturation_capacity: float | None = None
-    ports_per_switch: int | None = None
+    saturation_capacity: float | None
+    ports_per_switch: int | None
 
-    def __post_init__(self):
-        if self.kind == "sigmoid":
-            size = self.saturation_capacity
+    def __init__(self, kind: str, saturation_capacity: float | None = None, ports_per_switch: int | None = None):
+        if kind == "sigmoid":
+            size = saturation_capacity
             if size is None or not 0 < size < math.inf:
                 raise ValueError(f"sigmoid growth needs a positive, finite saturation_capacity, got {size}")
-        elif self.kind == "linear":
-            size = self.ports_per_switch
+        elif kind == "linear":
+            size = ports_per_switch
             if size is None or not 0 < size < math.inf:
                 raise ValueError(f"linear growth needs a positive, finite ports_per_switch, got {size}")
         else:
-            raise ValueError(f"growth kind must be 'sigmoid' or 'linear', got {self.kind!r}")
+            raise ValueError(f"growth kind must be 'sigmoid' or 'linear', got {kind!r}")
+        self.__dict__.update(kind=kind, saturation_capacity=saturation_capacity, ports_per_switch=ports_per_switch)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def sigmoid(cls, saturation_capacity: float) -> "GrowthSpec":

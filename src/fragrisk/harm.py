@@ -10,7 +10,6 @@ value under a Pareto error model, in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -19,21 +18,24 @@ if TYPE_CHECKING:
 WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class HarmParams:
-    """Scale k > 0 and convexity exponent beta >= 0 of the harm transform."""
+    """Scale k > 0 and convexity exponent beta >= 0 of the harm transform; read-only."""
 
     k: float
     beta: float
 
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"harm scale k must be positive, got {self.k}")
-        if not self.beta >= 0:
-            raise ValueError(f"harm exponent beta must be nonnegative, got {self.beta}")
-        for name in ("k", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"harm parameter {name} must be finite, got {getattr(self, name)}")
+    def __init__(self, k: float, beta: float):
+        if not k > 0:
+            raise ValueError(f"harm scale k must be positive, got {k}")
+        if not beta >= 0:
+            raise ValueError(f"harm exponent beta must be nonnegative, got {beta}")
+        for name, value in (("k", k), ("beta", beta)):
+            if not math.isfinite(value):
+                raise ValueError(f"harm parameter {name} must be finite, got {value}")
+        self.__dict__.update(k=k, beta=beta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def guarantees_fragmentation_benefit(self) -> bool:
@@ -41,9 +43,8 @@ class HarmParams:
         return self.beta >= 1.0
 
 
-@dataclass(frozen=True)
 class FragmentWeights:
-    """Shares w_i in [0, 1] splitting one exposure; they must sum to 1.
+    """Shares w_i in [0, 1] splitting one exposure; they must sum to 1.  Read-only.
 
     The raw shares are accepted if their sum is within 1e-9 of 1 and are then
     renormalized exactly, so downstream identities (e.g. neutrality at
@@ -52,8 +53,8 @@ class FragmentWeights:
 
     w: tuple[float, ...]
 
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.w)
+    def __init__(self, w: tuple[float, ...]):
+        w = tuple(float(v) for v in w)
         if len(w) < 1:
             raise ValueError("at least one fragment weight is required")
         for v in w:
@@ -62,7 +63,10 @@ class FragmentWeights:
         total = float(sum(w))
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"fragment weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-        object.__setattr__(self, "w", tuple(v / total for v in w))
+        self.__dict__["w"] = tuple(v / total for v in w)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def equal(cls, count: int) -> "FragmentWeights":

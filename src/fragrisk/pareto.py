@@ -12,26 +12,28 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .harm import HarmParams
 
 
-@dataclass(frozen=True)
 class ParetoParams:
-    """Tail index alpha > 0 and scale L > 0 (minimum error magnitude)."""
+    """Tail index alpha > 0 and scale L > 0 (minimum error magnitude); read-only."""
 
     alpha: float
     scale: float
 
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"tail index alpha must be positive, got {self.alpha}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        for name in ("alpha", "scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"Pareto parameter {name} must be finite, got {getattr(self, name)}")
+    def __init__(self, alpha: float, scale: float):
+        if not alpha > 0:
+            raise ValueError(f"tail index alpha must be positive, got {alpha}")
+        if not scale > 0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        for name, value in (("alpha", alpha), ("scale", scale)):
+            if not math.isfinite(value):
+                raise ValueError(f"Pareto parameter {name} must be finite, got {value}")
+        self.__dict__.update(alpha=alpha, scale=scale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _check_fragments(fragments: int) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
 
 from . import __version__
 
@@ -27,26 +26,32 @@ def format_number(value: Cell, digits: int | None) -> str:
     return str(value)
 
 
-@dataclass
 class ScenarioReport:
     """Named numeric columns over rows, with reproducibility metadata."""
 
-    command: str
-    columns: list[str]
-    rows: list[list[Cell]]
-    seed: int | None = None
-    config_hash: str | None = None
-    extra_metadata: dict[str, Cell] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(f"row width {len(row)} != {len(self.columns)} columns")
-            for column, cell in zip(self.columns, row):
+    def __init__(
+        self,
+        command: str,
+        columns: list[str],
+        rows: list[list[Cell]],
+        seed: int | None = None,
+        config_hash: str | None = None,
+        extra_metadata: dict[str, Cell] | None = None,
+    ):
+        for row in rows:
+            if len(row) != len(columns):
+                raise ValueError(f"row width {len(row)} != {len(columns)} columns")
+            for column, cell in zip(columns, row):
                 if isinstance(cell, float) and not math.isfinite(cell):
                     raise ValueError(
-                        f"{self.command}: {column} = {cell} is not finite (an input is too large for float arithmetic)"
+                        f"{command}: {column} = {cell} is not finite (an input is too large for float arithmetic)"
                     )
+        self.command = command
+        self.columns = columns
+        self.rows = rows
+        self.seed = seed
+        self.config_hash = config_hash
+        self.extra_metadata = {} if extra_metadata is None else extra_metadata
 
     def metadata(self) -> dict[str, Cell]:
         meta: dict[str, Cell] = {"command": self.command, "version": __version__}

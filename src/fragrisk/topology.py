@@ -62,7 +62,6 @@ import math
 import random
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import floordiv, mul, sub
@@ -101,24 +100,32 @@ _TIER_LINK_ROLES = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class Device:
-    """A switch with a role; leaves may carry a descriptive function tag."""
+    """A switch with a role; leaves may carry a descriptive function tag.  Read-only; equal by value."""
 
     id: str
     role: str
-    tag: str | None = None
+    tag: str | None
 
-    def __post_init__(self):
-        if not _ID_RE.fullmatch(self.id) or self.id == "host":
-            raise ValueError(f"invalid device id {self.id!r}")
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}; expected one of {ROLES}")
-        if self.tag is not None:
-            if self.role != "leaf":
-                raise ValueError(f"only leaf devices may carry a tag, got {self.role!r}")
-            if self.tag not in LEAF_TAGS:
-                raise ValueError(f"unknown leaf tag {self.tag!r}; expected one of {LEAF_TAGS}")
+    def __init__(self, id: str, role: str, tag: str | None = None):
+        if not _ID_RE.fullmatch(id) or id == "host":
+            raise ValueError(f"invalid device id {id!r}")
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r}; expected one of {ROLES}")
+        if tag is not None:
+            if role != "leaf":
+                raise ValueError(f"only leaf devices may carry a tag, got {role!r}")
+            if tag not in LEAF_TAGS:
+                raise ValueError(f"unknown leaf tag {tag!r}; expected one of {LEAF_TAGS}")
+        self.__dict__.update(id=id, role=role, tag=tag)
+
+    def __eq__(self, other):
+        if type(other) is not Device:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class TwinQuotient(NamedTuple):
@@ -142,7 +149,6 @@ class TwinQuotient(NamedTuple):
         return len(self.members)
 
 
-@dataclass(frozen=True)
 class Topology:
     """Immutable device/link graph with attached hosts.
 
@@ -154,24 +160,43 @@ class Topology:
     devices: tuple[Device, ...]
     links: tuple[tuple[str, str], ...]
     hosts: tuple[tuple[str, str], ...]
-    detached_hosts: tuple[str, ...] = ()
+    detached_hosts: tuple[str, ...]
 
-    def __post_init__(self):
-        devices = tuple(sorted(self.devices, key=lambda d: d.id))
+    def __init__(
+        self,
+        devices: Iterable[Device],
+        links: Iterable[tuple[str, str]],
+        hosts: Iterable[tuple[str, str]],
+        detached_hosts: Iterable[str] = (),
+    ):
         # each link as (lower id, higher id), reusing a tuple already in that
         # order; sorting sorted links is one pass of comparisons and no moves
         links = [
             pair if type(pair) is tuple and len(pair) == 2 and pair[0] <= pair[1] else tuple(sorted(pair))
-            for pair in self.links
+            for pair in links
         ]
         links.sort()
-        hosts = tuple(sorted((str(h), str(d)) for h, d in self.hosts))
-        detached = tuple(sorted(str(h) for h in self.detached_hosts))
-        object.__setattr__(self, "devices", devices)
-        object.__setattr__(self, "links", tuple(links))
-        object.__setattr__(self, "hosts", hosts)
-        object.__setattr__(self, "detached_hosts", detached)
+        self.__dict__.update(
+            devices=tuple(sorted(devices, key=lambda d: d.id)),
+            links=tuple(links),
+            hosts=tuple(sorted((str(h), str(d)) for h, d in hosts)),
+            detached_hosts=tuple(sorted(str(h) for h in detached_hosts)),
+        )
         self._validate()
+
+    def __eq__(self, other):
+        if type(other) is not Topology:
+            return NotImplemented
+        # not vars(): it also holds the cached properties
+        return (self.devices, self.links, self.hosts, self.detached_hosts) == (
+            other.devices,
+            other.links,
+            other.hosts,
+            other.detached_hosts,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def _validate(self) -> None:
         role_of = {d.id: d.role for d in self.devices}
@@ -535,18 +560,22 @@ def affected_fraction(t: Topology, failed: set[str]) -> float:
     return _class_fractions(t, [counts])[0]
 
 
-@dataclass(frozen=True)
 class FailureModel:
-    """Per-trial, per-device failure probability by role; missing roles fail with 0."""
+    """Per-trial, per-device failure probability by role; missing roles fail with 0.  Read-only."""
 
-    probabilities: dict[str, float] = field(default_factory=dict)
+    probabilities: dict[str, float]
 
-    def __post_init__(self):
-        for role, prob in self.probabilities.items():
+    def __init__(self, probabilities: dict[str, float] | None = None):
+        probabilities = {} if probabilities is None else probabilities
+        for role, prob in probabilities.items():
             if role not in ROLES:
                 raise ValueError(f"unknown role {role!r} in failure model")
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"failure probability for {role!r} must be in [0, 1], got {prob}")
+        self.__dict__["probabilities"] = probabilities
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def uniform(cls, probability: float) -> "FailureModel":
@@ -556,9 +585,8 @@ class FailureModel:
         return self.probabilities.get(role, 0.0)
 
 
-@dataclass(frozen=True)
 class FailureHarmStats:
-    """Sample mean, standard error and severity quantiles of harm over Monte Carlo trials.
+    """Sample mean, standard error and severity quantiles of harm over Monte Carlo trials; read-only.
 
     Quantiles are by severity: p99 is the harm value whose magnitude is
     exceeded in only 1% of trials (harm is nonpositive, worse = more
@@ -573,6 +601,25 @@ class FailureHarmStats:
     trials: int
     distinct_patterns: int
     std_error: float
+
+    def __init__(
+        self, expected_harm: float, quantiles: dict[str, float], trials: int, distinct_patterns: int, std_error: float
+    ):
+        self.__dict__.update(
+            expected_harm=expected_harm,
+            quantiles=quantiles,
+            trials=trials,
+            distinct_patterns=distinct_patterns,
+            std_error=std_error,
+        )
+
+    def __eq__(self, other):
+        if type(other) is not FailureHarmStats:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def failure_harm_mc(

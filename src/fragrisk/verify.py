@@ -14,7 +14,6 @@ import math
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass
 
 from .costing import CostAssumptions, compare_designs
 from .growth import GrowthSpec, capacity_at, crossover, erf_value
@@ -50,11 +49,11 @@ NORMALIZATION_BETAS = (1.0, 1.5, 2.0, 3.0)
 NORMALIZATION_FRAGMENTS = (1, 2, 5)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"

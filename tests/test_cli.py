@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import inspect
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fragrisk.cli import MAX_POINTS, main
+from fragrisk.cli import MAX_POINTS, build_parser, main
 from fragrisk.config import ScenarioConfig, load_config, parse_config_text
 from fragrisk.report import ScenarioReport
 from fragrisk.harm import HarmParams
@@ -347,6 +348,18 @@ class TestOutputContracts:
         assert (captured.out, captured.err) == ("", "error: output.digits must be >= 1, got 0\n")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("args", BAD_CONFIG_ARGS)
+    def test_unknown_topology_kind_fails_every_subcommand(self, cli_inputs, tmp_path, capsys, args):
+        # all but topo build used to ignore topology.kind = ring and exit 0
+        argv = fill(args, **{"in": cli_inputs}) + ["--config", str(cli_inputs / "ring.cfg")]
+        assert run(argv + ["--out", str(tmp_path / "out.txt")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: unknown topology kind 'ring' (expected spine-leaf or three-tier)\n",
+        )
+        assert os.listdir(tmp_path) == []
+
     def test_warning_is_one_line(self, capsys):
         assert run(["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2"]) == 0
         captured = capsys.readouterr()
@@ -647,6 +660,7 @@ def cli_inputs(tmp_path_factory):
     (base / "tt.txt").write_text(serialize_topology(build_three_tier(2, 2, 2, 1, True)))
     (base / "scenario.cfg").write_text("harm.beta = 2\npareto.alpha = 4\ntrials = 500\n")
     (base / "bad.cfg").write_text("output.digits = 0\n")
+    (base / "ring.cfg").write_text("topology.kind = ring\n")
     (base / "negative_seed.cfg").write_text("seed = -1\n")
     return base
 
@@ -946,7 +960,7 @@ except SystemExit:  # --help
 ran = sorted(
     n.split(".")[1] for n, m in sys.modules.items() if n.startswith("fragrisk.") and type(m) is types.ModuleType
 )
-stdlib = [m for m in ("dataclasses", "hashlib", "json") if m in sys.modules and m not in before]
+stdlib = [m for m in ("dataclasses", "hashlib", "inspect", "json") if m in sys.modules and m not in before]
 print(json.dumps({"ran": ran, "stdlib": stdlib}))
 """
 
@@ -1005,6 +1019,109 @@ def test_each_command_runs_only_its_modules(tmp_path, args, ran):
     assert loaded["ran"] == ran
     if args == ["--help"]:
         assert loaded["stdlib"] == []
+    elif args != ["verify"]:  # SciPy, which only verify loads, imports both
+        assert not {"dataclasses", "inspect"} & set(loaded["stdlib"])
+
+
+# option string -> (dest, default) of each leaf command's sub-parser, as the
+# full parser built them before each command got only its own flags
+PINNED_HELP = {"-h": ("help", argparse.SUPPRESS), "--help": ("help", argparse.SUPPRESS)}
+PINNED_COMMON = {
+    **PINNED_HELP,
+    "--config": ("config", None),
+    "--out": ("out", None),
+    "--format": ("output_format", None),
+    "--digits": ("output_digits", None),
+}
+PINNED_HARM = {"--k": ("harm_k", None), "--beta": ("harm_beta", None)}
+PINNED_PARETO = {"--alpha": ("pareto_alpha", None), "--scale": ("pareto_scale", None)}
+PINNED_MC = {"--trials": ("trials", None), "--seed": ("seed", None)}
+PINNED_FRAGMENTS = {"--fragments": ("fragments", None), "-N": ("fragments", None)}
+PINNED_FLAGS = {
+    ("harm-curve",): {
+        **PINNED_COMMON, **PINNED_HARM, "--svg": ("svg", None),
+        "--betas": ("betas", "1.5,2,3"), "--x-max": ("x_max", 4.0), "--points": ("points", 81),
+    },
+    ("jensen",): {
+        **PINNED_COMMON, **PINNED_HARM, **PINNED_PARETO, **PINNED_MC,
+        "--weights": ("harm_weights", None), "--x": ("error_x", None), "--unit-value": ("unit_value", None),
+    },
+    ("risk", "density"): {
+        **PINNED_COMMON, **PINNED_HARM, **PINNED_PARETO, **PINNED_FRAGMENTS, "--points": ("points", 100),
+    },
+    ("risk", "tail-mean"): {**PINNED_COMMON, **PINNED_HARM, **PINNED_PARETO, **PINNED_MC, **PINNED_FRAGMENTS},
+    ("risk", "ratio"): {**PINNED_COMMON, **PINNED_HARM, **PINNED_PARETO, **PINNED_FRAGMENTS, "--K": ("K", None)},
+    ("risk", "curve"): {
+        **PINNED_COMMON, **PINNED_HARM, **PINNED_PARETO, "--svg": ("svg", None),
+        "--K-values": ("K_values", ",".join(str(k) for k in range(1, 33))),
+    },
+    ("topo", "build"): {
+        **PINNED_HELP,
+        "--config": ("config", None),
+        "--out": ("out", None),
+        "--kind": ("topology_kind", None),
+        "--spines": ("topology_spines", None),
+        "--leaves": ("topology_leaves", None),
+        "--hosts-per-leaf": ("topology_hosts_per_leaf", None),
+        "--cores": ("topology_cores", None),
+        "--distributions": ("topology_distributions", None),
+        "--access-per-distribution": ("topology_access_per_distribution", None),
+        "--hosts-per-access": ("topology_hosts_per_access", None),
+        "--dual-homed": ("topology_dual_homed", None),
+    },
+    ("topo", "hops"): {**PINNED_COMMON, "--topology": ("topology", None)},
+    ("topo", "fail"): {
+        **PINNED_COMMON, "--topology": ("topology", None), "--fail": ("fail", ""), "--emit": ("emit", None),
+    },
+    ("topo", "harm"): {
+        **PINNED_COMMON, **PINNED_HARM, **PINNED_MC,
+        "--topology": ("topology", None), "--p": ("p", None), "--p-role": ("p_role", None),
+    },
+    ("growth",): {
+        **PINNED_COMMON, "--svg": ("svg", None), "--saturation": ("saturation", 100.0),
+        "--ports-per-switch": ("ports_per_switch", 48), "--max-units": ("max_units", 5.0), "--points": ("points", 51),
+    },
+    ("compare",): {**PINNED_COMMON, "--a": ("a", None), "--b": ("b", None)},
+    ("verify",): {**PINNED_HELP, "--seed": ("seed", None)},
+}
+PINNED_SUBCOMMANDS = {
+    (): ["harm-curve", "jensen", "risk", "topo", "growth", "compare", "verify"],
+    ("risk",): ["density", "tail-mean", "ratio", "curve"],
+    ("topo",): ["build", "hops", "fail", "harm"],
+}
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """``parser``'s sub-parsers by name; none for a leaf command."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, sub-parser) of every leaf command under ``parser``."""
+    children = subcommands(parser)
+    if not children:
+        yield path, parser
+    for name, child in children.items():
+        yield from leaf_parsers(child, (*path, name))
+
+
+@pytest.mark.parametrize("path", sorted(PINNED_FLAGS), ids=" ".join)
+def test_flags_stay_the_same_on_every_command_path(path):
+    # every command still lists every subcommand name, and gets exactly its own flags; the others get none
+    parser = build_parser([*path, "--help"])
+    for prefix, names in PINNED_SUBCOMMANDS.items():
+        node = parser
+        for word in prefix:
+            node = subcommands(node)[word]
+        assert list(subcommands(node)) == names
+    leaves = dict(leaf_parsers(parser))
+    assert sorted(leaves) == sorted(PINNED_FLAGS)
+    for leaf, sub in leaves.items():
+        flags = {option: (a.dest, a.default) for a in sub._actions for option in a.option_strings}
+        assert flags == (PINNED_FLAGS[path] if leaf == path else PINNED_HELP), leaf
 
 
 def test_topology_harm_never_imports_numpy_ma(tmp_path):

@@ -14,9 +14,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fragrisk import (
+    CostAssumptions,
     Device,
     FailureModel,
+    FragmentWeights,
+    GrowthSpec,
     HarmParams,
+    ParetoParams,
     Topology,
     affected_fraction,
     build_spine_leaf,
@@ -336,6 +340,42 @@ def test_builder_size_bound_is_exact(monkeypatch, build, args):
     monkeypatch.setattr(topology, "MAX_FABRIC_ELEMENTS", size - 1)
     with pytest.raises(ValueError, match=f"at most {size - 1:,} devices, hosts and links"):
         build(*args)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        pytest.param(lambda: HarmParams(1.0, 1.5), "k", id="HarmParams"),
+        pytest.param(lambda: FragmentWeights((0.5, 0.5)), "w", id="FragmentWeights"),
+        pytest.param(lambda: ParetoParams(2.0, 1.0), "alpha", id="ParetoParams"),
+        pytest.param(lambda: GrowthSpec.sigmoid(100.0), "kind", id="GrowthSpec"),
+        pytest.param(CostAssumptions, "fixed_price_ratio", id="CostAssumptions"),
+        pytest.param(lambda: Device("l0", "leaf"), "role", id="Device"),
+        pytest.param(lambda: build_spine_leaf(2, 2, 1), "links", id="Topology"),
+        pytest.param(lambda: FailureModel.uniform(0.1), "probabilities", id="FailureModel"),
+        pytest.param(
+            lambda: failure_harm_mc(build_spine_leaf(2, 2, 1), FailureModel.uniform(0.1), HarmParams(1, 2), 10, 1),
+            "trials",
+            id="FailureHarmStats",
+        ),
+    ],
+)
+def test_records_are_read_only(make, field):
+    record = make()
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    assert getattr(record, field) is value
+
+
+def test_devices_and_topologies_compare_by_value():
+    assert Device("l0", "leaf") == Device("l0", "leaf")
+    assert Device("l0", "leaf") != Device("l0", "leaf", "dmz")
+    assert Device("s0", "spine") != Device("s1", "spine")
+    t = build_spine_leaf(2, 2, 1)
+    assert t == parse_topology(serialize_topology(t))
+    assert t != build_spine_leaf(2, 2, 2)
+    assert t != inject_failures(t, {"leaf0"})
 
 
 class TestTopologyInvariants:
