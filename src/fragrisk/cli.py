@@ -53,6 +53,9 @@ harm_model = sys.modules[f"{__package__}.harm"]
 OUT_DIR_ENV = "FRAGRISK_OUT_DIR"
 # the most rows a --points grid may build; each costs about 17 us and 0.4 KB
 MAX_POINTS = 10**6
+# the most cells a grid report may hold: every grid of at most MAX_POINTS rows
+# and four columns, which harm-curve has with its default three --betas
+MAX_CELLS = 4 * MAX_POINTS
 
 
 def _positive_int(raw: str) -> int:
@@ -80,16 +83,24 @@ def _role_probability(raw: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"expects role=probability, got {raw!r}") from None
 
 
-def _check_points(points: int, minimum: int) -> None:
+def _check_points(points: int, minimum: int, columns: int) -> None:
     if points < minimum:
         raise ValueError(f"--points must be >= {minimum}")
     if points > MAX_POINTS:
         raise ValueError(f"--points must be <= {MAX_POINTS}")
+    if points * columns > MAX_CELLS:
+        raise ValueError(
+            f"--points {points} x {columns} report columns = {points * columns} cells, "
+            f"more than the {MAX_CELLS} a report may hold"
+        )
 
 
-def _grid(flag: str, end: float, points: int) -> list[float]:
-    """``points`` evenly spaced values from 0 to ``end``; ``flag`` names ``end`` in errors."""
-    _check_points(points, 2)
+def _grid(flag: str, end: float, points: int, columns: int) -> list[float]:
+    """``points`` evenly spaced values from 0 to ``end`` for a report of ``columns`` columns.
+
+    ``flag`` names ``end`` in errors.
+    """
+    _check_points(points, 2, columns)
     if not (math.isfinite(end) and end > 0):
         raise ValueError(f"{flag} must be finite and > 0, got {end}")
     return [end * i / (points - 1) for i in range(points)]
@@ -224,8 +235,8 @@ def _failure_model(cfg: config.ScenarioConfig, args) -> topology.FailureModel:
 
 
 def cmd_harm_curve(cfg: config.ScenarioConfig, args) -> int:
-    xs = _grid("--x-max", args.x_max, args.points)
     columns = ["x"] + [f"harm_beta_{beta:g}" for beta in args.betas]
+    xs = _grid("--x-max", args.x_max, args.points, len(columns))
     rows = []
     for x in xs:
         rows.append([x] + [harm_model.harm(harm_model.HarmParams(cfg.harm_k, beta), x) for beta in args.betas])
@@ -252,7 +263,7 @@ def cmd_jensen(cfg: config.ScenarioConfig, args) -> int:
 def cmd_risk_density(cfg: config.ScenarioConfig, args) -> int:
     p, h = _pareto_params(cfg), _harm_params(cfg)
     n = cfg.fragments
-    _check_points(args.points, 1)
+    _check_points(args.points, 1, 2)
     rows = []
     for i in range(args.points):
         q = (i + 1) / args.points  # quantile grid covers the support evenly
@@ -341,7 +352,7 @@ def cmd_topo_harm(cfg: config.ScenarioConfig, args) -> int:
 def cmd_growth(cfg: config.ScenarioConfig, args) -> int:
     sig = growth.GrowthSpec.sigmoid(args.saturation)
     lin = growth.GrowthSpec.linear(args.ports_per_switch)
-    units = _grid("--max-units", args.max_units, args.points)
+    units = _grid("--max-units", args.max_units, args.points, 3)
     rows = [[u, growth.capacity_at(sig, u), growth.capacity_at(lin, u)] for u in units]
     report = reporting.ScenarioReport("growth", ["units", "sigmoid_capacity", "linear_capacity"], rows)
     report.extra_metadata["crossover_units"] = growth.crossover(sig, lin)
@@ -562,7 +573,10 @@ def main(argv: list[str] | None = None) -> int:
         args.caught_warnings = caught  # _emit_report records the ones raised before it renders
         try:
             code = args.func(_config_from_args(args), args)
-        except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        except OverflowError:  # a float power or product past the float range, wherever it arose
+            command = args.func.__name__.removeprefix("cmd_").replace("_", "-")
+            code, error = 1, reporting.not_finite(f"{command}: a result")
+        except (ValueError, OSError, MemoryError) as exc:
             code, error = 1, exc
     # a failure leads, so stderr's first line says why nothing was written
     if error is not None:

@@ -16,6 +16,11 @@ from . import __version__
 Cell = float | int | str
 
 
+def not_finite(what: str) -> str:
+    """The one wording for a number that float arithmetic could not hold."""
+    return f"{what} is not finite (an input is too large for float arithmetic)"
+
+
 def format_number(value: Cell, digits: int | None) -> str:
     if isinstance(value, bool):  # bools are ints; keep them readable
         return str(value)
@@ -43,9 +48,7 @@ class ScenarioReport:
                 raise ValueError(f"row width {len(row)} != {len(columns)} columns")
             for column, cell in zip(columns, row):
                 if isinstance(cell, float) and not math.isfinite(cell):
-                    raise ValueError(
-                        f"{command}: {column} = {cell} is not finite (an input is too large for float arithmetic)"
-                    )
+                    raise ValueError(not_finite(f"{command}: {column} = {cell}"))
         self.command = command
         self.columns = columns
         self.rows = rows

@@ -656,13 +656,9 @@ def failure_harm_mc(
     tally = _tally_failures(streams, random.Random(seed).random, q.members, trials)
     fractions = _class_fractions(t, tally)
     table = sorted(zip([harm(h, f) for f in fractions], tally.values()))
-    # the exact sum of each value repeated count times: v * 2**b is exact
-    try:
-        mean = math.fsum(math.ldexp(v, b) for v, count in table for b in _bits(count)) / trials
-    except OverflowError:
-        raise OverflowError(
-            "the harm summed over the trials is not finite (k is too large for float arithmetic)"
-        ) from None
+    # the exact sum of each value repeated count times: v * 2**b is exact;
+    # a k so large that the sum overflows raises OverflowError
+    mean = math.fsum(math.ldexp(v, b) for v, count in table for b in _bits(count)) / trials
     spread = math.hypot(*(math.sqrt(count) * (v - mean) for v, count in table))
     # severity quantiles: the q-th worst harm sits at the (1-q) quantile of
     # the signed (nonpositive) values

@@ -40,6 +40,7 @@ from fragrisk.verify import (
     NORMALIZATION_ALPHAS,
     NORMALIZATION_BETAS,
     NORMALIZATION_FRAGMENTS,
+    QUADRATURE_TOL,
     affected_fraction_bfs,
     density_normalization,
     erf_quadrature,
@@ -85,16 +86,18 @@ def test_criterion_02_density_normalization_and_histogram():
             continue
         combos += 1
         for n in NORMALIZATION_FRAGMENTS:
-            total = density_normalization(ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n)
+            total, error = density_normalization(ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n)
             assert abs(total - 1.0) <= 1e-6, f"(alpha={alpha}, beta={beta}, N={n}): {total}"
+            assert error <= QUADRATURE_TOL, f"(alpha={alpha}, beta={beta}, N={n}): error estimate {error}"
             worst = max(worst, abs(total - 1.0))
     assert combos == 9  # alpha >= beta rows of the 3x4 grid
 
     worst_l1 = 0.0
     for alpha, beta, n in ((2.0, 1.5, 1), (4.0, 1.5, 2), (4.0, 3.0, 5)):
-        distance = histogram_l1_distance(
+        distance, error = histogram_l1_distance(
             ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n, samples=10**5, bins=50, seed=SEED
         )
+        assert error <= QUADRATURE_TOL, f"(alpha={alpha}, beta={beta}, N={n}): error estimate {error}"
         assert distance <= 0.05, f"(alpha={alpha}, beta={beta}, N={n}): L1 {distance}"
         worst_l1 = max(worst_l1, distance)
     report(
@@ -235,7 +238,8 @@ def test_criterion_08_erf_accuracy_and_growth():
     bounded on 10^4 inputs; crossover of (sat=100, ports=1) inside [99, 101]."""
     worst = 0.0
     for x in np.linspace(-6.0, 6.0, 1000):
-        reference = erf_quadrature(float(x))
+        reference, error = erf_quadrature(float(x))
+        assert error <= QUADRATURE_TOL, f"x={x}: error estimate {error}"
         value = erf_value(float(x))
         if reference == 0.0:
             assert value == 0.0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fragrisk.cli import MAX_POINTS, build_parser, main
+from fragrisk.cli import MAX_CELLS, MAX_POINTS, build_parser, main
 from fragrisk.config import ScenarioConfig, load_config, parse_config_text
 from fragrisk.report import ScenarioReport
 from fragrisk.harm import HarmParams
@@ -451,12 +451,15 @@ RANGE_ARGS = [
 ]
 
 
-# finite inputs whose float powers overflow; each was an OverflowError traceback
+# finite inputs whose float powers overflow; each was an OverflowError traceback, and then
+# printed the raw "(34, 'Numerical result out of range')"
 OVERFLOW_ARGS = [
     ["risk", "ratio", "--K", "1e308", "--beta", "0.5", "--alpha", "2"],
     ["jensen", "--x", "1e300", "--beta", "3"],
     ["harm-curve", "--x-max", "1e300", "--betas", "3", "--points", "3"],
     ["risk", "tail-mean", "--scale", "1e300", "--beta", "3", "--alpha", "5", "--trials", "10"],
+    ["risk", "density", "--alpha", "1e-300", "--beta", "1"],
+    ["risk", "density", "--scale", "1e300", "--beta", "3", "--alpha", "5"],
     # a finite k whose products overflow to -inf; each printed -inf cells and exited 0
     ["harm-curve", "--k", "1e308", "--points", "3"],
     ["topo", "harm", "--topology", "{in}/sl.txt", "--k", "1e308", "--p", "0.5", "--trials", "100"],
@@ -497,6 +500,12 @@ HUGE_POINTS_ARGS = [
     ["harm-curve", "--points", "1000000000000"],
     ["growth", "--points", "1000001"],
     ["risk", "density", "--points", "1000000000000"],
+    # a legal row count with five columns: 5e6 cells, which took about 0.5 GB, 22 s and 100 MB
+    # of output when the cells had no cap (1.1e6 cells took 118 MB and 4.9 s)
+    ["harm-curve", "--points", "1000000", "--betas", "1,2,3,4"],
+]
+HUGE_POINTS_ERRORS = [f"error: --points must be <= {MAX_POINTS}\n"] * 3 + [
+    f"error: --points 1000000 x 5 report columns = 5000000 cells, more than the {MAX_CELLS} a report may hold\n"
 ]
 
 
@@ -594,7 +603,24 @@ class TestNonFiniteInput:
     def test_points_above_maximum_fail_at_once(self, args):
         # a fresh interpreter, so a grid that is built anyway fails the test at its timeout
         proc = run_subprocess(args, timeout=20)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: --points must be <= {MAX_POINTS}\n")
+        expected = HUGE_POINTS_ERRORS[HUGE_POINTS_ARGS.index(args)]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
+
+    def test_default_betas_allow_the_largest_grid(self):
+        # the cell cap admits every --points that is legal with harm-curve's default three betas
+        args = build_parser(["harm-curve"]).parse_args(["harm-curve"])
+        assert MAX_POINTS * (1 + len(args.betas)) == MAX_CELLS
+
+    @pytest.mark.parametrize("args", OVERFLOW_ARGS)
+    def test_overflow_has_one_wording(self, cli_inputs, capsys, args):
+        # a raw OverflowError printed "error: (34, 'Numerical result out of range')"
+        assert run(fill(args, **{"in": cli_inputs})) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        command = "-".join(a for a in args[: 2 if args[0] in ("risk", "topo") else 1])
+        first = captured.err.splitlines()[0]
+        assert first.startswith(f"error: {command}: ")
+        assert first.endswith(" is not finite (an input is too large for float arithmetic)")
 
     @pytest.mark.parametrize("args", NEGATIVE_SEED_ARGS)
     def test_negative_seed_is_named(self, cli_inputs, capsys, args):
@@ -872,6 +898,13 @@ for args in (
     ["topo", "harm", "--topology", topo, "--p", "0.1", "--trials", "500"],
     ["compare", "--b", topo],
     ["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2"],
+    ["risk", "curve"],
+    ["risk", "density"],
+    ["risk", "tail-mean", "--trials", "50"],
+    ["jensen"],
+    ["harm-curve"],
+    ["growth"],
+    ["verify"],
 ):
     assert main(args) == 0, args
 print("scipy modules:", sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
@@ -976,9 +1009,32 @@ def probe_last_line(script, *args):
     return proc.stdout.splitlines()[-1]
 
 
-def test_topology_commands_never_import_scipy(tmp_path):
-    # SciPy is only for the quadrature oracles of `verify`; start-up must not pay for it
+def test_no_command_imports_scipy(tmp_path):
+    # SciPy is a test dependency only: `verify`'s quadrature oracles are fragrisk's own
     assert probe_last_line(SCIPY_PROBE, str(tmp_path / "sl.txt")) == "scipy modules: []"
+
+
+# a None entry in sys.modules makes every `import scipy...` raise ImportError
+NO_SCIPY_VERIFY_PROBE = """
+import sys
+
+sys.modules["scipy"] = None
+from fragrisk.cli import main
+
+assert main(["verify"]) == 0
+"""
+
+
+def test_verify_passes_without_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_VERIFY_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "15/15 checks passed"
+    assert len(lines) == 16 and all(line.startswith("PASS ") for line in lines[:-1])
 
 
 def test_closed_form_commands_never_import_numpy(tmp_path):
@@ -1019,7 +1075,9 @@ def test_each_command_runs_only_its_modules(tmp_path, args, ran):
     assert loaded["ran"] == ran
     if args == ["--help"]:
         assert loaded["stdlib"] == []
-    elif args != ["verify"]:  # SciPy, which only verify loads, imports both
+    elif args == ["verify"]:  # NumPy, which verify's oracles use, imports inspect
+        assert "dataclasses" not in loaded["stdlib"]
+    else:
         assert not {"dataclasses", "inspect"} & set(loaded["stdlib"])
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragrisk import GrowthSpec, capacity_at, crossover, erf_value
-from fragrisk.verify import erf_quadrature
+from fragrisk.verify import QUADRATURE_TOL, erf_quadrature
 
 
 class TestErfValue:
@@ -31,7 +31,8 @@ class TestErfValue:
 
     def test_against_quadrature_oracle(self):
         for x in np.linspace(-6.0, 6.0, 61):
-            reference = erf_quadrature(float(x))
+            reference, error = erf_quadrature(float(x))
+            assert error <= QUADRATURE_TOL
             if reference == 0.0:
                 assert erf_value(float(x)) == 0.0
             else:

@@ -245,9 +245,10 @@ class TestHistogramAgainstDensity:
     def test_l1_distance_small(self):
         # 10^5 draws over 50 equal-probability bins; bin masses integrated
         # from the density rather than assumed.
-        from fragrisk.verify import histogram_l1_distance
+        from fragrisk.verify import QUADRATURE_TOL, histogram_l1_distance
 
-        distance = histogram_l1_distance(
+        distance, error = histogram_l1_distance(
             ParetoParams(4.0, 1.0), HarmParams(1.0, 1.5), 2, samples=10**5, bins=50, seed=42
         )
+        assert error <= QUADRATURE_TOL
         assert distance <= 0.05
