@@ -125,10 +125,17 @@ class ScenarioConfig:
         return sorted(items)
 
     def config_hash(self) -> str:
-        import hashlib
+        # the interpreter's built-in SHA-256, as `random` takes its SHA-512, since importing hashlib loads OpenSSL
+        try:
+            from _sha2 import sha256  # Python 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256  # Python 3.10, 3.11
+            except ImportError:
+                from hashlib import sha256
 
         blob = "\n".join(f"{k}={v}" for k, v in self.canonical_items())
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
 
 _SECTIONS = ("harm", "pareto", "topology", "failure", "cost", "ports", "output", "report")

@@ -152,9 +152,12 @@ def mc_tail_mean(p: ParetoParams, h: HarmParams, fragments: int, trials: int, se
         raise ValueError("tail mean requires beta > 0")
     _check_convergence(p, h)
     x = pareto_sample(p, trials, seed)
-    xi = -(h.k * (x / fragments) ** h.beta)
     threshold = -(h.k * p.scale**h.beta / fragments)
-    return float(np.where(xi <= threshold, xi, 0.0).mean())
+    # a k or draw past the float range makes the mean -inf, which a report refuses as not finite;
+    # NumPy's overflow warnings would only repeat that
+    with np.errstate(over="ignore"):
+        xi = -(h.k * (x / fragments) ** h.beta)
+        return float(np.where(xi <= threshold, xi, 0.0).mean())
 
 
 def degradation_ratio(p: ParetoParams, h: HarmParams, multiplier: float, fragments: int) -> float:

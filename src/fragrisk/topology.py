@@ -65,9 +65,10 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import floordiv, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .harm import HarmParams, harm
+if TYPE_CHECKING:
+    from .harm import HarmParams
 
 ROLES = ("core", "distribution", "access", "spine", "leaf")
 LEAF_TAGS = ("data-center", "border", "dmz", "sdn", "campus")
@@ -638,6 +639,9 @@ def failure_harm_mc(
     expected to fail more than ``_MAX_EXPECTED_FAILURES`` devices in all is
     refused before any draw.  Deterministic per seed.
     """
+    # here, not at the top: every other graph command would run harm.py for nothing
+    from .harm import harm
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:

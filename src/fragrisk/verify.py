@@ -4,7 +4,7 @@ Every closed form in the package is re-derived here by an independent route:
 double-exponential quadrature for densities and the error function, Monte
 Carlo and exhaustive enumeration for expectations, per-pair breadth-first
 search for connectivity and hop counts.  Each check reports pass/fail against
-its pinned tolerance.
+its pinned tolerance, which a nan error never meets.
 """
 
 from __future__ import annotations
@@ -124,6 +124,11 @@ def _de_quad(f, a: float, b: float) -> tuple[float, float]:
     coarse, fine_only = (math.fsum(w * g(x) for x, w in nodes) for nodes in levels)
     fine = _DE_STEP * scale * (coarse + fine_only)
     return fine, abs(fine - 2 * _DE_STEP * scale * coarse)
+
+
+def _worst(errors) -> float:
+    """The largest of ``errors`` (0 for none), or nan if any is nan, so that ``worst <= tol`` then fails."""
+    return math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
 
 
 def _quadrature_note(errors) -> str:
@@ -291,16 +296,14 @@ def check_tail_mean_mc(trials: int = 10**6, seed: int = VERIFY_SEED) -> CheckRes
     p = ParetoParams(alpha=4.0, scale=1.0)
     h = HarmParams(k=1.0, beta=1.5)
     start = time.perf_counter()
-    worst = 0.0
-    details = []
+    rels, details = [], []
     for n in (1, 2, 5):
         closed = tail_mean(p, h, n)
         estimate = mc_tail_mean(p, h, n, trials, seed)
-        rel = abs(estimate - closed) / abs(closed)
-        worst = max(worst, rel)
-        details.append(f"N={n} rel={rel:.2e}")
+        rels.append(abs(estimate - closed) / abs(closed))
+        details.append(f"N={n} rel={rels[-1]:.2e}")
     elapsed = time.perf_counter() - start
-    passed = worst <= 0.02 and elapsed <= 10.0
+    passed = _worst(rels) <= 0.02 and elapsed <= 10.0
     return CheckResult(
         "tail-mean-closed-vs-mc",
         passed,
@@ -309,15 +312,15 @@ def check_tail_mean_mc(trials: int = 10**6, seed: int = VERIFY_SEED) -> CheckRes
 
 
 def check_density_normalization() -> CheckResult:
-    worst = 0.0
-    errors = []
+    gaps, errors = [], []
     for alpha, beta in itertools.product(NORMALIZATION_ALPHAS, NORMALIZATION_BETAS):
         if alpha < beta:
             continue
         for n in NORMALIZATION_FRAGMENTS:
             total, error = density_normalization(ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n)
-            worst = max(worst, abs(total - 1.0))
+            gaps.append(abs(total - 1.0))
             errors.append(error)
+    worst = _worst(gaps)
     note = _quadrature_note(errors)
     return CheckResult(
         "density-normalization",
@@ -327,14 +330,11 @@ def check_density_normalization() -> CheckResult:
 
 
 def check_density_histogram(seed: int = VERIFY_SEED) -> CheckResult:
-    worst = 0.0
-    errors = []
-    for alpha, beta, n in ((2.0, 1.5, 1), (4.0, 1.5, 2), (4.0, 3.0, 5)):
-        d, error = histogram_l1_distance(
-            ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n, samples=10**5, bins=50, seed=seed
-        )
-        worst = max(worst, d)
-        errors.append(error)
+    distances, errors = zip(*[
+        histogram_l1_distance(ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n, samples=10**5, bins=50, seed=seed)
+        for alpha, beta, n in ((2.0, 1.5, 1), (4.0, 1.5, 2), (4.0, 3.0, 5))
+    ])
+    worst = _worst(distances)
     note = _quadrature_note(errors)
     return CheckResult(
         "density-histogram-l1",
@@ -344,7 +344,7 @@ def check_density_histogram(seed: int = VERIFY_SEED) -> CheckResult:
 
 
 def check_degradation_identity() -> CheckResult:
-    worst = 0.0
+    gaps = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for alpha, beta in ((2.0, 1.5), (4.0, 1.5), (4.0, 3.0)):
@@ -354,7 +354,8 @@ def check_degradation_identity() -> CheckResult:
                 for n in (1, 2):
                     via_means = k_mult * tail_mean(p, h, k_mult * n) / tail_mean(p, h, n)
                     direct = degradation_ratio(p, h, float(k_mult), n)
-                    worst = max(worst, abs(via_means - direct) / abs(direct))
+                    gaps.append(abs(via_means - direct) / abs(direct))
+    worst = _worst(gaps)
     return CheckResult(
         "degradation-ratio-identity",
         worst <= 1e-12,
@@ -384,7 +385,7 @@ def check_jensen_directions(seed: int = VERIFY_SEED, draws: int = 1000) -> Check
 
     rng = np.random.default_rng(seed)
     violations = []
-    # the gap is >= 0 for beta >= 1 and <= 0 for beta < 1: count draws of the wrong sign
+    # the gap is >= 0 for beta >= 1 and <= 0 for beta < 1: count draws not of that sign, nan included
     for (low, high), sign in (((1.0, 4.0), 1.0), ((1e-6, 1.0), -1.0)):
         violations.append(0)
         for _ in range(draws):
@@ -393,7 +394,7 @@ def check_jensen_directions(seed: int = VERIFY_SEED, draws: int = 1000) -> Check
             size = int(rng.integers(1, 9))
             weights = FragmentWeights(tuple(rng.dirichlet(np.ones(size))))
             x = rng.uniform(1e-9, 100.0)
-            if sign * jensen_gap(HarmParams(k, beta), weights, x) < -1e-12:
+            if not sign * jensen_gap(HarmParams(k, beta), weights, x) >= -1e-12:
                 violations[-1] += 1
     convex_violations, concave_violations = violations
     passed = convex_violations == 0 and concave_violations == 0
@@ -487,13 +488,12 @@ def check_affected_fraction_oracle(
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    diffs = []
     for _ in range(cases):
         t = random_topology(rng, max_devices)
         failed = random_failed_set(rng, t)
-        fast = affected_fraction(t, failed)
-        brute = affected_fraction_bfs(t, failed)
-        worst = max(worst, abs(fast - brute))
+        diffs.append(abs(affected_fraction(t, failed) - affected_fraction_bfs(t, failed)))
+    worst = _worst(diffs)
     return CheckResult(
         "affected-fraction-vs-bfs",
         worst == 0.0,
@@ -551,15 +551,12 @@ def check_erf_accuracy(points: int = 1000) -> CheckResult:
     import numpy as np
 
     xs = np.linspace(-30.0, 30.0, points)  # past erf's saturation, where a truncated series collapses
-    worst = 0.0
-    errors = []
+    gaps, errors = [], []
     for x in xs:
         reference, error = erf_quadrature(float(x))
         errors.append(error)
-        if reference == 0.0:
-            worst = max(worst, abs(erf_value(float(x))))
-            continue
-        worst = max(worst, abs(erf_value(float(x)) - reference) / abs(reference))
+        gaps.append(abs(erf_value(float(x)) - reference) / (abs(reference) or 1.0))  # absolute at erf(0) = 0
+    worst = _worst(gaps)
     note = _quadrature_note(errors)
     return CheckResult(
         "erf-accuracy",

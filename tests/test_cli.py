@@ -621,6 +621,17 @@ class TestNonFiniteInput:
         first = captured.err.splitlines()[0]
         assert first.startswith(f"error: {command}: ")
         assert first.endswith(" is not finite (an input is too large for float arithmetic)")
+        # risk tail-mean --k 1e308 also printed NumPy's "overflow encountered in multiply" and "in reduce"
+        assert "encountered" not in captured.err
+
+    def test_sampled_overflow_is_one_error(self, capsys):
+        # the closed form is finite here; only the largest draws overflow
+        assert run(["risk", "tail-mean", "--k", "1e305", "--alpha", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: risk-tail-mean: mc_estimate = -inf is not finite (an input is too large for float arithmetic)\n"
+        )
 
     @pytest.mark.parametrize("args", NEGATIVE_SEED_ARGS)
     def test_negative_seed_is_named(self, cli_inputs, capsys, args):
@@ -1037,6 +1048,25 @@ def test_verify_passes_without_scipy():
     assert len(lines) == 16 and all(line.startswith("PASS ") for line in lines[:-1])
 
 
+# the config hash's built-in SHA-256 is _sha2 on Python 3.12+ and _sha256 before; hide both
+NO_BUILTIN_SHA256_PROBE = """
+import json
+import sys
+
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from fragrisk.config import ScenarioConfig
+
+hashes = [ScenarioConfig().config_hash(), ScenarioConfig(seed=7, harm_weights=(0.25, 0.75)).config_hash()]
+print(json.dumps({"hashlib": "hashlib" in sys.modules, "hashes": hashes}))
+"""
+
+
+def test_config_hash_falls_back_to_hashlib():
+    result = json.loads(probe_last_line(NO_BUILTIN_SHA256_PROBE))
+    hashes = [ScenarioConfig().config_hash(), ScenarioConfig(seed=7, harm_weights=(0.25, 0.75)).config_hash()]
+    assert result == {"hashlib": True, "hashes": hashes}
+
+
 def test_closed_form_commands_never_import_numpy(tmp_path):
     # importing NumPy was most of the start-up time of every command, --help
     # included, and of every graph command; only the Pareto sampler needs it
@@ -1053,7 +1083,8 @@ def test_cli_import_loads_every_traced_module():
     assert functions == expected
 
 
-TOPO_MODULES = ["cli", "config", "harm", "report", "topology"]
+# topo harm alone of the graph commands applies the harm transform
+TOPO_MODULES = ["cli", "config", "report", "topology"]
 
 
 @pytest.mark.parametrize(
@@ -1062,9 +1093,9 @@ TOPO_MODULES = ["cli", "config", "harm", "report", "topology"]
         (["--help"], ["cli"]),
         (["topo", "hops", "--topology", "{topo}"], TOPO_MODULES),
         (["topo", "fail", "--topology", "{topo}", "--fail", "leaf0"], TOPO_MODULES),
-        (["topo", "harm", "--topology", "{topo}", "--p", "0.1", "--trials", "100"], TOPO_MODULES),
+        (["topo", "harm", "--topology", "{topo}", "--p", "0.1", "--trials", "100"], sorted(TOPO_MODULES + ["harm"])),
         (["compare"], sorted(TOPO_MODULES + ["costing"])),
-        (["verify"], sorted(TOPO_MODULES + ["costing", "growth", "pareto", "verify"])),
+        (["verify"], sorted(TOPO_MODULES + ["costing", "growth", "harm", "pareto", "verify"])),
     ],
     ids=["help", "topo-hops", "topo-fail", "topo-harm", "compare", "verify"],
 )
@@ -1075,10 +1106,10 @@ def test_each_command_runs_only_its_modules(tmp_path, args, ran):
     assert loaded["ran"] == ran
     if args == ["--help"]:
         assert loaded["stdlib"] == []
-    elif args == ["verify"]:  # NumPy, which verify's oracles use, imports inspect
+    elif args == ["verify"]:  # NumPy, which verify's oracles use, imports inspect and hashlib
         assert "dataclasses" not in loaded["stdlib"]
-    else:
-        assert not {"dataclasses", "inspect"} & set(loaded["stdlib"])
+    else:  # the config hash takes the interpreter's built-in SHA-256, so neither hashlib nor OpenSSL loads
+        assert not {"dataclasses", "hashlib", "inspect"} & set(loaded["stdlib"])
 
 
 # option string -> (dest, default) of each leaf command's sub-parser, as the

@@ -6,6 +6,7 @@ reference the oracle itself is checked against.
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -110,3 +111,54 @@ def test_erf_oracle_does_not_call_math_erf(monkeypatch):
     monkeypatch.undo()
     assert error <= QUADRATURE_TOL
     assert abs(value - math.erf(-1.5)) <= 1e-15
+
+
+def nan_like(value):
+    """``value`` with every number in it, keys aside, replaced by nan; an object becomes a namespace of its fields."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return math.nan
+    if isinstance(value, np.ndarray):
+        return np.full(value.shape, math.nan)
+    if isinstance(value, (list, tuple)):
+        return type(value)(nan_like(v) for v in value)
+    if isinstance(value, dict):
+        return {k: nan_like(v) for k, v in value.items()}
+    if hasattr(value, "__dict__"):
+        return types.SimpleNamespace(**nan_like(vars(value)))
+    return value  # str, None
+
+
+# each check, a production function it calls (as imported into verify), and
+# whether its detail prints the error it compares with its tolerance
+NAN_CASES = [
+    (verify.check_jensen_directions, "jensen-gap-directions", "jensen_gap", False),
+    (verify.check_survival_comparison, "survival-comparison-mc", "survival_comparison", False),
+    (verify.check_pareto_sampler, "pareto-sampler", "pareto_sample", False),
+    (verify.check_density_normalization, "density-normalization", "fragment_harm_density", True),
+    (verify.check_density_histogram, "density-histogram-l1", "fragment_harm_density", True),
+    (verify.check_tail_mean_mc, "tail-mean-closed-vs-mc", "tail_mean", True),
+    (verify.check_degradation_identity, "degradation-ratio-identity", "degradation_ratio", True),
+    (verify.check_degradation_curve, "degradation-curve-shape", "degradation_curve", False),
+    (verify.check_hop_claims, "hop-and-fault-claims", "hop_histogram", False),
+    (verify.check_affected_fraction_oracle, "affected-fraction-vs-bfs", "affected_fraction", True),
+    (verify.check_hop_histogram_oracle, "hops-vs-bfs", "hop_histogram", False),
+    (verify.check_failure_harm_enumeration, "failure-harm-vs-enumeration", "failure_harm_mc", False),
+    (verify.check_erf_accuracy, "erf-accuracy", "erf_value", True),
+    (verify.check_growth_model, "growth-model", "capacity_at", False),
+    (verify.check_costing_defaults, "costing-default-ratios", "compare_designs", False),
+]
+
+
+def test_nan_cases_cover_every_check():
+    assert [name for _, name, _, _ in NAN_CASES] == [r.name for r in verify.run_all_checks()]
+
+
+@pytest.mark.parametrize("check, name, function, prints_error", NAN_CASES, ids=[c[1] for c in NAN_CASES])
+def test_check_fails_when_the_checked_code_returns_nan(monkeypatch, check, name, function, prints_error):
+    # max(worst, nan) keeps worst, and nan < -tol is false: either let a nan pass
+    real = getattr(verify, function)
+    monkeypatch.setattr(verify, function, lambda *args, **kwargs: nan_like(real(*args, **kwargs)))
+    result = check()
+    assert (result.name, result.passed) == (name, False), result.line()
+    if prints_error:
+        assert "nan" in result.detail, result.detail
