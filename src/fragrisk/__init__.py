@@ -16,6 +16,30 @@ import sys
 
 __version__ = "0.1.0"
 
+
+class _Record:
+    """Read-only record whose fields are its annotated class attributes.
+
+    ``__init__`` stores them through ``self.__dict__``.  Records of one class
+    are equal, and hash alike, when their field values are; a field left at
+    its class default reads as that default.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__annotations__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 # defining module -> its public names, in ``__all__`` order
 _EXPORTS = {
     "harm": ("HarmParams", "FragmentWeights", "harm", "fragmented_harm", "jensen_gap", "survival_comparison"),

@@ -15,6 +15,8 @@ listing), and that hash is stamped into every report.
 
 from __future__ import annotations
 
+from . import _Record
+
 DEFAULT_SEED = 42
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -41,7 +43,7 @@ def parse_float_list(raw: str) -> tuple[float, ...]:
     return values
 
 
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """All tunables for the CLI, with defaults reproducing the canonical scenario.
 
     The annotated class attributes are the one list of fields: each value is

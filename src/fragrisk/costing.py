@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from . import _Record
 from .report import ScenarioReport
-from .topology import Topology, affected_fraction
-
-FIXED_PORT_ROLES = frozenset({"spine", "leaf"})
+from .topology import FABRIC_ROLES, Topology, affected_fraction
 
 
-class CostAssumptions:
+class CostAssumptions(_Record):
     """Base modular price/watts per port and the fixed-port discount ratios; read-only."""
 
     modular_price_per_port: float
@@ -43,16 +42,13 @@ class CostAssumptions:
             fixed_watts_ratio=fixed_watts_ratio,
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
     def price_per_port(self, role: str) -> float:
-        if role in FIXED_PORT_ROLES:
+        if role in FABRIC_ROLES:
             return self.modular_price_per_port * self.fixed_price_ratio
         return self.modular_price_per_port
 
     def watts_per_port(self, role: str) -> float:
-        if role in FIXED_PORT_ROLES:
+        if role in FABRIC_ROLES:
             return self.modular_watts_per_port * self.fixed_watts_ratio
         return self.modular_watts_per_port
 

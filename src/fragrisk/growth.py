@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from . import _Record
+
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
@@ -18,7 +20,7 @@ def erf_value(x: float) -> float:
     return math.erf(x)
 
 
-class GrowthSpec:
+class GrowthSpec(_Record):
     """Either a sigmoid-limited modular design or an unbounded linear one; read-only."""
 
     kind: str  # "sigmoid" or "linear"
@@ -37,9 +39,6 @@ class GrowthSpec:
         else:
             raise ValueError(f"growth kind must be 'sigmoid' or 'linear', got {kind!r}")
         self.__dict__.update(kind=kind, saturation_capacity=saturation_capacity, ports_per_switch=ports_per_switch)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def sigmoid(cls, saturation_capacity: float) -> "GrowthSpec":

@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from . import _Record
+
 if TYPE_CHECKING:
     from .pareto import ParetoParams
 
 WEIGHT_SUM_TOL = 1e-9
 
 
-class HarmParams:
+class HarmParams(_Record):
     """Scale k > 0 and convexity exponent beta >= 0 of the harm transform; read-only."""
 
     k: float
@@ -34,16 +36,13 @@ class HarmParams:
                 raise ValueError(f"harm parameter {name} must be finite, got {value}")
         self.__dict__.update(k=k, beta=beta)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
     @property
     def guarantees_fragmentation_benefit(self) -> bool:
         """True iff beta >= 1, the regime where splitting exposure cannot hurt."""
         return self.beta >= 1.0
 
 
-class FragmentWeights:
+class FragmentWeights(_Record):
     """Shares w_i in [0, 1] splitting one exposure; they must sum to 1.  Read-only.
 
     The raw shares are accepted if their sum is within 1e-9 of 1 and are then
@@ -64,9 +63,6 @@ class FragmentWeights:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"fragment weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
         self.__dict__["w"] = tuple(v / total for v in w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def equal(cls, count: int) -> "FragmentWeights":

@@ -13,10 +13,14 @@ from __future__ import annotations
 import math
 import warnings
 
+from . import _Record
 from .harm import HarmParams
 
+# mc_tail_mean refuses more draws than this: each holds several float64 arrays of that length
+_MAX_DRAWS = 10**7
 
-class ParetoParams:
+
+class ParetoParams(_Record):
     """Tail index alpha > 0 and scale L > 0 (minimum error magnitude); read-only."""
 
     alpha: float
@@ -31,9 +35,6 @@ class ParetoParams:
             if not math.isfinite(value):
                 raise ValueError(f"Pareto parameter {name} must be finite, got {value}")
         self.__dict__.update(alpha=alpha, scale=scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _check_fragments(fragments: int) -> int:
@@ -123,15 +124,18 @@ def _check_convergence(p: ParetoParams, h: HarmParams) -> None:
 def tail_mean(p: ParetoParams, h: HarmParams, fragments: int) -> float:
     """Closed-form mean of harm beyond the threshold -k * L**beta / N.
 
-    Evaluates to -(alpha * k * L**beta * N**(alpha*(1/beta - 1) - 1)) / (alpha - beta),
-    the unconditional truncated mean E[xi * 1{xi <= -k L**beta / N}] of
-    xi = -k * (X/N)**beta for beta >= 1 (the threshold then lies inside the
-    support).  Always negative; requires alpha > beta for convergence.
+    The unconditional truncated mean E[xi * 1{xi <= -k L**beta / N}] of
+    xi = -k * (X/N)**beta: -(alpha * k * L**beta * N**(alpha*(1/beta - 1) - 1)) / (alpha - beta)
+    for beta >= 1.  Below that the whole support lies beyond the threshold, so
+    it is the full mean -(alpha * k * (L/N)**beta) / (alpha - beta).  Always
+    negative; requires alpha > beta for convergence.
     """
     fragments = _check_fragments(fragments)
     if not h.beta > 0:
         raise ValueError("tail mean requires beta > 0")
     _check_convergence(p, h)
+    if h.beta < 1.0:
+        return -(p.alpha * h.k * (p.scale / fragments) ** h.beta) / (p.alpha - h.beta)
     exponent = p.alpha * (1.0 / h.beta - 1.0) - 1.0
     return -(p.alpha * h.k * p.scale**h.beta * fragments**exponent) / (p.alpha - h.beta)
 
@@ -141,13 +145,15 @@ def mc_tail_mean(p: ParetoParams, h: HarmParams, fragments: int, trials: int, se
 
     Samples X, maps to xi = -k * (X/N)**beta, and averages xi over all trials
     counting draws above the threshold as zero (unconditional truncated mean,
-    no renormalization).
+    no renormalization).  More than ``_MAX_DRAWS`` trials are refused.
     """
     import numpy as np
 
     fragments = _check_fragments(fragments)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > _MAX_DRAWS:
+        raise ValueError(f"{trials} trials are more than the {_MAX_DRAWS:.0e} draws one run may take")
     if not h.beta > 0:
         raise ValueError("tail mean requires beta > 0")
     _check_convergence(p, h)
@@ -161,7 +167,7 @@ def mc_tail_mean(p: ParetoParams, h: HarmParams, fragments: int, trials: int, se
 
 
 def degradation_ratio(p: ParetoParams, h: HarmParams, multiplier: float, fragments: int) -> float:
-    """K**(alpha * (1/beta - 1)): mean-harm ratio after K-fold refragmentation.
+    """Mean-harm ratio after K-fold refragmentation: K**(alpha * (1/beta - 1)), or K**(1 - beta) below beta = 1.
 
     Algebraically equal to K * tail_mean(K*N) / tail_mean(N) and independent
     of N, k, and L.  Below 1 for beta > 1 and K > 1: concentrating exposure
@@ -175,6 +181,8 @@ def degradation_ratio(p: ParetoParams, h: HarmParams, multiplier: float, fragmen
     if not h.beta > 0:
         raise ValueError("degradation ratio requires beta > 0")
     _check_convergence(p, h)
+    if h.beta < 1.0:
+        return float(multiplier) ** (1.0 - h.beta)
     return float(multiplier) ** (p.alpha * (1.0 / h.beta - 1.0))
 
 

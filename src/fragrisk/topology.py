@@ -67,6 +67,8 @@ from itertools import accumulate, compress
 from operator import floordiv, mul, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from . import _Record
+
 if TYPE_CHECKING:
     from .harm import HarmParams
 
@@ -101,7 +103,7 @@ _TIER_LINK_ROLES = frozenset(
 )
 
 
-class Device:
+class Device(_Record):
     """A switch with a role; leaves may carry a descriptive function tag.  Read-only; equal by value."""
 
     id: str
@@ -119,14 +121,6 @@ class Device:
             if tag not in LEAF_TAGS:
                 raise ValueError(f"unknown leaf tag {tag!r}; expected one of {LEAF_TAGS}")
         self.__dict__.update(id=id, role=role, tag=tag)
-
-    def __eq__(self, other):
-        if type(other) is not Device:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class TwinQuotient(NamedTuple):
@@ -150,7 +144,7 @@ class TwinQuotient(NamedTuple):
         return len(self.members)
 
 
-class Topology:
+class Topology(_Record):
     """Immutable device/link graph with attached hosts.
 
     Construction canonicalizes ordering (devices by id, links as sorted
@@ -184,20 +178,6 @@ class Topology:
             detached_hosts=tuple(sorted(str(h) for h in detached_hosts)),
         )
         self._validate()
-
-    def __eq__(self, other):
-        if type(other) is not Topology:
-            return NotImplemented
-        # not vars(): it also holds the cached properties
-        return (self.devices, self.links, self.hosts, self.detached_hosts) == (
-            other.devices,
-            other.links,
-            other.hosts,
-            other.detached_hosts,
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def _validate(self) -> None:
         role_of = {d.id: d.role for d in self.devices}
@@ -561,7 +541,7 @@ def affected_fraction(t: Topology, failed: set[str]) -> float:
     return _class_fractions(t, [counts])[0]
 
 
-class FailureModel:
+class FailureModel(_Record):
     """Per-trial, per-device failure probability by role; missing roles fail with 0.  Read-only."""
 
     probabilities: dict[str, float]
@@ -575,9 +555,6 @@ class FailureModel:
                 raise ValueError(f"failure probability for {role!r} must be in [0, 1], got {prob}")
         self.__dict__["probabilities"] = probabilities
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
     @classmethod
     def uniform(cls, probability: float) -> "FailureModel":
         return cls({role: probability for role in ROLES})
@@ -586,7 +563,7 @@ class FailureModel:
         return self.probabilities.get(role, 0.0)
 
 
-class FailureHarmStats:
+class FailureHarmStats(_Record):
     """Sample mean, standard error and severity quantiles of harm over Monte Carlo trials; read-only.
 
     Quantiles are by severity: p99 is the harm value whose magnitude is
@@ -613,14 +590,6 @@ class FailureHarmStats:
             distinct_patterns=distinct_patterns,
             std_error=std_error,
         )
-
-    def __eq__(self, other):
-        if type(other) is not FailureHarmStats:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def failure_harm_mc(

@@ -15,6 +15,7 @@ import time
 import warnings
 from collections import deque
 
+from . import _Record
 from .costing import CostAssumptions, compare_designs
 from .growth import GrowthSpec, capacity_at, crossover, erf_value
 from .harm import FragmentWeights, HarmParams, harm, jensen_gap, survival_comparison
@@ -49,11 +50,13 @@ NORMALIZATION_BETAS = (1.0, 1.5, 2.0, 3.0)
 NORMALIZATION_FRAGMENTS = (1, 2, 5)
 
 
-class CheckResult:
+class CheckResult(_Record):
+    name: str
+    passed: bool
+    detail: str
+
     def __init__(self, name: str, passed: bool, detail: str):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
@@ -294,14 +297,14 @@ def random_failed_set(rng: np.random.Generator, t: Topology) -> set[str]:
 
 def check_tail_mean_mc(trials: int = 10**6, seed: int = VERIFY_SEED) -> CheckResult:
     p = ParetoParams(alpha=4.0, scale=1.0)
-    h = HarmParams(k=1.0, beta=1.5)
     start = time.perf_counter()
     rels, details = [], []
-    for n in (1, 2, 5):
+    # below beta = 1 the threshold lies beyond the whole support
+    for h, n in itertools.product((HarmParams(k=1.0, beta=1.5), HarmParams(k=1.0, beta=0.5)), (1, 2, 5)):
         closed = tail_mean(p, h, n)
         estimate = mc_tail_mean(p, h, n, trials, seed)
         rels.append(abs(estimate - closed) / abs(closed))
-        details.append(f"N={n} rel={rels[-1]:.2e}")
+        details.append(f"beta={h.beta} N={n} rel={rels[-1]:.2e}")
     elapsed = time.perf_counter() - start
     passed = _worst(rels) <= 0.02 and elapsed <= 10.0
     return CheckResult(
@@ -347,7 +350,7 @@ def check_degradation_identity() -> CheckResult:
     gaps = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for alpha, beta in ((2.0, 1.5), (4.0, 1.5), (4.0, 3.0)):
+        for alpha, beta in ((2.0, 1.5), (4.0, 1.5), (4.0, 3.0), (4.0, 0.5)):
             p = ParetoParams(alpha, 1.0)
             h = HarmParams(1.0, beta)
             for k_mult in (2, 3, 4):

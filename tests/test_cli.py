@@ -454,7 +454,8 @@ RANGE_ARGS = [
 # finite inputs whose float powers overflow; each was an OverflowError traceback, and then
 # printed the raw "(34, 'Numerical result out of range')"
 OVERFLOW_ARGS = [
-    ["risk", "ratio", "--K", "1e308", "--beta", "0.5", "--alpha", "2"],
+    # K**(alpha*(1/beta - 1)) at K = 1e-6 is 1e400; below beta = 1 the ratio K**(1 - beta) cannot overflow
+    ["risk", "ratio", "--K", "1e-6", "--fragments", "1000000", "--beta", "3", "--alpha", "100"],
     ["jensen", "--x", "1e300", "--beta", "3"],
     ["harm-curve", "--x-max", "1e300", "--betas", "3", "--points", "3"],
     ["risk", "tail-mean", "--scale", "1e300", "--beta", "3", "--alpha", "5", "--trials", "10"],
@@ -477,6 +478,8 @@ EMPTY_LIST_ARGS = [
 # trial counts whose sample arrays cannot be allocated; each was a MemoryError traceback
 HUGE_TRIALS_ARGS = [
     ["risk", "tail-mean", "--trials", "1000000000000000"],
+    # one draw past the limit; it allocated several float64 arrays of 1e7 elements, 273 MB at the peak
+    ["risk", "tail-mean", "--trials", "10000001"],
     ["topo", "harm", "--topology", "{in}/sl.txt", "--trials", "1000000000000000"],
 ]
 

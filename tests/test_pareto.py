@@ -17,6 +17,7 @@ from fragrisk import (
     pareto_sample,
     tail_mean,
 )
+from fragrisk import pareto
 
 
 def quiet_tail_mean(p, h, n):
@@ -166,9 +167,18 @@ class TestMcTailMean:
         expected = xi if xi <= -(h.k * p.scale**h.beta) else 0.0
         assert mc_tail_mean(p, h, 1, 1, seed=5) == expected
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_converges_to_closed_form(self, n):
-        p, h = ParetoParams(4.0, 1.0), HarmParams(1.0, 1.5)
+    # below beta = 1 the threshold lies beyond the whole support, so the tail mean is the full mean
+    @pytest.mark.parametrize(
+        "n, beta",
+        [
+            pytest.param(1, 1.5, id="1"),
+            pytest.param(2, 1.5, id="2"),
+            pytest.param(1, 0.5, id="1-beta0.5"),
+            pytest.param(2, 0.5, id="2-beta0.5"),
+        ],
+    )
+    def test_converges_to_closed_form(self, n, beta):
+        p, h = ParetoParams(4.0, 1.0), HarmParams(1.0, beta)
         closed = tail_mean(p, h, n)
         estimate = mc_tail_mean(p, h, n, 10**6, seed=42)
         assert abs(estimate - closed) / abs(closed) <= 0.02
@@ -176,6 +186,13 @@ class TestMcTailMean:
     def test_deterministic(self):
         p, h = ParetoParams(4.0, 1.0), HarmParams(1.0, 1.5)
         assert mc_tail_mean(p, h, 2, 10_000, seed=9) == mc_tail_mean(p, h, 2, 10_000, seed=9)
+
+    def test_draw_limit_is_exact(self, monkeypatch):
+        p, h = ParetoParams(4.0, 1.0), HarmParams(1.0, 1.5)
+        monkeypatch.setattr(pareto, "_MAX_DRAWS", 5)
+        mc_tail_mean(p, h, 2, 5, seed=9)
+        with pytest.raises(ValueError, match="^6 trials are more than the 5e\\+00 draws"):
+            mc_tail_mean(p, h, 2, 6, seed=9)
 
 
 class TestDegradationRatio:
@@ -193,6 +210,8 @@ class TestDegradationRatio:
             warnings.simplefilter("ignore")
             ratio = degradation_ratio(ParetoParams(2.0, 1.0), HarmParams(1.0, 1.5), 2.0, 1)
         assert ratio == pytest.approx(0.6299605249474366, rel=1e-14)
+        # below beta = 1 the tail mean is the full mean, so the ratio is K**(1 - beta)
+        assert degradation_ratio(ParetoParams(4.0, 1.0), HarmParams(1.0, 0.5), 2.0, 1) == 2**0.5
 
     def test_matches_tail_mean_ratio(self):
         p, h = ParetoParams(4.0, 1.0), HarmParams(1.0, 1.5)

@@ -33,8 +33,10 @@ from fragrisk import (
     serialize_topology,
 )
 from fragrisk import topology
+from fragrisk.config import DEFAULT_SEED, ScenarioConfig
 from fragrisk.topology import UNREACHABLE, _connected_pairs, _table_quantiles
 from fragrisk.verify import (
+    CheckResult,
     affected_fraction_bfs,
     check_hop_histogram_oracle,
     exhaustive_failure_harm,
@@ -342,40 +344,68 @@ def test_builder_size_bound_is_exact(monkeypatch, build, args):
         build(*args)
 
 
-@pytest.mark.parametrize(
-    "make, field",
-    [
-        pytest.param(lambda: HarmParams(1.0, 1.5), "k", id="HarmParams"),
-        pytest.param(lambda: FragmentWeights((0.5, 0.5)), "w", id="FragmentWeights"),
-        pytest.param(lambda: ParetoParams(2.0, 1.0), "alpha", id="ParetoParams"),
-        pytest.param(lambda: GrowthSpec.sigmoid(100.0), "kind", id="GrowthSpec"),
-        pytest.param(CostAssumptions, "fixed_price_ratio", id="CostAssumptions"),
-        pytest.param(lambda: Device("l0", "leaf"), "role", id="Device"),
-        pytest.param(lambda: build_spine_leaf(2, 2, 1), "links", id="Topology"),
-        pytest.param(lambda: FailureModel.uniform(0.1), "probabilities", id="FailureModel"),
-        pytest.param(
-            lambda: failure_harm_mc(build_spine_leaf(2, 2, 1), FailureModel.uniform(0.1), HarmParams(1, 2), 10, 1),
-            "trials",
-            id="FailureHarmStats",
-        ),
-    ],
-)
-def test_records_are_read_only(make, field):
+def _stats(trials):
+    return failure_harm_mc(build_spine_leaf(2, 2, 1), FailureModel.uniform(0.1), HarmParams(1, 2), trials, 1)
+
+
+# every read-only record: a maker, a maker of one with some field changed, a field to
+# assign, and whether it can be hashed (records holding a dict cannot)
+RECORDS = [
+    pytest.param(lambda: HarmParams(1.0, 1.5), lambda: HarmParams(1.0, 2.0), "k", True, id="HarmParams"),
+    pytest.param(
+        lambda: FragmentWeights((0.5, 0.5)), lambda: FragmentWeights((0.25, 0.75)), "w", True, id="FragmentWeights"
+    ),
+    pytest.param(lambda: ParetoParams(2.0, 1.0), lambda: ParetoParams(3.0, 1.0), "alpha", True, id="ParetoParams"),
+    pytest.param(lambda: GrowthSpec.sigmoid(100.0), lambda: GrowthSpec.linear(48), "kind", True, id="GrowthSpec"),
+    pytest.param(
+        CostAssumptions, lambda: CostAssumptions(fixed_price_ratio=0.5), "fixed_price_ratio", True, id="CostAssumptions"
+    ),
+    pytest.param(lambda: Device("l0", "leaf"), lambda: Device("l0", "leaf", "dmz"), "role", True, id="Device"),
+    pytest.param(lambda: build_spine_leaf(2, 2, 1), lambda: build_spine_leaf(2, 2, 2), "links", True, id="Topology"),
+    pytest.param(
+        lambda: FailureModel.uniform(0.1), lambda: FailureModel.uniform(0.2), "probabilities", False, id="FailureModel"
+    ),
+    pytest.param(lambda: _stats(10), lambda: _stats(20), "trials", False, id="FailureHarmStats"),
+    pytest.param(ScenarioConfig, lambda: ScenarioConfig(seed=7), "seed", True, id="ScenarioConfig"),
+    pytest.param(
+        lambda: CheckResult("c", True, "d"), lambda: CheckResult("c", False, "d"), "passed", True, id="CheckResult"
+    ),
+]
+
+
+@pytest.mark.parametrize("make, changed, field, hashable", RECORDS)
+def test_records_are_read_only(make, changed, field, hashable):
     record = make()
     value = getattr(record, field)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=f"cannot assign to field {field!r}"):
         setattr(record, field, value)
     assert getattr(record, field) is value
 
 
+@pytest.mark.parametrize("make, changed, field, hashable", RECORDS)
+def test_records_compare_by_value(make, changed, field, hashable):
+    a, b = make(), make()
+    assert a is not b and a == b
+    assert a != changed()
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
+
+def test_record_fields_left_at_default_compare_as_the_default():
+    # a ScenarioConfig holds only the values it was given
+    assert ScenarioConfig() == ScenarioConfig(seed=DEFAULT_SEED)
+    assert hash(ScenarioConfig()) == hash(ScenarioConfig(seed=DEFAULT_SEED))
+
+
 def test_devices_and_topologies_compare_by_value():
-    assert Device("l0", "leaf") == Device("l0", "leaf")
-    assert Device("l0", "leaf") != Device("l0", "leaf", "dmz")
     assert Device("s0", "spine") != Device("s1", "spine")
     t = build_spine_leaf(2, 2, 1)
     assert t == parse_topology(serialize_topology(t))
-    assert t != build_spine_leaf(2, 2, 2)
     assert t != inject_failures(t, {"leaf0"})
+    assert t != Device("s0", "spine")
 
 
 class TestTopologyInvariants:
