@@ -22,7 +22,8 @@ class _Record:
 
     ``__init__`` stores them through ``self.__dict__``.  Records of one class
     are equal, and hash alike, when their field values are; a field left at
-    its class default reads as that default.
+    its class default reads as that default.  The repr names every field's
+    value.
     """
 
     def __setattr__(self, name, value):
@@ -38,6 +39,10 @@ class _Record:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(type(self).__annotations__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
 # defining module -> its public names, in ``__all__`` order

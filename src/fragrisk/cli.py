@@ -45,7 +45,7 @@ import warnings
 # each analysis module runs on first use (see fragrisk/__init__.py), so a
 # command pays only for the modules its handler calls into
 from . import config, costing, growth, pareto, topology, verify
-from . import report as reporting  # handlers name their ScenarioReport `report`
+from . import report as reporting  # _emit_report names its ScenarioReport `report`
 
 # fragrisk.harm is the harm function, so the module is taken from sys.modules
 harm_model = sys.modules[f"{__package__}.harm"]
@@ -183,17 +183,22 @@ def _distinct_messages(caught) -> list[str]:
 
 
 def _emit_report(
-    report: reporting.ScenarioReport, cfg: config.ScenarioConfig, args, side_files=(), stdout=None
+    cfg: config.ScenarioConfig, args, command: str, columns, rows, metadata=None, side_files=(), stdout=None
 ) -> None:
-    """Stamp ``report`` with the config hash, seed and warnings so far, render it, add ``--svg``, then ``_emit``."""
-    report.config_hash = cfg.config_hash()
+    """Build the command's one report, render it, add ``--svg``, then ``_emit``.
+
+    The report's metadata is ``metadata`` plus the config hash, the seed,
+    the config's ``core_drop_probability`` and the warnings caught so far.
+    """
+    metadata = {**(metadata or {}), "config_hash": cfg.config_hash()}
     if hasattr(args, "seed"):  # every command that takes --seed; all but jensen draw random numbers
-        report.seed = cfg.seed
+        metadata["seed"] = cfg.seed
     if cfg.report_core_drop_probability is not None:
-        report.extra_metadata.setdefault("core_drop_probability", cfg.report_core_drop_probability)
+        metadata["core_drop_probability"] = cfg.report_core_drop_probability
     messages = _distinct_messages(args.caught_warnings)
     if messages:
-        report.extra_metadata["warnings"] = " | ".join(messages)
+        metadata["warnings"] = " | ".join(messages)
+    report = reporting.ScenarioReport(command, columns, rows, metadata)
     svg = getattr(args, "svg", None)
     if svg is not None:
         side_files = [*side_files, (svg, reporting.svg_line_chart(report))]
@@ -240,7 +245,7 @@ def cmd_harm_curve(cfg: config.ScenarioConfig, args) -> int:
     rows = []
     for x in xs:
         rows.append([x] + [harm_model.harm(harm_model.HarmParams(cfg.harm_k, beta), x) for beta in args.betas])
-    _emit_report(reporting.ScenarioReport("harm-curve", columns, rows), cfg, args)
+    _emit_report(cfg, args, "harm-curve", columns, rows)
     return 0
 
 
@@ -251,12 +256,8 @@ def cmd_jensen(cfg: config.ScenarioConfig, args) -> int:
     split = harm_model.fragmented_harm(params, weights, cfg.error_x)
     gap = harm_model.jensen_gap(params, weights, cfg.error_x)
     cen, dec = harm_model.survival_comparison(params, cfg.unit_value, weights, _pareto_params(cfg))
-    report = reporting.ScenarioReport(
-        "jensen",
-        ["x", "harm", "fragmented_harm", "jensen_gap", "centralized_mean", "decentralized_mean", "mean_gap"],
-        [[cfg.error_x, concentrated, split, gap, cen, dec, dec - cen]],
-    )
-    _emit_report(report, cfg, args)
+    columns = ["x", "harm", "fragmented_harm", "jensen_gap", "centralized_mean", "decentralized_mean", "mean_gap"]
+    _emit_report(cfg, args, "jensen", columns, [[cfg.error_x, concentrated, split, gap, cen, dec, dec - cen]])
     return 0
 
 
@@ -269,8 +270,7 @@ def cmd_risk_density(cfg: config.ScenarioConfig, args) -> int:
         q = (i + 1) / args.points  # quantile grid covers the support evenly
         xi = pareto.harm_quantile(p, h, n, q)
         rows.append([xi, pareto.fragment_harm_density(p, h, n, xi)])
-    report = reporting.ScenarioReport("risk-density", ["xi", "density"], rows)
-    _emit_report(report, cfg, args)
+    _emit_report(cfg, args, "risk-density", ["xi", "density"], rows)
     return 0
 
 
@@ -279,26 +279,20 @@ def cmd_risk_tail_mean(cfg: config.ScenarioConfig, args) -> int:
     closed = pareto.tail_mean(p, h, cfg.fragments)
     estimate = pareto.mc_tail_mean(p, h, cfg.fragments, cfg.trials, cfg.seed)
     rel = abs(estimate - closed) / abs(closed)
-    report = reporting.ScenarioReport(
-        "risk-tail-mean",
-        ["fragments", "closed_form", "mc_estimate", "relative_error"],
-        [[cfg.fragments, closed, estimate, rel]],
-    )
-    _emit_report(report, cfg, args)
+    columns = ["fragments", "closed_form", "mc_estimate", "relative_error"]
+    _emit_report(cfg, args, "risk-tail-mean", columns, [[cfg.fragments, closed, estimate, rel]])
     return 0
 
 
 def cmd_risk_ratio(cfg: config.ScenarioConfig, args) -> int:
     ratio = pareto.degradation_ratio(_pareto_params(cfg), _harm_params(cfg), args.K, cfg.fragments)
-    report = reporting.ScenarioReport("risk-ratio", ["K", "ratio"], [[args.K, ratio]])
-    _emit_report(report, cfg, args, stdout=f"{ratio:.6f}\n")
+    _emit_report(cfg, args, "risk-ratio", ["K", "ratio"], [[args.K, ratio]], stdout=f"{ratio:.6f}\n")
     return 0
 
 
 def cmd_risk_curve(cfg: config.ScenarioConfig, args) -> int:
     curve = pareto.degradation_curve(_pareto_params(cfg), _harm_params(cfg), list(args.K_values))
-    report = reporting.ScenarioReport("risk-curve", ["K", "ratio"], [[k, r] for k, r in curve])
-    _emit_report(report, cfg, args)
+    _emit_report(cfg, args, "risk-curve", ["K", "ratio"], [[k, r] for k, r in curve])
     return 0
 
 
@@ -311,9 +305,7 @@ def cmd_topo_hops(cfg: config.ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
     hist = topology.hop_histogram(topo)
     rows = [[hops, hist[hops]] for hops in sorted(hist)]
-    report = reporting.ScenarioReport("topo-hops", ["hops", "pairs"], rows)
-    report.extra_metadata["unreachable_bucket"] = topology.UNREACHABLE
-    _emit_report(report, cfg, args)
+    _emit_report(cfg, args, "topo-hops", ["hops", "pairs"], rows, {"unreachable_bucket": topology.UNREACHABLE})
     return 0
 
 
@@ -322,30 +314,20 @@ def cmd_topo_fail(cfg: config.ScenarioConfig, args) -> int:
     failed = {tok.strip() for tok in args.fail.split(",") if tok.strip()} if args.fail else set()
     fraction = topology.affected_fraction(topo, failed)  # raises on unknown ids
     detached = len(topo.detached_hosts) + sum(d in failed for _, d in topo.hosts)
-    report = reporting.ScenarioReport(
-        "topo-fail",
-        ["failed_devices", "affected_fraction", "detached_hosts"],
-        [[len(failed), fraction, detached]],
-    )
     side_files = []
     if args.emit is not None:
         side_files.append((args.emit, topology.serialize_topology(topology.inject_failures(topo, failed))))
-    _emit_report(report, cfg, args, side_files=side_files)
+    columns = ["failed_devices", "affected_fraction", "detached_hosts"]
+    _emit_report(cfg, args, "topo-fail", columns, [[len(failed), fraction, detached]], side_files=side_files)
     return 0
 
 
 def cmd_topo_harm(cfg: config.ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
     stats = topology.failure_harm_mc(topo, _failure_model(cfg, args), _harm_params(cfg), cfg.trials, cfg.seed)
-    report = reporting.ScenarioReport(
-        "topo-harm",
-        ["expected_harm", "p50", "p90", "p99"],
-        [[stats.expected_harm, stats.quantiles["p50"], stats.quantiles["p90"], stats.quantiles["p99"]]],
-    )
-    report.extra_metadata.update(
-        trials=stats.trials, distinct_patterns=stats.distinct_patterns, std_error=stats.std_error
-    )
-    _emit_report(report, cfg, args)
+    rows = [[stats.expected_harm, stats.quantiles["p50"], stats.quantiles["p90"], stats.quantiles["p99"]]]
+    metadata = {"trials": stats.trials, "distinct_patterns": stats.distinct_patterns, "std_error": stats.std_error}
+    _emit_report(cfg, args, "topo-harm", ["expected_harm", "p50", "p90", "p99"], rows, metadata)
     return 0
 
 
@@ -354,9 +336,8 @@ def cmd_growth(cfg: config.ScenarioConfig, args) -> int:
     lin = growth.GrowthSpec.linear(args.ports_per_switch)
     units = _grid("--max-units", args.max_units, args.points, 3)
     rows = [[u, growth.capacity_at(sig, u), growth.capacity_at(lin, u)] for u in units]
-    report = reporting.ScenarioReport("growth", ["units", "sigmoid_capacity", "linear_capacity"], rows)
-    report.extra_metadata["crossover_units"] = growth.crossover(sig, lin)
-    _emit_report(report, cfg, args)
+    metadata = {"crossover_units": growth.crossover(sig, lin)}
+    _emit_report(cfg, args, "growth", ["units", "sigmoid_capacity", "linear_capacity"], rows, metadata)
     return 0
 
 
@@ -374,8 +355,9 @@ def cmd_compare(cfg: config.ScenarioConfig, args) -> int:
         cfg.cost_fixed_watts_ratio,
     )
     ports = {role: getattr(cfg, f"ports_{role}") for role in topology.ROLES}
-    report = costing.compare_designs(design_a, design_b, assumptions, ports)
-    _emit_report(report, cfg, args)
+    compared = costing.compare_designs(design_a, design_b, assumptions, ports)
+    rows = [[metric, *values] for metric, values in compared.items()]
+    _emit_report(cfg, args, "compare", ["metric", "design_a", "design_b", "ratio_b_over_a"], rows)
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import _Record
-from .report import ScenarioReport
 from .topology import FABRIC_ROLES, Topology, affected_fraction
 
 
@@ -91,26 +90,22 @@ def compare_designs(
     b: Topology,
     c: CostAssumptions,
     ports_per_device: Mapping[str, int],
-) -> ScenarioReport:
-    """Side-by-side report of design a vs design b with b/a ratios.
+) -> dict[str, tuple[float, float, float | str]]:
+    """Design a vs design b: ``{metric: (design_a, design_b, ratio_b_over_a)}``.
 
-    One row per metric: total ports, total price, total watts, price and
+    The metrics, in order: total ports, total price, total watts, price and
     watts per port, and the worst single-device affected fraction as the
     fault-domain proxy.
     """
     metrics_a = _design_metrics(a, c, ports_per_device)
     metrics_b = _design_metrics(b, c, ports_per_device)
-    rows = []
-    for name in metrics_a:
-        va, vb = metrics_a[name], metrics_b[name]
+    compared = {}
+    for name, va in metrics_a.items():
+        vb = metrics_b[name]
         if va != 0:
             ratio = vb / va
         else:
             # reports hold finite numbers only, so an unbounded ratio is a label
             ratio = 1.0 if vb == 0 else "inf"
-        rows.append([name, va, vb, ratio])
-    return ScenarioReport(
-        command="compare",
-        columns=["metric", "design_a", "design_b", "ratio_b_over_a"],
-        rows=rows,
-    )
+        compared[name] = (va, vb, ratio)
+    return compared

@@ -1,9 +1,9 @@
 """Tabular scenario reports with deterministic CSV / JSON / SVG emission.
 
-Every CLI subcommand produces a ScenarioReport: named columns over rows of
-cells, plus metadata (command, config hash, seed, version).  Emission is
-byte-deterministic for identical inputs: no timestamps, fixed float
-formatting (17 significant digits unless narrowed), sorted metadata.
+Every CLI subcommand that reports builds one ScenarioReport: named columns
+over rows of cells, plus metadata (command, config hash, seed, version).
+Emission is byte-deterministic for identical inputs: no timestamps, fixed
+float formatting (17 significant digits unless narrowed), sorted metadata.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 
-from . import __version__
+from . import _Record, __version__
 
 Cell = float | int | str
 
@@ -31,17 +31,20 @@ def format_number(value: Cell, digits: int | None) -> str:
     return str(value)
 
 
-class ScenarioReport:
-    """Named numeric columns over rows, with reproducibility metadata."""
+class ScenarioReport(_Record):
+    """Named numeric columns over rows, with reproducibility metadata; read-only.
+
+    ``metadata`` holds what a report carries beyond its command and the
+    package version, which every report names.
+    """
+
+    command: str
+    columns: list[str]
+    rows: list[list[Cell]]
+    metadata: dict[str, Cell]
 
     def __init__(
-        self,
-        command: str,
-        columns: list[str],
-        rows: list[list[Cell]],
-        seed: int | None = None,
-        config_hash: str | None = None,
-        extra_metadata: dict[str, Cell] | None = None,
+        self, command: str, columns: list[str], rows: list[list[Cell]], metadata: dict[str, Cell] | None = None
     ):
         for row in rows:
             if len(row) != len(columns):
@@ -49,25 +52,14 @@ class ScenarioReport:
             for column, cell in zip(columns, row):
                 if isinstance(cell, float) and not math.isfinite(cell):
                     raise ValueError(not_finite(f"{command}: {column} = {cell}"))
-        self.command = command
-        self.columns = columns
-        self.rows = rows
-        self.seed = seed
-        self.config_hash = config_hash
-        self.extra_metadata = {} if extra_metadata is None else extra_metadata
+        self.__dict__.update(command=command, columns=columns, rows=rows, metadata=metadata or {})
 
-    def metadata(self) -> dict[str, Cell]:
-        meta: dict[str, Cell] = {"command": self.command, "version": __version__}
-        if self.seed is not None:
-            meta["seed"] = self.seed
-        if self.config_hash is not None:
-            meta["config_hash"] = self.config_hash
-        meta.update(self.extra_metadata)
-        return meta
+    def _header(self) -> dict[str, Cell]:
+        return {"command": self.command, "version": __version__, **self.metadata}
 
     def to_csv(self, digits: int | None = None) -> str:
         out = io.StringIO()
-        for key, value in sorted(self.metadata().items()):
+        for key, value in sorted(self._header().items()):
             out.write(f"# {key}: {value}\n")
         out.write(",".join(self.columns) + "\n")
         for row in self.rows:
@@ -83,7 +75,7 @@ class ScenarioReport:
             return value
 
         doc = {
-            "metadata": self.metadata(),
+            "metadata": self._header(),
             "columns": self.columns,
             "rows": [[cell(v) for v in row] for row in self.rows],
         }

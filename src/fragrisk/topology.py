@@ -65,7 +65,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import floordiv, mul, sub
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _Record
 
@@ -123,8 +123,8 @@ class Device(_Record):
         self.__dict__.update(id=id, role=role, tag=tag)
 
 
-class TwinQuotient(NamedTuple):
-    """A topology's false-twin classes and the links between them.
+class TwinQuotient(_Record):
+    """A topology's false-twin classes and the links between them; read-only.
 
     ``device_class[i]`` is the class of device i.  Class j is
     ``members[j]`` devices that each carry ``member_hosts[j]`` hosts, so a
@@ -138,6 +138,11 @@ class TwinQuotient(NamedTuple):
     members: tuple[int, ...]
     member_hosts: tuple[int, ...]
     neighbors: tuple[int, ...]
+
+    def __init__(self, device_class, members, member_hosts, neighbors):
+        self.__dict__.update(
+            device_class=device_class, members=members, member_hosts=member_hosts, neighbors=neighbors
+        )
 
     @property
     def n_classes(self) -> int:

@@ -596,10 +596,9 @@ def check_costing_defaults() -> CheckResult:
     tiered = build_three_tier(2, 2, 2, 1)
     fabric = build_spine_leaf(2, 4, 1)
     ports = {role: 48 for role in ("core", "distribution", "access", "spine", "leaf")}
-    report = compare_designs(tiered, fabric, CostAssumptions(), ports)
-    by_metric = {row[0]: row for row in report.rows}
-    price_ratio = by_metric["price_per_port"][3]
-    watts_ratio = by_metric["watts_per_port"][3]
+    compared = compare_designs(tiered, fabric, CostAssumptions(), ports)
+    price_ratio = compared["price_per_port"][2]
+    watts_ratio = compared["watts_per_port"][2]
     passed = price_ratio == 0.25 and watts_ratio == 0.25
     return CheckResult(
         "costing-default-ratios",

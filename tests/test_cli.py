@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -70,6 +71,26 @@ class TestConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("just some words\n")
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(TypeError, match=re.escape("ScenarioConfig has no fields ['bogus']")):
+            ScenarioConfig(bogus=1)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                "topology.dual_homed = maybe",
+                "config line 1: bad value for 'topology.dual_homed': expected a boolean, got 'maybe'",
+            ),
+            ("ports.leaf = 0", "port count for role 'leaf' must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_config_value_fails_compare(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_overrides_beat_file(self, tmp_path):
         cfg_file = tmp_path / "scenario.cfg"
@@ -289,6 +310,18 @@ class TestOutputContracts:
         for value in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="not finite"):
                 ScenarioReport("harm-curve", ["x", "harm"], [[1.0, value]])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ScenarioReport("c", ["x", "y"], [[1.0, 2.0], [3.0]]), "row width 1 != 2 columns"),
+            (lambda: ScenarioReport("c", ["x"], [[1.0]]).render("xml"), "unknown output format 'xml'"),
+        ],
+        ids=["ragged-row", "xml"],
+    )
+    def test_report_rejects_ragged_rows_and_unknown_formats(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_compare_unbounded_ratio_is_a_label(self, tmp_path):
         # one host has no pairs to lose, so design b's fault domain is
@@ -1098,7 +1131,8 @@ TOPO_MODULES = ["cli", "config", "report", "topology"]
         (["topo", "fail", "--topology", "{topo}", "--fail", "leaf0"], TOPO_MODULES),
         (["topo", "harm", "--topology", "{topo}", "--p", "0.1", "--trials", "100"], sorted(TOPO_MODULES + ["harm"])),
         (["compare"], sorted(TOPO_MODULES + ["costing"])),
-        (["verify"], sorted(TOPO_MODULES + ["costing", "growth", "harm", "pareto", "verify"])),
+        # verify prints check lines, not a report
+        (["verify"], ["cli", "config", "costing", "growth", "harm", "pareto", "topology", "verify"]),
     ],
     ids=["help", "topo-hops", "topo-fail", "topo-harm", "compare", "verify"],
 )
@@ -1224,7 +1258,9 @@ def test_topology_harm_never_imports_numpy_ma(tmp_path):
 # Reports on small fabrics.  The hop and compare reports were captured from
 # the per-pattern BFS implementation; the harm reports come from the
 # geometric-skip sampler, and TestPinnedReports checks each of their means
-# against the exact mean over every failure pattern.
+# against the exact mean over every failure pattern.  The reports from
+# harm-curve on are one per command path that writes a report, and one each
+# for --format json, --digits and a --config annotation.
 PINNED = {
     "hops.tt": """# command: topo-hops
 # config_hash: df7d2b15dae2e7fb
@@ -1296,6 +1332,198 @@ price_per_port,1,0.25,0.25
 watts_per_port,1,0.25,0.25
 max_single_device_affected,0.74242424242424243,0.45454545454545453,0.61224489795918369
 """,
+    "harm-curve": """# command: harm-curve
+# config_hash: df7d2b15dae2e7fb
+# version: 0.1.0
+x,harm_beta_1.5,harm_beta_2,harm_beta_3
+0,0,0,0
+1,-1,-1,-1
+2,-2.8284271247461903,-4,-8
+3,-5.196152422706632,-9,-27
+4,-8,-16,-64
+""",
+    "jensen": """# command: jensen
+# config_hash: df7d2b15dae2e7fb
+# seed: 42
+# version: 0.1.0
+x,harm,fragmented_harm,jensen_gap,centralized_mean,decentralized_mean,mean_gap
+1,-1,-0.70710678118654757,0.29289321881345243,6,7.1715728752538102,1.1715728752538102
+""",
+    "risk-density": """# command: risk-density
+# config_hash: df7d2b15dae2e7fb
+# version: 0.1.0
+xi,density
+-3.34370152488211,0.079751934998465099
+-1.9881768219176266,0.26825246499902627
+-1.4668528946556556,0.54538529590439977
+-1.1821770112539698,0.90229014480261471
+-1,1.3333333333333333
+""",
+    "risk-ratio": """# command: risk-ratio
+# config_hash: df7d2b15dae2e7fb
+# version: 0.1.0
+# warnings: alpha=2.0 is at or below 1 + beta = 2.5; the mean converges but lies outside the conventionally safe regime
+K,ratio
+2,0.6299605249474366
+""",
+    "risk-curve": """# command: risk-curve
+# config_hash: df7d2b15dae2e7fb
+# version: 0.1.0
+# warnings: alpha=2.0 is at or below 1 + beta = 2.5; the mean converges but lies outside the conventionally safe regime
+K,ratio
+1,1
+2,0.6299605249474366
+3,0.48074985676913606
+4,0.39685026299204984
+5,0.34199518933533934
+6,0.30285343213868993
+7,0.2732758832531984
+8,0.24999999999999997
+9,0.23112042478354486
+10,0.21544346900318834
+11,0.2021800082335741
+12,0.19078570709222195
+13,0.18087189905544285
+14,0.17215301886965925
+15,0.16441413828869797
+16,0.15749013123685912
+17,0.1512518582740138
+18,0.14559674412271645
+19,0.14044219203799707
+20,0.13572088082974529
+21,0.13137734173243429
+22,0.12736542412069937
+23,0.12364639042832891
+24,0.120187464192284
+25,0.11696070952851462
+26,0.11394215647720653
+27,0.11111111111111108
+28,0.10844960613841649
+29,0.1059419595064085
+30,0.1035744168651286
+31,0.10133485975456104
+32,0.099212565748012446
+""",
+    "growth": """# command: growth
+# config_hash: df7d2b15dae2e7fb
+# crossover_units: 2.0764179047740376
+# version: 0.1.0
+units,sigmoid_capacity,linear_capacity
+0,0,0
+1.25,92.290012825645817,60
+2.5,99.959304798255502,120
+3.75,99.999988627274334,180
+5,99.999999999846253,240
+""",
+    "fail": """# command: topo-fail
+# config_hash: df7d2b15dae2e7fb
+# version: 0.1.0
+failed_devices,affected_fraction,detached_hosts
+2,0.31818181818181818,2
+""",
+    "hops.sl.json": """{
+  "columns": [
+    "hops",
+    "pairs"
+  ],
+  "metadata": {
+    "command": "topo-hops",
+    "config_hash": "53e2a920ce6b8914",
+    "unreachable_bucket": -1,
+    "version": "0.1.0"
+  },
+  "rows": [
+    [
+      0,
+      12
+    ],
+    [
+      2,
+      54
+    ]
+  ]
+}
+""",
+    "compare.digits": """# command: compare
+# config_hash: 06eb3cf5d277b013
+# version: 0.1.0
+metric,design_a,design_b,ratio_b_over_a
+total_ports,528,288,0.545
+total_price,528,72,0.136
+total_watts,528,72,0.136
+price_per_port,1,0.25,0.25
+watts_per_port,1,0.25,0.25
+max_single_device_affected,0.318,0.455,1.43
+""",
+    "compare.config": """# command: compare
+# config_hash: 98d57e2ffc1c75c3
+# core_drop_probability: 0.001
+# version: 0.1.0
+metric,design_a,design_b,ratio_b_over_a
+total_ports,384,288,0.75
+total_price,384,72,0.1875
+total_watts,384,72,0.1875
+price_per_port,1,0.25,0.25
+watts_per_port,1,0.25,0.25
+max_single_device_affected,0.83333333333333337,0.5,0.59999999999999998
+""",
+}
+
+# the side files that the pinned commands write next to their reports
+PINNED_SIDE_FILES = {
+    "harm-curve.svg": """<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">
+<rect width="640" height="480" fill="white"/>
+<line x1="50.0" y1="430.0" x2="590.0" y2="430.0" stroke="black"/>
+<line x1="50.0" y1="50.0" x2="50.0" y2="430.0" stroke="black"/>
+<text x="50.0" y="450.0" font-size="12">0</text>
+<text x="590.0" y="450.0" font-size="12" text-anchor="end">4</text>
+<text x="45.0" y="430.0" font-size="12" text-anchor="end">-64</text>
+<text x="45.0" y="60.0" font-size="12" text-anchor="end">0</text>
+<text x="45.0" y="450.0" font-size="12" text-anchor="end">x</text>
+<text x="320.0" y="25" font-size="14" text-anchor="middle">harm-curve</text>
+<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="50.00,50.00 185.00,55.94 320.00,66.79 455.00,80.85 590.00,97.50"/>
+<text x="585.0" y="65.0" font-size="12" text-anchor="end" fill="#1f77b4">harm_beta_1.5</text>
+<polyline fill="none" stroke="#d62728" stroke-width="1.5" points="50.00,50.00 185.00,55.94 320.00,73.75 455.00,103.44 590.00,145.00"/>
+<text x="585.0" y="80.0" font-size="12" text-anchor="end" fill="#d62728">harm_beta_2</text>
+<polyline fill="none" stroke="#2ca02c" stroke-width="1.5" points="50.00,50.00 185.00,55.94 320.00,97.50 455.00,210.31 590.00,430.00"/>
+<text x="585.0" y="95.0" font-size="12" text-anchor="end" fill="#2ca02c">harm_beta_3</text>
+</svg>
+""",
+    "fail.emit": """topology/1
+acc1 access
+acc2 access
+acc3 access
+acc4 access
+acc5 access
+core0 core
+core1 core
+dist0 distribution
+dist2 distribution
+acc1 -- dist0
+acc2 -- dist2
+acc3 -- dist2
+acc4 -- dist0
+acc4 -- dist2
+acc5 -- dist0
+acc5 -- dist2
+core0 -- core1
+core0 -- dist0
+core0 -- dist2
+core1 -- dist0
+core1 -- dist2
+host h10 @ acc5
+host h11 @ acc5
+host h2 @ acc1
+host h3 @ acc1
+host h4 @ acc2
+host h5 @ acc2
+host h6 @ acc3
+host h7 @ acc3
+host h8 @ acc4
+host h9 @ acc4
+host h0 detached
+host h1 detached
+""",
 }
 
 
@@ -1312,7 +1540,10 @@ class TestPinnedReports:
                     "--out", str(tmp_path / "fail.csv")]) == 0
         return {"sl": sl, "tt": tt, "inj": inj}
 
-    def test_reports_byte_identical(self, fabrics, tmp_path):
+    def test_reports_byte_identical(self, fabrics, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        config.write_text("report.core_drop_probability = 0.001\n")
+        side = {name: str(tmp_path / name) for name in PINNED_SIDE_FILES}
         commands = {
             "hops.tt": ["topo", "hops", "--topology", fabrics["tt"]],
             "hops.inj": ["topo", "hops", "--topology", fabrics["inj"]],
@@ -1324,11 +1555,26 @@ class TestPinnedReports:
                          "--p-role", "access=0.05", "--trials", "1500", "--seed", "5"],
             "compare": ["compare", "--a", fabrics["tt"], "--b", fabrics["sl"]],
             "compare.inj": ["compare", "--a", fabrics["inj"], "--b", fabrics["sl"]],
+            "harm-curve": ["harm-curve", "--points", "5", "--svg", side["harm-curve.svg"]],
+            "jensen": ["jensen"],  # takes --seed, so its report has a seed line though it draws nothing
+            "risk-density": ["risk", "density", "--points", "5"],
+            "risk-ratio": ["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2"],
+            "risk-curve": ["risk", "curve"],
+            "growth": ["growth", "--points", "5"],
+            "fail": ["topo", "fail", "--topology", fabrics["tt"], "--fail", "dist1,acc0", "--emit", side["fail.emit"]],
+            "hops.sl.json": ["topo", "hops", "--topology", fabrics["sl"], "--format", "json"],
+            "compare.digits": ["compare", "--a", fabrics["tt"], "--b", fabrics["sl"], "--digits", "3"],
+            "compare.config": ["compare", "--config", str(config)],
         }
+        assert sorted(commands) == sorted(PINNED)
         for name, args in commands.items():
-            out = tmp_path / f"{name}.csv"
+            out = tmp_path / f"{name}.out"
             assert run(args + ["--out", str(out)]) == 0
+            # with --out, only risk ratio prints: its ratio
+            assert capsys.readouterr().out == ("0.629961\n" if name == "risk-ratio" else ""), name
             assert read_bytes(out) == PINNED[name].encode(), name
+        for name, text in PINNED_SIDE_FILES.items():
+            assert read_bytes(side[name]) == text.encode(), name
 
     @pytest.mark.parametrize(
         "name, fabric, probabilities, trials",

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -239,6 +240,30 @@ class TestDegradationRatio:
             degradation_ratio(p, h, 0.25, 2)  # K*N < 1
         with pytest.raises(ValueError, match="diverges"):
             degradation_ratio(ParetoParams(1.0, 1.0), HarmParams(1.0, 1.5), 2.0, 1)
+
+
+P, FLAT = ParetoParams(4.0, 1.0), HarmParams(1.0, 0.0)
+
+
+# the tail mean, its estimate and the ratio refuse flat harm (beta = 0), the estimate an empty sample
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: tail_mean(P, FLAT, 1), "tail mean requires beta > 0", id="tail_mean-beta0"),
+        pytest.param(lambda: mc_tail_mean(P, FLAT, 1, 10, 1), "tail mean requires beta > 0", id="mc_tail_mean-beta0"),
+        pytest.param(
+            lambda: degradation_ratio(P, FLAT, 2.0, 1),
+            "degradation ratio requires beta > 0",
+            id="degradation_ratio-beta0",
+        ),
+        pytest.param(
+            lambda: mc_tail_mean(P, HarmParams(1.0, 1.5), 1, 0, 1), "trials must be >= 1", id="mc_tail_mean-trials0"
+        ),
+    ],
+)
+def test_rejected_inputs_name_the_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestDegradationCurve:

@@ -34,6 +34,7 @@ from fragrisk import (
 )
 from fragrisk import topology
 from fragrisk.config import DEFAULT_SEED, ScenarioConfig
+from fragrisk.report import ScenarioReport
 from fragrisk.topology import UNREACHABLE, _connected_pairs, _table_quantiles
 from fragrisk.verify import (
     CheckResult,
@@ -259,6 +260,50 @@ THREE_TIER = build_three_tier(2, 2, 1, 1)  # core0 -- core1, dist0, dist1, acc0,
 ONE_HOST = build_spine_leaf(2, 1, 1)
 
 
+# inputs the builders, the parser and the estimator refuse, each with the reason it gives
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: build_three_tier(1, 0, 1, 1),
+            "distributions, access_per_distribution, hosts_per_access must all be >= 1",
+            id="three-tier-no-distribution",
+        ),
+        pytest.param(
+            lambda: build_three_tier(2, 2, 2, 0),
+            "distributions, access_per_distribution, hosts_per_access must all be >= 1",
+            id="three-tier-no-hosts",
+        ),
+        pytest.param(
+            lambda: build_spine_leaf(0, 2, 1),
+            "spines, leaves, hosts_per_leaf must all be >= 1",
+            id="spine-leaf-no-spine",
+        ),
+        pytest.param(
+            lambda: build_spine_leaf(1, 2, 0),
+            "spines, leaves, hosts_per_leaf must all be >= 1",
+            id="spine-leaf-no-hosts",
+        ),
+        pytest.param(
+            lambda: build_spine_leaf(1, 1, 1, leaf_tags=("dmz", "border")), "more leaf tags than leaves", id="leaf-tags"
+        ),
+        pytest.param(
+            lambda: parse_topology("# only comments\n\n  # and blanks\n"),
+            "missing or unsupported topology header (expected 'topology/1')",
+            id="comments-only-file",
+        ),
+        pytest.param(
+            lambda: failure_harm_mc(build_spine_leaf(1, 1, 1), FailureModel.uniform(0.1), HarmParams(1.0, 1.5), 0, 1),
+            "trials must be >= 1",
+            id="no-trials",
+        ),
+    ],
+)
+def test_rejected_inputs_name_the_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestBuildThreeTier:
     def test_reference_counts(self):
         t = build_three_tier(2, 2, 2, 1)
@@ -349,7 +394,7 @@ def _stats(trials):
 
 
 # every read-only record: a maker, a maker of one with some field changed, a field to
-# assign, and whether it can be hashed (records holding a dict cannot)
+# assign, and whether it can be hashed (records holding a dict or a list cannot)
 RECORDS = [
     pytest.param(lambda: HarmParams(1.0, 1.5), lambda: HarmParams(1.0, 2.0), "k", True, id="HarmParams"),
     pytest.param(
@@ -363,12 +408,26 @@ RECORDS = [
     pytest.param(lambda: Device("l0", "leaf"), lambda: Device("l0", "leaf", "dmz"), "role", True, id="Device"),
     pytest.param(lambda: build_spine_leaf(2, 2, 1), lambda: build_spine_leaf(2, 2, 2), "links", True, id="Topology"),
     pytest.param(
+        lambda: build_spine_leaf(2, 2, 1).twin_quotient,
+        lambda: build_spine_leaf(2, 3, 1).twin_quotient,
+        "members",
+        True,
+        id="TwinQuotient",
+    ),
+    pytest.param(
         lambda: FailureModel.uniform(0.1), lambda: FailureModel.uniform(0.2), "probabilities", False, id="FailureModel"
     ),
     pytest.param(lambda: _stats(10), lambda: _stats(20), "trials", False, id="FailureHarmStats"),
     pytest.param(ScenarioConfig, lambda: ScenarioConfig(seed=7), "seed", True, id="ScenarioConfig"),
     pytest.param(
         lambda: CheckResult("c", True, "d"), lambda: CheckResult("c", False, "d"), "passed", True, id="CheckResult"
+    ),
+    pytest.param(
+        lambda: ScenarioReport("c", ["x"], [[1.0]], {"seed": 1}),
+        lambda: ScenarioReport("c", ["x"], [[2.0]], {"seed": 1}),
+        "rows",
+        False,
+        id="ScenarioReport",
     ),
 ]
 
@@ -392,6 +451,19 @@ def test_records_compare_by_value(make, changed, field, hashable):
     else:
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
+
+
+@pytest.mark.parametrize("make, changed, field, hashable", RECORDS)
+def test_records_print_their_fields(make, changed, field, hashable):
+    record = make()
+    assert repr(record).startswith(f"{type(record).__name__}(")
+    assert f"{field}={getattr(record, field)!r}" in repr(record)
+
+
+def test_record_repr_names_every_field_in_order():
+    assert repr(HarmParams(1.0, 1.5)) == "HarmParams(k=1.0, beta=1.5)"
+    report = ScenarioReport("c", ["x"], [[1]])
+    assert repr(report) == "ScenarioReport(command='c', columns=['x'], rows=[[1]], metadata={})"
 
 
 def test_record_fields_left_at_default_compare_as_the_default():
