@@ -13,7 +13,7 @@ Subcommands map one-to-one onto the analysis modules::
 ``main`` resolves the scenario config (file, flags and seed) before any
 handler runs, so a malformed config file, an unknown key, a negative seed,
 or a bad output format, digit count or topology kind fails every subcommand
-that takes it, ``verify`` included, before any work.  Numeric range checks
+that takes it before any work; ``verify`` takes no flag.  Numeric range checks
 (``harm.k = -1``, a port ratio above 1) stay with the model that owns them
 and fail only the commands that use it, because checking them up front
 would load every model module.
@@ -362,7 +362,7 @@ def cmd_compare(cfg: config.ScenarioConfig, args) -> int:
 
 
 def cmd_verify(cfg: config.ScenarioConfig, args) -> int:
-    results = verify.run_all_checks(seed=cfg.seed)
+    results = verify.run_all_checks()
     failed = sum(1 for r in results if not r.passed)
     lines = [result.line() for result in results]
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
@@ -540,7 +540,6 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every analytic-vs-oracle check")
     if need("verify"):
-        p.add_argument("--seed", type=int, default=None)
         p.set_defaults(func=cmd_verify)
 
     return parser

@@ -76,7 +76,7 @@ def _design_metrics(t: Topology, c: CostAssumptions, ports: Mapping[str, int]) -
     one_per_class = dict(zip(t.twin_quotient.device_class, t.devices)).values()
     worst = max(affected_fraction(t, {d.id}) for d in one_per_class)
     return {
-        "total_ports": float(total_ports),
+        "total_ports": total_ports,
         "total_price": total_price,
         "total_watts": total_watts,
         "price_per_port": total_price / total_ports,

@@ -41,6 +41,8 @@ from .topology import (
     inject_failures,
 )
 
+# the seed of every sampled check; each check's bound was set for its
+# draws at this seed and its fixed sizes, so verify runs at no other
 VERIFY_SEED = 42
 
 # (alpha, beta) pairs of the density normalization grid with alpha >= beta,
@@ -295,14 +297,14 @@ def random_failed_set(rng: np.random.Generator, t: Topology) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
-def check_tail_mean_mc(trials: int = 10**6, seed: int = VERIFY_SEED) -> CheckResult:
+def check_tail_mean_mc() -> CheckResult:
     p = ParetoParams(alpha=4.0, scale=1.0)
     start = time.perf_counter()
     rels, details = [], []
     # below beta = 1 the threshold lies beyond the whole support
     for h, n in itertools.product((HarmParams(k=1.0, beta=1.5), HarmParams(k=1.0, beta=0.5)), (1, 2, 5)):
         closed = tail_mean(p, h, n)
-        estimate = mc_tail_mean(p, h, n, trials, seed)
+        estimate = mc_tail_mean(p, h, n, 10**6, VERIFY_SEED)
         rels.append(abs(estimate - closed) / abs(closed))
         details.append(f"beta={h.beta} N={n} rel={rels[-1]:.2e}")
     elapsed = time.perf_counter() - start
@@ -332,9 +334,11 @@ def check_density_normalization() -> CheckResult:
     )
 
 
-def check_density_histogram(seed: int = VERIFY_SEED) -> CheckResult:
+def check_density_histogram() -> CheckResult:
     distances, errors = zip(*[
-        histogram_l1_distance(ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n, samples=10**5, bins=50, seed=seed)
+        histogram_l1_distance(
+            ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n, samples=10**5, bins=50, seed=VERIFY_SEED
+        )
         for alpha, beta, n in ((2.0, 1.5, 1), (4.0, 1.5, 2), (4.0, 3.0, 5))
     ])
     worst = _worst(distances)
@@ -383,15 +387,15 @@ def check_degradation_curve() -> CheckResult:
     )
 
 
-def check_jensen_directions(seed: int = VERIFY_SEED, draws: int = 1000) -> CheckResult:
+def check_jensen_directions() -> CheckResult:
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VERIFY_SEED)
     violations = []
     # the gap is >= 0 for beta >= 1 and <= 0 for beta < 1: count draws not of that sign, nan included
     for (low, high), sign in (((1.0, 4.0), 1.0), ((1e-6, 1.0), -1.0)):
         violations.append(0)
-        for _ in range(draws):
+        for _ in range(1000):
             beta = rng.uniform(low, high)
             k = rng.uniform(1e-6, 10.0)
             size = int(rng.integers(1, 9))
@@ -404,12 +408,12 @@ def check_jensen_directions(seed: int = VERIFY_SEED, draws: int = 1000) -> Check
     return CheckResult(
         "jensen-gap-directions",
         passed,
-        f"{draws} draws each way: {convex_violations} violations for beta>=1, "
+        f"1000 draws each way: {convex_violations} violations for beta>=1, "
         f"{concave_violations} for beta<1 (tol 1e-12)",
     )
 
 
-def check_survival_comparison(trials: int = 10**6, seed: int = VERIFY_SEED) -> CheckResult:
+def check_survival_comparison() -> CheckResult:
     import numpy as np
 
     # alpha > 2 beta, so each arm's surviving value has finite variance and 3 SE is a sound bound
@@ -421,13 +425,13 @@ def check_survival_comparison(trials: int = 10**6, seed: int = VERIFY_SEED) -> C
     exact = survival_comparison(h, unit_value, weights, p)
 
     # paired Monte Carlo, both arms on the same draws; the shares sum to 1, so the split keeps B in total
-    hx = h.k * pareto_sample(p, trials, seed) ** h.beta
+    hx = h.k * pareto_sample(p, 10**6, VERIFY_SEED) ** h.beta
     arms = (unit_value - hx, unit_value - hx * float(np.sum(np.asarray(shares) ** h.beta)))
     passed = True
     details = []
     for name, closed, draws in zip(("centralized", "decentralized"), exact, arms):
         mean = float(draws.mean())
-        se = float(draws.std(ddof=1)) / math.sqrt(trials)
+        se = float(draws.std(ddof=1)) / math.sqrt(draws.size)
         passed = passed and abs(closed - mean) <= 3.0 * se
         details.append(f"{name} {closed:.5f} vs mc {mean:.5f} (3*SE={3 * se:.5f})")
 
@@ -440,20 +444,20 @@ def check_survival_comparison(trials: int = 10**6, seed: int = VERIFY_SEED) -> C
     )
 
 
-def check_pareto_sampler(trials: int = 10**6, seed: int = VERIFY_SEED) -> CheckResult:
+def check_pareto_sampler() -> CheckResult:
     import numpy as np
 
     p = ParetoParams(alpha=2.0, scale=1.0)
-    x = pareto_sample(p, trials, seed)
+    x = pareto_sample(p, 10**6, VERIFY_SEED)
     mean = float(x.mean())
-    se = float(x.std(ddof=1)) / math.sqrt(trials)
+    se = float(x.std(ddof=1)) / math.sqrt(x.size)
     mean_ok = abs(mean - 2.0) <= 3.0 * se and float(x.min()) >= p.scale
 
     p2 = ParetoParams(alpha=3.0, scale=2.0)
-    y = pareto_sample(p2, trials, seed)
+    y = pareto_sample(p2, 10**6, VERIFY_SEED)
     frac = float(np.mean(y > 4.0))
     target = (p2.scale / 4.0) ** p2.alpha
-    se2 = math.sqrt(target * (1.0 - target) / trials)
+    se2 = math.sqrt(target * (1.0 - target) / y.size)
     tail_ok = abs(frac - target) <= 3.0 * se2
     return CheckResult(
         "pareto-sampler",
@@ -485,35 +489,31 @@ def check_hop_claims() -> CheckResult:
     )
 
 
-def check_affected_fraction_oracle(
-    cases: int = 200, seed: int = VERIFY_SEED, max_devices: int = 50
-) -> CheckResult:
+def check_affected_fraction_oracle() -> CheckResult:
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VERIFY_SEED)
     diffs = []
-    for _ in range(cases):
-        t = random_topology(rng, max_devices)
+    for _ in range(200):
+        t = random_topology(rng, 50)
         failed = random_failed_set(rng, t)
         diffs.append(abs(affected_fraction(t, failed) - affected_fraction_bfs(t, failed)))
     worst = _worst(diffs)
     return CheckResult(
         "affected-fraction-vs-bfs",
         worst == 0.0,
-        f"{cases} random topologies (<= {max_devices} devices), max |diff| = {worst}",
+        f"200 random topologies (<= 50 devices), max |diff| = {worst}",
     )
 
 
-def check_hop_histogram_oracle(
-    cases: int = 100, seed: int = VERIFY_SEED, max_devices: int = 30
-) -> CheckResult:
+def check_hop_histogram_oracle() -> CheckResult:
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VERIFY_SEED)
     mismatches = 0
     injected = 0
-    for _ in range(cases):
-        t = random_topology(rng, max_devices)
+    for _ in range(100):
+        t = random_topology(rng, 30)
         if rng.random() < 0.5:
             t = inject_failures(t, random_failed_set(rng, t))
             injected += 1
@@ -522,12 +522,12 @@ def check_hop_histogram_oracle(
     return CheckResult(
         "hops-vs-bfs",
         mismatches == 0,
-        f"{cases} random topologies (<= {max_devices} devices, {injected} with injected failures), "
+        f"100 random topologies (<= 30 devices, {injected} with injected failures), "
         f"{mismatches} histograms differ",
     )
 
 
-def check_failure_harm_enumeration(trials: int = 10**5, seed: int = VERIFY_SEED) -> CheckResult:
+def check_failure_harm_enumeration() -> CheckResult:
     h = HarmParams(k=1.0, beta=1.5)
     fm = FailureModel.uniform(0.05)
     details = []
@@ -538,8 +538,8 @@ def check_failure_harm_enumeration(trials: int = 10**5, seed: int = VERIFY_SEED)
         ("three-tier(2,2,2,1)", build_three_tier(2, 2, 2, 1)),
     ):
         exact_mean, exact_std = exhaustive_failure_harm(topo, fm, h)
-        stats = failure_harm_mc(topo, fm, h, trials, seed)
-        se = exact_std / math.sqrt(trials)
+        stats = failure_harm_mc(topo, fm, h, 10**5, VERIFY_SEED)
+        se = exact_std / math.sqrt(stats.trials)
         ok = abs(stats.expected_harm - exact_mean) <= 3.0 * se
         passed = passed and ok
         results[label] = exact_mean
@@ -550,10 +550,10 @@ def check_failure_harm_enumeration(trials: int = 10**5, seed: int = VERIFY_SEED)
     return CheckResult("failure-harm-vs-enumeration", passed, "; ".join(details))
 
 
-def check_erf_accuracy(points: int = 1000) -> CheckResult:
+def check_erf_accuracy() -> CheckResult:
     import numpy as np
 
-    xs = np.linspace(-30.0, 30.0, points)  # past erf's saturation, where a truncated series collapses
+    xs = np.linspace(-30.0, 30.0, 1000)  # past erf's saturation, where a truncated series collapses
     gaps, errors = [], []
     for x in xs:
         reference, error = erf_quadrature(float(x))
@@ -564,14 +564,14 @@ def check_erf_accuracy(points: int = 1000) -> CheckResult:
     return CheckResult(
         "erf-accuracy",
         worst <= 1e-7 and not note,
-        f"max relative error {worst:.2e} on {points} points in [-30, 30] (tol 1e-7){note}",
+        f"max relative error {worst:.2e} on {len(xs)} points in [-30, 30] (tol 1e-7){note}",
     )
 
 
-def check_growth_model(seed: int = VERIFY_SEED) -> CheckResult:
+def check_growth_model() -> CheckResult:
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VERIFY_SEED)
     sig = GrowthSpec.sigmoid(100.0)
     bounded = all(capacity_at(sig, u) <= 100.0 for u in rng.uniform(0.0, 50.0, 10**4))
     grid = [capacity_at(sig, u) for u in np.linspace(0.0, 50.0, 10**4)]
@@ -607,21 +607,21 @@ def check_costing_defaults() -> CheckResult:
     )
 
 
-def run_all_checks(seed: int = VERIFY_SEED) -> list[CheckResult]:
+def run_all_checks() -> list[CheckResult]:
     return [
-        check_jensen_directions(seed=seed),
-        check_survival_comparison(seed=seed),
-        check_pareto_sampler(seed=seed),
+        check_jensen_directions(),
+        check_survival_comparison(),
+        check_pareto_sampler(),
         check_density_normalization(),
-        check_density_histogram(seed=seed),
-        check_tail_mean_mc(seed=seed),
+        check_density_histogram(),
+        check_tail_mean_mc(),
         check_degradation_identity(),
         check_degradation_curve(),
         check_hop_claims(),
-        check_affected_fraction_oracle(seed=seed),
-        check_hop_histogram_oracle(seed=seed),
-        check_failure_harm_enumeration(seed=seed),
+        check_affected_fraction_oracle(),
+        check_hop_histogram_oracle(),
+        check_failure_harm_enumeration(),
         check_erf_accuracy(),
-        check_growth_model(seed=seed),
+        check_growth_model(),
         check_costing_defaults(),
     ]

@@ -310,7 +310,7 @@ def test_criterion_10_cli_determinism_and_verify(tmp_path, capsys):
         assert outputs[0] == outputs[1], f"{name} output not byte-deterministic"
 
     capsys.readouterr()
-    verify_code = main(["verify", "--seed", "42"])
+    verify_code = main(["verify"])
     out = capsys.readouterr().out
     assert verify_code == 0, f"verify failed:\n{out}"
     assert "FAIL" not in out

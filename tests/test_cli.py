@@ -282,6 +282,13 @@ class TestOutputContracts:
              "--digits", "4", "--out", str(short)])
         assert short.read_text().splitlines()[-1] == "2,0.63"
 
+        # --digits narrows floats only: the port counts stay integers in CSV and JSON
+        ports, doc = tmp_path / "ports.csv", tmp_path / "ports.json"
+        run(["compare", "--digits", "2", "--out", str(ports)])
+        assert "\ntotal_ports,384,288,0.75\n" in ports.read_text()
+        run(["compare", "--digits", "2", "--format", "json", "--out", str(doc)])
+        assert '"total_ports",\n      384,\n      288,\n      0.75\n' in doc.read_text()
+
     def test_no_partial_file_on_domain_error(self, tmp_path):
         out = tmp_path / "never.csv"
         code = run(["risk", "tail-mean", "--alpha", "1", "--beta", "2", "--out", str(out)])
@@ -674,11 +681,13 @@ class TestNonFiniteInput:
         assert run(fill(args, **{"in": cli_inputs})) == 1
         assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -")
 
-    def test_verify_rejects_negative_seed(self, capsys):
-        assert run(["verify", "--seed", "-1"]) == 1
+    @pytest.mark.parametrize("seed", ["27", "-1", "abc"])
+    def test_verify_takes_no_seed(self, capsys, seed):
+        # verify's bounds hold at its one seed; at --seed 27 it used to print a FAIL on correct code
+        assert exit_code(["verify", "--seed", seed]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.err.endswith(f"error: unrecognized arguments: --seed {seed}\n")
 
 
 def test_growth_with_large_saturation_finishes():
@@ -879,8 +888,9 @@ ARGV_SPACE = {
         "--max-units": NUMBERS, "--points": POINTS,
     },
     ("compare",): {**COMMON_FLAGS, "--a": TOPOLOGIES, "--b": TOPOLOGIES},
-    # a valid seed runs every check (seconds); test_acceptance covers that path
-    ("verify",): {"--seed": ["-1", "nan", "abc"]},
+    # verify takes no flag, so each of these is a flag error; a bare `verify` runs every
+    # check (seconds), which test_acceptance covers
+    ("verify",): {"--seed": ["27", "-1", "abc"]},
 }
 # In every generated argv: --topology and --K are required by argparse, and
 # `verify` without --seed would run every check.
@@ -1208,7 +1218,7 @@ PINNED_FLAGS = {
         "--ports-per-switch": ("ports_per_switch", 48), "--max-units": ("max_units", 5.0), "--points": ("points", 51),
     },
     ("compare",): {**PINNED_COMMON, "--a": ("a", None), "--b": ("b", None)},
-    ("verify",): {**PINNED_HELP, "--seed": ("seed", None)},
+    ("verify",): PINNED_HELP,
 }
 PINNED_SUBCOMMANDS = {
     (): ["harm-curve", "jensen", "risk", "topo", "growth", "compare", "verify"],
