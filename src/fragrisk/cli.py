@@ -44,11 +44,7 @@ import warnings
 
 # each analysis module runs on first use (see fragrisk/__init__.py), so a
 # command pays only for the modules its handler calls into
-from . import config, costing, growth, pareto, topology, verify
-from . import report as reporting  # _emit_report names its ScenarioReport `report`
-
-# fragrisk.harm is the harm function, so the module is taken from sys.modules
-harm_model = sys.modules[f"{__package__}.harm"]
+from . import config, costing, growth, harm, pareto, report, topology, verify
 
 OUT_DIR_ENV = "FRAGRISK_OUT_DIR"
 # the most rows a --points grid may build; each costs about 17 us and 0.4 KB
@@ -182,9 +178,13 @@ def _distinct_messages(caught) -> list[str]:
     return list(dict.fromkeys(str(w.message) for w in caught))
 
 
-def _emit_report(
-    cfg: config.ScenarioConfig, args, command: str, columns, rows, metadata=None, side_files=(), stdout=None
-) -> None:
+def _command(args) -> str:
+    """The command's label, its words on the command line joined by ``-`` (``topo-harm``)."""
+    flags = vars(args)
+    return "-".join(flags[dest] for dest in ("command", "risk_command", "topo_command") if dest in flags)
+
+
+def _emit_report(cfg: config.ScenarioConfig, args, columns, rows, metadata=None, side_files=(), stdout=None) -> None:
     """Build the command's one report, render it, add ``--svg``, then ``_emit``.
 
     The report's metadata is ``metadata`` plus the config hash, the seed,
@@ -198,15 +198,15 @@ def _emit_report(
     messages = _distinct_messages(args.caught_warnings)
     if messages:
         metadata["warnings"] = " | ".join(messages)
-    report = reporting.ScenarioReport(command, columns, rows, metadata)
+    built = report.ScenarioReport(_command(args), columns, rows, metadata)
     svg = getattr(args, "svg", None)
     if svg is not None:
-        side_files = [*side_files, (svg, reporting.svg_line_chart(report))]
-    _emit(args.out, report.render(cfg.output_format, cfg.output_digits), side_files, stdout)
+        side_files = [*side_files, (svg, report.svg_line_chart(built))]
+    _emit(args.out, built.render(cfg.output_format, cfg.output_digits), side_files, stdout)
 
 
-def _harm_params(cfg: config.ScenarioConfig) -> harm_model.HarmParams:
-    return harm_model.HarmParams(cfg.harm_k, cfg.harm_beta)
+def _harm_params(cfg: config.ScenarioConfig) -> harm.HarmParams:
+    return harm.HarmParams(cfg.harm_k, cfg.harm_beta)
 
 
 def _pareto_params(cfg: config.ScenarioConfig) -> pareto.ParetoParams:
@@ -244,20 +244,20 @@ def cmd_harm_curve(cfg: config.ScenarioConfig, args) -> int:
     xs = _grid("--x-max", args.x_max, args.points, len(columns))
     rows = []
     for x in xs:
-        rows.append([x] + [harm_model.harm(harm_model.HarmParams(cfg.harm_k, beta), x) for beta in args.betas])
-    _emit_report(cfg, args, "harm-curve", columns, rows)
+        rows.append([x] + [harm.harm(harm.HarmParams(cfg.harm_k, beta), x) for beta in args.betas])
+    _emit_report(cfg, args, columns, rows)
     return 0
 
 
 def cmd_jensen(cfg: config.ScenarioConfig, args) -> int:
     params = _harm_params(cfg)
-    weights = harm_model.FragmentWeights(cfg.harm_weights)
-    concentrated = harm_model.harm(params, cfg.error_x)
-    split = harm_model.fragmented_harm(params, weights, cfg.error_x)
-    gap = harm_model.jensen_gap(params, weights, cfg.error_x)
-    cen, dec = harm_model.survival_comparison(params, cfg.unit_value, weights, _pareto_params(cfg))
+    weights = harm.FragmentWeights(cfg.harm_weights)
+    concentrated = harm.harm(params, cfg.error_x)
+    split = harm.fragmented_harm(params, weights, cfg.error_x)
+    gap = harm.jensen_gap(params, weights, cfg.error_x)
+    cen, dec = harm.survival_comparison(params, cfg.unit_value, weights, _pareto_params(cfg))
     columns = ["x", "harm", "fragmented_harm", "jensen_gap", "centralized_mean", "decentralized_mean", "mean_gap"]
-    _emit_report(cfg, args, "jensen", columns, [[cfg.error_x, concentrated, split, gap, cen, dec, dec - cen]])
+    _emit_report(cfg, args, columns, [[cfg.error_x, concentrated, split, gap, cen, dec, dec - cen]])
     return 0
 
 
@@ -270,7 +270,7 @@ def cmd_risk_density(cfg: config.ScenarioConfig, args) -> int:
         q = (i + 1) / args.points  # quantile grid covers the support evenly
         xi = pareto.harm_quantile(p, h, n, q)
         rows.append([xi, pareto.fragment_harm_density(p, h, n, xi)])
-    _emit_report(cfg, args, "risk-density", ["xi", "density"], rows)
+    _emit_report(cfg, args, ["xi", "density"], rows)
     return 0
 
 
@@ -280,19 +280,19 @@ def cmd_risk_tail_mean(cfg: config.ScenarioConfig, args) -> int:
     estimate = pareto.mc_tail_mean(p, h, cfg.fragments, cfg.trials, cfg.seed)
     rel = abs(estimate - closed) / abs(closed)
     columns = ["fragments", "closed_form", "mc_estimate", "relative_error"]
-    _emit_report(cfg, args, "risk-tail-mean", columns, [[cfg.fragments, closed, estimate, rel]])
+    _emit_report(cfg, args, columns, [[cfg.fragments, closed, estimate, rel]])
     return 0
 
 
 def cmd_risk_ratio(cfg: config.ScenarioConfig, args) -> int:
     ratio = pareto.degradation_ratio(_pareto_params(cfg), _harm_params(cfg), args.K, cfg.fragments)
-    _emit_report(cfg, args, "risk-ratio", ["K", "ratio"], [[args.K, ratio]], stdout=f"{ratio:.6f}\n")
+    _emit_report(cfg, args, ["K", "ratio"], [[args.K, ratio]], stdout=f"{ratio:.6f}\n")
     return 0
 
 
 def cmd_risk_curve(cfg: config.ScenarioConfig, args) -> int:
     curve = pareto.degradation_curve(_pareto_params(cfg), _harm_params(cfg), list(args.K_values))
-    _emit_report(cfg, args, "risk-curve", ["K", "ratio"], [[k, r] for k, r in curve])
+    _emit_report(cfg, args, ["K", "ratio"], [[k, r] for k, r in curve])
     return 0
 
 
@@ -305,7 +305,7 @@ def cmd_topo_hops(cfg: config.ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
     hist = topology.hop_histogram(topo)
     rows = [[hops, hist[hops]] for hops in sorted(hist)]
-    _emit_report(cfg, args, "topo-hops", ["hops", "pairs"], rows, {"unreachable_bucket": topology.UNREACHABLE})
+    _emit_report(cfg, args, ["hops", "pairs"], rows, {"unreachable_bucket": topology.UNREACHABLE})
     return 0
 
 
@@ -318,7 +318,7 @@ def cmd_topo_fail(cfg: config.ScenarioConfig, args) -> int:
     if args.emit is not None:
         side_files.append((args.emit, topology.serialize_topology(topology.inject_failures(topo, failed))))
     columns = ["failed_devices", "affected_fraction", "detached_hosts"]
-    _emit_report(cfg, args, "topo-fail", columns, [[len(failed), fraction, detached]], side_files=side_files)
+    _emit_report(cfg, args, columns, [[len(failed), fraction, detached]], side_files=side_files)
     return 0
 
 
@@ -327,7 +327,7 @@ def cmd_topo_harm(cfg: config.ScenarioConfig, args) -> int:
     stats = topology.failure_harm_mc(topo, _failure_model(cfg, args), _harm_params(cfg), cfg.trials, cfg.seed)
     rows = [[stats.expected_harm, stats.quantiles["p50"], stats.quantiles["p90"], stats.quantiles["p99"]]]
     metadata = {"trials": stats.trials, "distinct_patterns": stats.distinct_patterns, "std_error": stats.std_error}
-    _emit_report(cfg, args, "topo-harm", ["expected_harm", "p50", "p90", "p99"], rows, metadata)
+    _emit_report(cfg, args, ["expected_harm", "p50", "p90", "p99"], rows, metadata)
     return 0
 
 
@@ -337,7 +337,7 @@ def cmd_growth(cfg: config.ScenarioConfig, args) -> int:
     units = _grid("--max-units", args.max_units, args.points, 3)
     rows = [[u, growth.capacity_at(sig, u), growth.capacity_at(lin, u)] for u in units]
     metadata = {"crossover_units": growth.crossover(sig, lin)}
-    _emit_report(cfg, args, "growth", ["units", "sigmoid_capacity", "linear_capacity"], rows, metadata)
+    _emit_report(cfg, args, ["units", "sigmoid_capacity", "linear_capacity"], rows, metadata)
     return 0
 
 
@@ -357,7 +357,7 @@ def cmd_compare(cfg: config.ScenarioConfig, args) -> int:
     ports = {role: getattr(cfg, f"ports_{role}") for role in topology.ROLES}
     compared = costing.compare_designs(design_a, design_b, assumptions, ports)
     rows = [[metric, *values] for metric, values in compared.items()]
-    _emit_report(cfg, args, "compare", ["metric", "design_a", "design_b", "ratio_b_over_a"], rows)
+    _emit_report(cfg, args, ["metric", "design_a", "design_b", "ratio_b_over_a"], rows)
     return 0
 
 
@@ -555,8 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             code = args.func(_config_from_args(args), args)
         except OverflowError:  # a float power or product past the float range, wherever it arose
-            command = args.func.__name__.removeprefix("cmd_").replace("_", "-")
-            code, error = 1, reporting.not_finite(f"{command}: a result")
+            code, error = 1, report.not_finite(f"{_command(args)}: a result")
         except (ValueError, OSError, MemoryError) as exc:
             code, error = 1, exc
     # a failure leads, so stderr's first line says why nothing was written

@@ -103,6 +103,9 @@ class ScenarioConfig(_Record):
             raise ValueError(f"output.format must be csv or json, got {self.output_format!r}")
         if self.output_digits is not None and self.output_digits < 1:
             raise ValueError(f"output.digits must be >= 1, got {self.output_digits}")
+        drop = self.report_core_drop_probability
+        if drop is not None and not 0 <= drop <= 1:  # nan included
+            raise ValueError(f"report.core_drop_probability must be in [0, 1], got {drop}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.topology_kind not in ("spine-leaf", "three-tier"):

@@ -14,28 +14,26 @@ import warnings
 import numpy as np
 import pytest
 
-from fragrisk import (
-    CostAssumptions,
-    FragmentWeights,
-    HarmParams,
+from fragrisk.cli import main
+from fragrisk.costing import CostAssumptions, compare_designs
+from fragrisk.growth import GrowthSpec, capacity_at, crossover, erf_value
+from fragrisk.harm import FragmentWeights, HarmParams, jensen_gap, survival_comparison
+from fragrisk.pareto import (
     ParetoParams,
+    degradation_curve,
+    degradation_ratio,
+    mc_tail_mean,
+    pareto_sample,
+    tail_mean,
+)
+from fragrisk.topology import (
+    FailureModel,
     affected_fraction,
     build_spine_leaf,
     build_three_tier,
-    compare_designs,
-    degradation_ratio,
     failure_harm_mc,
     hop_histogram,
-    jensen_gap,
-    mc_tail_mean,
-    pareto_sample,
-    survival_comparison,
-    tail_mean,
 )
-from fragrisk.cli import main
-from fragrisk.growth import GrowthSpec, capacity_at, crossover, erf_value
-from fragrisk.pareto import degradation_curve
-from fragrisk.topology import FailureModel
 from fragrisk.verify import (
     NORMALIZATION_ALPHAS,
     NORMALIZATION_BETAS,

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from fragrisk.cli import MAX_CELLS, MAX_POINTS, build_parser, main
 from fragrisk.config import ScenarioConfig, load_config, parse_config_text
-from fragrisk.report import ScenarioReport
 from fragrisk.harm import HarmParams
+from fragrisk.report import ScenarioReport
 from fragrisk.topology import (
     FailureModel,
     build_spine_leaf,
@@ -47,6 +47,15 @@ def exit_code(args) -> int:
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the bare ``NaN`` and ``Infinity`` Python writes for non-finite floats."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestConfig:
@@ -339,11 +348,7 @@ class TestOutputContracts:
         assert run(["compare", "--a", str(one), "--out", str(csv)]) == 0
         assert read_bytes(csv).endswith(b"\nmax_single_device_affected,0,0.5,inf\n")
         assert run(["compare", "--a", str(one), "--format", "json", "--out", str(doc)]) == 0
-
-        def reject(name):
-            raise ValueError(f"{name} is not JSON")
-
-        rows = json.loads(doc.read_text(), parse_constant=reject)["rows"]
+        rows = strict_json(doc.read_text())["rows"]
         assert rows[-1] == ["max_single_device_affected", 0.0, 0.5, "inf"]
 
     def test_invalid_flags_exit_nonzero(self):
@@ -434,6 +439,23 @@ class TestOutputContracts:
         out = tmp_path / "compare.csv"
         assert run(["compare", "--config", str(cfg), "--out", str(out)]) == 0
         assert "# core_drop_probability: 0.001" in out.read_text()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5"])
+    @pytest.mark.parametrize("args", BAD_CONFIG_ARGS)
+    def test_drop_probability_outside_unit_interval_fails_every_subcommand(
+        self, cli_inputs, tmp_path, capsys, args, value
+    ):
+        # nan and inf used to be stamped into the metadata, and --format json wrote a bare NaN or Infinity
+        cfg = tmp_path / "drop.cfg"
+        cfg.write_text(f"report.core_drop_probability = {value}\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = fill(args, **{"in": cli_inputs}) + ["--config", str(cfg), "--out", str(out_dir / "out.txt")]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        message = f"error: report.core_drop_probability must be in [0, 1], got {float(value)}\n"
+        assert (captured.out, captured.err) == ("", message)
+        assert os.listdir(out_dir) == []
 
 
 class TestDeterminism:
@@ -1159,6 +1181,49 @@ def test_each_command_runs_only_its_modules(tmp_path, args, ran):
         assert not {"dataclasses", "hashlib", "inspect"} & set(loaded["stdlib"])
 
 
+ANALYSIS_MODULES = ("config", "costing", "growth", "harm", "pareto", "report", "topology", "verify")
+
+# each import form, in turn, for every module; `import ... as` reads __spec__, which runs the module, so it goes last
+IMPORT_FORMS_PROBE = f"""
+import inspect
+import json
+import sys
+import types
+
+import fragrisk
+
+found = {{}}
+for m in {ANALYSIS_MODULES!r}:
+    namespace = {{}}
+    exec(f"from fragrisk import {{m}}", namespace)
+    found[m] = [getattr(fragrisk, m), namespace[m]]
+unexecuted = [m for m in found if type(sys.modules[f"fragrisk.{{m}}"]) is not types.ModuleType]
+for m in found:
+    namespace = {{}}
+    exec(f"import fragrisk.{{m}} as imported", namespace)
+    found[m].append(namespace["imported"])
+import fragrisk.harm as harm_module
+
+print(json.dumps({{
+    "same": [m for m, objects in found.items() if all(o is sys.modules[f"fragrisk.{{m}}"] for o in objects)],
+    "unexecuted": unexecuted,
+    "harm_function": inspect.isfunction(harm_module.harm) and harm_module.harm.__module__ == "fragrisk.harm",
+    "package_names": hasattr(fragrisk, "HarmParams"),
+}}))
+"""
+
+
+def test_every_import_form_gives_the_module():
+    # the package used to bind fragrisk.harm to the harm function, so `import fragrisk.harm as m` gave the function
+    result = json.loads(probe_last_line(IMPORT_FORMS_PROBE))
+    assert result == {
+        "same": list(ANALYSIS_MODULES),
+        "unexecuted": list(ANALYSIS_MODULES),
+        "harm_function": True,
+        "package_names": False,
+    }
+
+
 # option string -> (dest, default) of each leaf command's sub-parser, as the
 # full parser built them before each command got only its own flags
 PINNED_HELP = {"-h": ("help", argparse.SUPPRESS), "--help": ("help", argparse.SUPPRESS)}
@@ -1550,11 +1615,13 @@ class TestPinnedReports:
                     "--out", str(tmp_path / "fail.csv")]) == 0
         return {"sl": sl, "tt": tt, "inj": inj}
 
-    def test_reports_byte_identical(self, fabrics, tmp_path, capsys):
+    @pytest.fixture
+    def commands(self, fabrics, tmp_path):
+        """The command of each pinned report; side files go to ``tmp_path``, under their ``PINNED_SIDE_FILES`` names."""
         config = tmp_path / "scenario.cfg"
         config.write_text("report.core_drop_probability = 0.001\n")
         side = {name: str(tmp_path / name) for name in PINNED_SIDE_FILES}
-        commands = {
+        return {
             "hops.tt": ["topo", "hops", "--topology", fabrics["tt"]],
             "hops.inj": ["topo", "hops", "--topology", fabrics["inj"]],
             "harm.sl": ["topo", "harm", "--topology", fabrics["sl"], "--p", "0.05", "--trials", "2000",
@@ -1576,6 +1643,8 @@ class TestPinnedReports:
             "compare.digits": ["compare", "--a", fabrics["tt"], "--b", fabrics["sl"], "--digits", "3"],
             "compare.config": ["compare", "--config", str(config)],
         }
+
+    def test_reports_byte_identical(self, commands, tmp_path, capsys):
         assert sorted(commands) == sorted(PINNED)
         for name, args in commands.items():
             out = tmp_path / f"{name}.out"
@@ -1584,7 +1653,13 @@ class TestPinnedReports:
             assert capsys.readouterr().out == ("0.629961\n" if name == "risk-ratio" else ""), name
             assert read_bytes(out) == PINNED[name].encode(), name
         for name, text in PINNED_SIDE_FILES.items():
-            assert read_bytes(side[name]) == text.encode(), name
+            assert read_bytes(tmp_path / name) == text.encode(), name
+
+    def test_json_reports_are_strict_json(self, commands, tmp_path):
+        for name, args in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert run(args + ["--format", "json", "--out", str(out)]) == 0, name
+            strict_json(out.read_text())
 
     @pytest.mark.parametrize(
         "name, fabric, probabilities, trials",

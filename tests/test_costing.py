@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fragrisk import CostAssumptions, build_spine_leaf, build_three_tier, compare_designs, inject_failures
+from fragrisk.costing import CostAssumptions, compare_designs
+from fragrisk.topology import build_spine_leaf, build_three_tier, inject_failures
 from fragrisk.verify import affected_fraction_bfs, random_failed_set, random_topology
 
 ALL_PORTS = {"core": 48, "distribution": 48, "access": 48, "spine": 48, "leaf": 48}

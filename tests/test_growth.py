@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragrisk import GrowthSpec, capacity_at, crossover, erf_value
+from fragrisk.growth import GrowthSpec, capacity_at, crossover, erf_value
 from fragrisk.verify import QUADRATURE_TOL, erf_quadrature
 
 

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragrisk import (
-    FragmentWeights,
-    HarmParams,
-    ParetoParams,
-    fragmented_harm,
-    harm,
-    jensen_gap,
-    survival_comparison,
-)
+from fragrisk.harm import FragmentWeights, HarmParams, fragmented_harm, harm, jensen_gap, survival_comparison
+from fragrisk.pareto import ParetoParams
 
 
 class TestHarmParams:

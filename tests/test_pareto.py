@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fragrisk import (
-    HarmParams,
+from fragrisk import pareto
+from fragrisk.harm import HarmParams
+from fragrisk.pareto import (
     ParetoParams,
     degradation_curve,
     degradation_ratio,
@@ -18,7 +19,6 @@ from fragrisk import (
     pareto_sample,
     tail_mean,
 )
-from fragrisk import pareto
 
 
 def quiet_tail_mean(p, h, n):

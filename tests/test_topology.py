@@ -13,29 +13,29 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fragrisk import (
-    CostAssumptions,
+from fragrisk import topology
+from fragrisk.config import DEFAULT_SEED, ScenarioConfig
+from fragrisk.costing import CostAssumptions
+from fragrisk.growth import GrowthSpec
+from fragrisk.harm import FragmentWeights, HarmParams, harm
+from fragrisk.pareto import ParetoParams
+from fragrisk.report import ScenarioReport
+from fragrisk.topology import (
+    UNREACHABLE,
     Device,
     FailureModel,
-    FragmentWeights,
-    GrowthSpec,
-    HarmParams,
-    ParetoParams,
     Topology,
+    _connected_pairs,
+    _table_quantiles,
     affected_fraction,
     build_spine_leaf,
     build_three_tier,
     failure_harm_mc,
-    harm,
     hop_histogram,
     inject_failures,
     parse_topology,
     serialize_topology,
 )
-from fragrisk import topology
-from fragrisk.config import DEFAULT_SEED, ScenarioConfig
-from fragrisk.report import ScenarioReport
-from fragrisk.topology import UNREACHABLE, _connected_pairs, _table_quantiles
 from fragrisk.verify import (
     CheckResult,
     affected_fraction_bfs,

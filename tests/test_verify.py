@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fragrisk import HarmParams, ParetoParams, fragment_harm_density, verify
-from fragrisk.pareto import harm_quantile
+from fragrisk import verify
+from fragrisk.harm import HarmParams
+from fragrisk.pareto import ParetoParams, fragment_harm_density, harm_quantile
 from fragrisk.verify import (
     NORMALIZATION_ALPHAS,
     NORMALIZATION_BETAS,
