@@ -213,10 +213,10 @@ def _pareto_params(cfg: config.ScenarioConfig) -> pareto.ParetoParams:
     return pareto.ParetoParams(cfg.pareto_alpha, cfg.pareto_scale)
 
 
-def _build_from_config(cfg: config.ScenarioConfig):
-    if cfg.topology_kind == "spine-leaf":
+def _build_from_config(cfg: config.ScenarioConfig, kind: str):
+    if kind == "spine-leaf":
         return topology.build_spine_leaf(cfg.topology_spines, cfg.topology_leaves, cfg.topology_hosts_per_leaf)
-    # ScenarioConfig admits no other kind
+    # neither ScenarioConfig nor compare gives any other kind
     return topology.build_three_tier(
         cfg.topology_cores,
         cfg.topology_distributions,
@@ -297,7 +297,7 @@ def cmd_risk_curve(cfg: config.ScenarioConfig, args) -> int:
 
 
 def cmd_topo_build(cfg: config.ScenarioConfig, args) -> int:
-    _emit(args.out, topology.serialize_topology(_build_from_config(cfg)))
+    _emit(args.out, topology.serialize_topology(_build_from_config(cfg, cfg.topology_kind)))
     return 0
 
 
@@ -332,20 +332,17 @@ def cmd_topo_harm(cfg: config.ScenarioConfig, args) -> int:
 
 
 def cmd_growth(cfg: config.ScenarioConfig, args) -> int:
-    sig = growth.GrowthSpec.sigmoid(args.saturation)
-    lin = growth.GrowthSpec.linear(args.ports_per_switch)
+    sat, ports = args.saturation, args.ports_per_switch
+    metadata = {"crossover_units": growth.crossover(sat, ports)}  # checks both numbers before the grid
     units = _grid("--max-units", args.max_units, args.points, 3)
-    rows = [[u, growth.capacity_at(sig, u), growth.capacity_at(lin, u)] for u in units]
-    metadata = {"crossover_units": growth.crossover(sig, lin)}
+    rows = [[u, growth.sigmoid_capacity(sat, u), growth.linear_capacity(ports, u)] for u in units]
     _emit_report(cfg, args, ["units", "sigmoid_capacity", "linear_capacity"], rows, metadata)
     return 0
 
 
 def cmd_compare(cfg: config.ScenarioConfig, args) -> int:
     design_a, design_b = (
-        _load_topology(path)
-        if path is not None
-        else _build_from_config(config.ScenarioConfig(**{**vars(cfg), "topology_kind": kind}))
+        _load_topology(path) if path is not None else _build_from_config(cfg, kind)
         for path, kind in ((args.a, "three-tier"), (args.b, "spine-leaf"))
     )
     assumptions = costing.CostAssumptions(
@@ -386,9 +383,10 @@ def _add_common(parser: argparse.ArgumentParser, svg: bool = False) -> None:
         parser.add_argument("--svg", help="also write a static SVG line chart here")
 
 
-def _add_harm_flags(parser: argparse.ArgumentParser) -> None:
+def _add_harm_flags(parser: argparse.ArgumentParser, beta: bool = True) -> None:
     parser.add_argument("--k", dest="harm_k", type=float, help="harm scale k > 0")
-    parser.add_argument("--beta", dest="harm_beta", type=float, help="harm convexity exponent beta >= 0")
+    if beta:
+        parser.add_argument("--beta", dest="harm_beta", type=float, help="harm convexity exponent beta >= 0")
 
 
 def _add_pareto_flags(parser: argparse.ArgumentParser) -> None:
@@ -418,10 +416,11 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("harm-curve", help="harm transform samples for plotting")
+    # no abbreviations, or argparse would read --beta, which it does not take, as --betas
+    p = sub.add_parser("harm-curve", help="harm transform samples for plotting", allow_abbrev=False)
     if need("harm-curve"):
         _add_common(p, svg=True)
-        _add_harm_flags(p)
+        _add_harm_flags(p, beta=False)  # it plots each of --betas
         p.add_argument("--betas", type=_float_list, default="1.5,2,3", help="comma list of exponents to plot")
         p.add_argument("--x-max", dest="x_max", type=float, default=4.0)
         p.add_argument("--points", type=int, default=81)

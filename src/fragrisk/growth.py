@@ -1,16 +1,15 @@
 """Capacity growth of scale-up vs scale-out designs.
 
-A modular chassis fills its slots and saturates: capacity follows
+A modular chassis fills its slots and saturates: ``sigmoid_capacity`` is
 saturation * erf(units).  A fixed-port design adds switches without bound:
-capacity is ports_per_switch * units.  ``crossover`` finds the module count
-beyond which the linear design always wins.
+``linear_capacity`` is ports_per_switch * units.  ``crossover`` finds the
+module count beyond which the linear design always wins.  Each function
+takes only the numbers its curves use.
 """
 
 from __future__ import annotations
 
 import math
-
-from . import _Record
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -20,50 +19,30 @@ def erf_value(x: float) -> float:
     return math.erf(x)
 
 
-class GrowthSpec(_Record):
-    """Either a sigmoid-limited modular design or an unbounded linear one; read-only."""
-
-    kind: str  # "sigmoid" or "linear"
-    saturation_capacity: float | None
-    ports_per_switch: int | None
-
-    def __init__(self, kind: str, saturation_capacity: float | None = None, ports_per_switch: int | None = None):
-        if kind == "sigmoid":
-            size = saturation_capacity
-            if size is None or not 0 < size < math.inf:
-                raise ValueError(f"sigmoid growth needs a positive, finite saturation_capacity, got {size}")
-        elif kind == "linear":
-            size = ports_per_switch
-            if size is None or not 0 < size < math.inf:
-                raise ValueError(f"linear growth needs a positive, finite ports_per_switch, got {size}")
-        else:
-            raise ValueError(f"growth kind must be 'sigmoid' or 'linear', got {kind!r}")
-        self.__dict__.update(kind=kind, saturation_capacity=saturation_capacity, ports_per_switch=ports_per_switch)
-
-    @classmethod
-    def sigmoid(cls, saturation_capacity: float) -> "GrowthSpec":
-        return cls("sigmoid", saturation_capacity=saturation_capacity)
-
-    @classmethod
-    def linear(cls, ports_per_switch: int) -> "GrowthSpec":
-        return cls("linear", ports_per_switch=ports_per_switch)
+def _size(name: str, value: float) -> float:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
-def capacity_at(g: GrowthSpec, units: float) -> float:
-    """Port capacity after installing ``units`` modules or switches.
-
-    Sigmoid capacity is saturation * erf(units), never exceeding saturation;
-    linear capacity is ports_per_switch * units, unbounded.
-    """
+def _units(units: float) -> float:
     units = float(units)
-    if units < 0:
-        raise ValueError(f"units must be nonnegative, got {units}")
-    if g.kind == "sigmoid":
-        return g.saturation_capacity * erf_value(units)
-    return g.ports_per_switch * units
+    if not units >= 0:  # nan too
+        raise ValueError(f"units must be >= 0, got {units}")
+    return units
 
 
-def crossover(sig: GrowthSpec, lin: GrowthSpec) -> float:
+def sigmoid_capacity(saturation: float, units: float) -> float:
+    """Port capacity of a modular design after ``units`` modules: saturation * erf(units), never above saturation."""
+    return _size("saturation", saturation) * erf_value(_units(units))
+
+
+def linear_capacity(ports_per_switch: int, units: float) -> float:
+    """Port capacity of a fixed-port design after ``units`` switches: ports_per_switch * units, unbounded."""
+    return _size("ports_per_switch", ports_per_switch) * _units(units)
+
+
+def crossover(saturation: float, ports_per_switch: int) -> float:
     """Smallest unit count beyond which the linear design never trails.
 
     Returns the least u >= 0 with linear(v) >= sigmoid(v) for all v >= u,
@@ -71,10 +50,8 @@ def crossover(sig: GrowthSpec, lin: GrowthSpec) -> float:
     spacing is wider.  Always finite: the sigmoid is bounded and the linear
     design is not.
     """
-    if sig.kind != "sigmoid" or lin.kind != "linear":
-        raise ValueError("crossover expects (sigmoid, linear) growth specs")
-    sat = sig.saturation_capacity
-    ports = float(lin.ports_per_switch)
+    sat = _size("saturation", saturation)
+    ports = float(_size("ports_per_switch", ports_per_switch))
 
     # Initial slope of the sigmoid is sat * 2/sqrt(pi); a steeper line never trails.
     if ports >= sat * _TWO_OVER_SQRT_PI:

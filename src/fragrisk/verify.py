@@ -17,7 +17,7 @@ from collections import deque
 
 from . import _Record
 from .costing import CostAssumptions, compare_designs
-from .growth import GrowthSpec, capacity_at, crossover, erf_value
+from .growth import crossover, erf_value, linear_capacity, sigmoid_capacity
 from .harm import FragmentWeights, HarmParams, harm, jensen_gap, survival_comparison
 from .pareto import (
     ParetoParams,
@@ -572,16 +572,15 @@ def check_growth_model() -> CheckResult:
     import numpy as np
 
     rng = np.random.default_rng(VERIFY_SEED)
-    sig = GrowthSpec.sigmoid(100.0)
-    bounded = all(capacity_at(sig, u) <= 100.0 for u in rng.uniform(0.0, 50.0, 10**4))
-    grid = [capacity_at(sig, u) for u in np.linspace(0.0, 50.0, 10**4)]
+    bounded = all(sigmoid_capacity(100.0, u) <= 100.0 for u in rng.uniform(0.0, 50.0, 10**4))
+    grid = [sigmoid_capacity(100.0, u) for u in np.linspace(0.0, 50.0, 10**4)]
     rising = all(a <= b for a, b in zip(grid, grid[1:]))
 
-    narrow = crossover(sig, GrowthSpec.linear(1))
+    narrow = crossover(100.0, 1)
     bracket_ok = 99.0 <= narrow <= 101.0
-    wide = crossover(sig, GrowthSpec.linear(100))
+    wide = crossover(100.0, 100)
     wide_ok = wide <= 1.0
-    dominated = capacity_at(GrowthSpec.linear(1), 10 * narrow) >= capacity_at(sig, 10 * narrow)
+    dominated = linear_capacity(1, 10 * narrow) >= sigmoid_capacity(100.0, 10 * narrow)
     passed = bounded and rising and bracket_ok and wide_ok and dominated
     return CheckResult(
         "growth-model",

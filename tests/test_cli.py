@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fragrisk import cli
 from fragrisk.cli import MAX_CELLS, MAX_POINTS, build_parser, main
 from fragrisk.config import ScenarioConfig, load_config, parse_config_text
 from fragrisk.harm import HarmParams
@@ -869,7 +870,7 @@ POINTS = INTEGERS + ["200"]
 # subcommand -> flag -> values; True stands for a flag that takes no value
 ARGV_SPACE = {
     ("harm-curve",): {
-        **COMMON_FLAGS, **HARM_FLAGS, "--svg": OUTPUTS,
+        **COMMON_FLAGS, "--k": NUMBERS, "--svg": OUTPUTS,
         "--betas": ["1.5,2", "inf", "abc", ""], "--x-max": NUMBERS, "--points": POINTS,
     },
     ("jensen",): {
@@ -1153,6 +1154,7 @@ def test_cli_import_loads_every_traced_module():
 
 # topo harm alone of the graph commands applies the harm transform
 TOPO_MODULES = ["cli", "config", "report", "topology"]
+PARETO_MODULES = ["cli", "config", "harm", "pareto", "report"]
 
 
 @pytest.mark.parametrize(
@@ -1163,10 +1165,21 @@ TOPO_MODULES = ["cli", "config", "report", "topology"]
         (["topo", "fail", "--topology", "{topo}", "--fail", "leaf0"], TOPO_MODULES),
         (["topo", "harm", "--topology", "{topo}", "--p", "0.1", "--trials", "100"], sorted(TOPO_MODULES + ["harm"])),
         (["compare"], sorted(TOPO_MODULES + ["costing"])),
+        (["topo", "build"], ["cli", "config", "topology"]),
+        (["harm-curve", "--points", "5"], ["cli", "config", "harm", "report"]),
+        (["jensen"], PARETO_MODULES),
+        (["risk", "density", "--points", "5"], PARETO_MODULES),
+        (["risk", "tail-mean", "--trials", "50"], PARETO_MODULES),
+        (["risk", "ratio", "--K", "2"], PARETO_MODULES),
+        (["risk", "curve", "--K-values", "1,2"], PARETO_MODULES),
+        (["growth", "--points", "5"], ["cli", "config", "growth", "report"]),
         # verify prints check lines, not a report
         (["verify"], ["cli", "config", "costing", "growth", "harm", "pareto", "topology", "verify"]),
     ],
-    ids=["help", "topo-hops", "topo-fail", "topo-harm", "compare", "verify"],
+    ids=[
+        "help", "topo-hops", "topo-fail", "topo-harm", "compare", "topo-build", "harm-curve", "jensen",
+        "risk-density", "risk-tail-mean", "risk-ratio", "risk-curve", "growth", "verify",
+    ],
 )
 def test_each_command_runs_only_its_modules(tmp_path, args, ran):
     topo = tmp_path / "sl.txt"
@@ -1175,7 +1188,8 @@ def test_each_command_runs_only_its_modules(tmp_path, args, ran):
     assert loaded["ran"] == ran
     if args == ["--help"]:
         assert loaded["stdlib"] == []
-    elif args == ["verify"]:  # NumPy, which verify's oracles use, imports inspect and hashlib
+    elif args[0] == "verify" or args[:2] == ["risk", "tail-mean"]:
+        # NumPy, which verify's oracles and the Pareto sampler use, imports inspect and hashlib
         assert "dataclasses" not in loaded["stdlib"]
     else:  # the config hash takes the interpreter's built-in SHA-256, so neither hashlib nor OpenSSL loads
         assert not {"dataclasses", "hashlib", "inspect"} & set(loaded["stdlib"])
@@ -1224,6 +1238,30 @@ def test_every_import_form_gives_the_module():
     }
 
 
+def library_layout():
+    """(module name, backticked identifiers) of each row of README's "Library layout" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `fragrisk\.(\w+)` +\| (.*) \|$", section, re.MULTILINE)
+    return [(module, re.findall(r"`(\w+)`", contents)) for module, contents in rows]
+
+
+def test_library_layout_names_exist():
+    # each name is an attribute of its row's module, or a field or attribute of a class the row names
+    rows = library_layout()
+    assert sorted(module for module, _ in rows) == sorted(ANALYSIS_MODULES)
+    for module_name, names in rows:
+        module = importlib.import_module(f"fragrisk.{module_name}")
+        classes = [vars(module)[n] for n in names if isinstance(vars(module).get(n), type)]
+        missing = [
+            name
+            for name in names
+            if not hasattr(module, name)
+            and not any(hasattr(c, name) or name in getattr(c, "__annotations__", {}) for c in classes)
+        ]
+        assert missing == [], module_name
+
+
 # option string -> (dest, default) of each leaf command's sub-parser, as the
 # full parser built them before each command got only its own flags
 PINNED_HELP = {"-h": ("help", argparse.SUPPRESS), "--help": ("help", argparse.SUPPRESS)}
@@ -1240,7 +1278,7 @@ PINNED_MC = {"--trials": ("trials", None), "--seed": ("seed", None)}
 PINNED_FRAGMENTS = {"--fragments": ("fragments", None), "-N": ("fragments", None)}
 PINNED_FLAGS = {
     ("harm-curve",): {
-        **PINNED_COMMON, **PINNED_HARM, "--svg": ("svg", None),
+        **PINNED_COMMON, "--k": ("harm_k", None), "--svg": ("svg", None),
         "--betas": ("betas", "1.5,2,3"), "--x-max": ("x_max", 4.0), "--points": ("points", 81),
     },
     ("jensen",): {
@@ -1323,6 +1361,60 @@ def test_flags_stay_the_same_on_every_command_path(path):
     for leaf, sub in leaves.items():
         flags = {option: (a.dest, a.default) for a in sub._actions for option in a.option_strings}
         assert flags == (PINNED_FLAGS[path] if leaf == path else PINNED_HELP), leaf
+
+
+# a flag a command takes but never reads, with the reason it is still accepted
+UNREAD_FLAGS = {
+    ("jensen", "--trials"): "the means are closed form; kept so that existing command lines still run",
+}
+# values for the flags argparse requires, and fewer trials than the default, so each command runs fast
+RUN_ARGS = {"--topology": "{in}/sl.txt", "--K": "2", "--trials": "100"}
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in sorted(PINNED_FLAGS) if PINNED_FLAGS[path] != PINNED_HELP], ids=" ".join
+)
+def test_every_flag_is_read(cli_inputs, monkeypatch, path):
+    # harm-curve took a --beta that it never read: it plots each of --betas; verify takes no flag
+    read = set()
+
+    class RecordingConfig:
+        """The handler's config: each field read passes through to ``cfg`` and is noted."""
+
+        def __init__(self, cfg):
+            self._cfg = cfg
+
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(self._cfg, name)
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    def config_from_args(args):
+        cfg = real_config_from_args(args)  # it consumes --config
+        args.__class__ = RecordingNamespace  # the handler runs next: note each parsed dest it reads
+        return RecordingConfig(cfg)
+
+    real_config_from_args = cli._config_from_args
+    monkeypatch.setattr(cli, "_config_from_args", config_from_args)
+    flags = PINNED_FLAGS[path]
+    run_args = [word for flag, value in RUN_ARGS.items() if flag in flags for word in (flag, value)]
+    # topo build reads the flags of the kind it builds
+    kinds = [["--kind", "spine-leaf"], ["--kind", "three-tier"]] if path == ("topo", "build") else [[]]
+    for kind in kinds:
+        assert main(fill([*path, *run_args, *kind], **{"in": cli_inputs})) == 0
+    unread = {flag for flag, (dest, _) in flags.items() if dest not in read} - {"-h", "--help", "--config"}
+    assert unread == {flag for flag in flags if (*path, flag) in UNREAD_FLAGS}
+
+
+@pytest.mark.parametrize("beta", ["2", "nan"])
+def test_harm_curve_takes_no_beta(capsys, beta):
+    # it plots each of --betas; --beta used to be accepted, never read, and --beta nan exited 0
+    assert exit_code(["harm-curve", "--beta", beta]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_topology_harm_never_imports_numpy_ma(tmp_path):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from fragrisk import topology
 from fragrisk.config import DEFAULT_SEED, ScenarioConfig
 from fragrisk.costing import CostAssumptions
-from fragrisk.growth import GrowthSpec
 from fragrisk.harm import FragmentWeights, HarmParams, harm
 from fragrisk.pareto import ParetoParams
 from fragrisk.report import ScenarioReport
@@ -401,7 +400,6 @@ RECORDS = [
         lambda: FragmentWeights((0.5, 0.5)), lambda: FragmentWeights((0.25, 0.75)), "w", True, id="FragmentWeights"
     ),
     pytest.param(lambda: ParetoParams(2.0, 1.0), lambda: ParetoParams(3.0, 1.0), "alpha", True, id="ParetoParams"),
-    pytest.param(lambda: GrowthSpec.sigmoid(100.0), lambda: GrowthSpec.linear(48), "kind", True, id="GrowthSpec"),
     pytest.param(
         CostAssumptions, lambda: CostAssumptions(fixed_price_ratio=0.5), "fixed_price_ratio", True, id="CostAssumptions"
     ),

@@ -145,7 +145,7 @@ NAN_CASES = [
     (verify.check_hop_histogram_oracle, "hops-vs-bfs", "hop_histogram", False),
     (verify.check_failure_harm_enumeration, "failure-harm-vs-enumeration", "failure_harm_mc", False),
     (verify.check_erf_accuracy, "erf-accuracy", "erf_value", True),
-    (verify.check_growth_model, "growth-model", "capacity_at", False),
+    (verify.check_growth_model, "growth-model", "sigmoid_capacity", False),
     (verify.check_costing_defaults, "costing-default-ratios", "compare_designs", False),
 ]
 
