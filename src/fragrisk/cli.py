@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import stat
@@ -108,11 +109,14 @@ def _load_topology(path: str):
 
 
 def _config_from_args(args) -> config.ScenarioConfig:
-    # each config-backed flag's argparse dest is the ScenarioConfig field it sets
+    # each config-backed flag's argparse dest is the ScenarioConfig field it sets; --p-role r=x sets failure_r
     flags = vars(args)  # verify takes no --config
-    return config.load_config(
-        flags.get("config"), {name: flags.get(name) for name in config.ScenarioConfig.__annotations__}
-    )
+    overrides = {name: flags.get(name) for name in config.ScenarioConfig.__annotations__}
+    for role, probability in flags.get("p_role") or ():
+        if role not in topology.ROLES:
+            raise ValueError(f"unknown role {role!r} in failure model")
+        overrides[f"failure_{role}"] = probability
+    return config.load_config(flags.get("config"), overrides)
 
 
 def _emit(out: str | None, text: str, side_files=(), stdout: str | None = None) -> None:
@@ -226,14 +230,6 @@ def _build_from_config(cfg: config.ScenarioConfig, kind: str):
     )
 
 
-def _failure_model(cfg: config.ScenarioConfig, args) -> topology.FailureModel:
-    probs = cfg.failure_probabilities()
-    if args.p is not None:
-        probs = {role: args.p for role in probs}
-    probs.update(args.p_role or ())
-    return topology.FailureModel(probs)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -324,7 +320,8 @@ def cmd_topo_fail(cfg: config.ScenarioConfig, args) -> int:
 
 def cmd_topo_harm(cfg: config.ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
-    stats = topology.failure_harm_mc(topo, _failure_model(cfg, args), _harm_params(cfg), cfg.trials, cfg.seed)
+    failures = topology.FailureModel(cfg.failure_probabilities())
+    stats = topology.failure_harm_mc(topo, failures, _harm_params(cfg), cfg.trials, cfg.seed)
     rows = [[stats.expected_harm, stats.quantiles["p50"], stats.quantiles["p90"], stats.quantiles["p99"]]]
     metadata = {"trials": stats.trials, "distinct_patterns": stats.distinct_patterns, "std_error": stats.std_error}
     _emit_report(cfg, args, ["expected_harm", "p50", "p90", "p99"], rows, metadata)
@@ -383,10 +380,9 @@ def _add_common(parser: argparse.ArgumentParser, svg: bool = False) -> None:
         parser.add_argument("--svg", help="also write a static SVG line chart here")
 
 
-def _add_harm_flags(parser: argparse.ArgumentParser, beta: bool = True) -> None:
+def _add_harm_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", dest="harm_k", type=float, help="harm scale k > 0")
-    if beta:
-        parser.add_argument("--beta", dest="harm_beta", type=float, help="harm convexity exponent beta >= 0")
+    parser.add_argument("--beta", dest="harm_beta", type=float, help="harm convexity exponent beta >= 0")
 
 
 def _add_pareto_flags(parser: argparse.ArgumentParser) -> None:
@@ -410,17 +406,18 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     def need(*path: str) -> bool:
         return tuple(argv[: len(path)]) == path
 
-    parser = argparse.ArgumentParser(
+    # no flag may be abbreviated: argparse would read --spine as --spines, and harm-curve's --beta as --betas
+    make_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = make_parser(
         prog="fragrisk",
         description="Fragmentation vs concentration of heavy-tailed harm, with fabric fault-domain analysis",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make_parser)
 
-    # no abbreviations, or argparse would read --beta, which it does not take, as --betas
-    p = sub.add_parser("harm-curve", help="harm transform samples for plotting", allow_abbrev=False)
+    p = sub.add_parser("harm-curve", help="harm transform samples for plotting")
     if need("harm-curve"):
         _add_common(p, svg=True)
-        _add_harm_flags(p, beta=False)  # it plots each of --betas
+        p.add_argument("--k", dest="harm_k", type=float, help="harm scale k > 0")  # no --beta: it plots --betas
         p.add_argument("--betas", type=_float_list, default="1.5,2,3", help="comma list of exponents to plot")
         p.add_argument("--x-max", dest="x_max", type=float, default=4.0)
         p.add_argument("--points", type=int, default=81)
@@ -440,7 +437,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_jensen)
 
     risk = sub.add_parser("risk", help="Pareto harm distribution analyses")
-    risk_sub = risk.add_subparsers(dest="risk_command", required=True)
+    risk_sub = risk.add_subparsers(dest="risk_command", required=True, parser_class=make_parser)
 
     p = risk_sub.add_parser("density", help="fragment harm density samples")
     if need("risk", "density"):
@@ -480,7 +477,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_risk_curve)
 
     topo = sub.add_parser("topo", help="fabric construction and fault analysis")
-    topo_sub = topo.add_subparsers(dest="topo_command", required=True)
+    topo_sub = topo.add_subparsers(dest="topo_command", required=True, parser_class=make_parser)
 
     p = topo_sub.add_parser("build", help="construct a fabric and emit its text form")
     if need("topo", "build"):
@@ -517,8 +514,8 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         _add_harm_flags(p)
         _add_mc_flags(p)
         p.add_argument("--topology", required=True)
-        p.add_argument("--p", type=float, default=None, help="uniform per-device failure probability")
-        p.add_argument("--p-role", type=_role_probability, action="append", help="role=probability override")
+        p.add_argument("--p", dest="failure_default", type=float, help="failure.default: probability of unset roles")
+        p.add_argument("--p-role", type=_role_probability, action="append", help="role=probability: failure.<role>")
         p.set_defaults(func=cmd_topo_harm)
 
     p = sub.add_parser("growth", help="sigmoid vs linear capacity growth")

@@ -22,10 +22,6 @@ def not_finite(what: str) -> str:
 
 
 def format_number(value: Cell, digits: int | None) -> str:
-    if isinstance(value, bool):  # bools are ints; keep them readable
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, f".{digits or 17}g")
     return str(value)

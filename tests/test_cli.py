@@ -229,13 +229,36 @@ class TestTopoCommands:
 
     @pytest.mark.parametrize(
         "override, message",
-        [("bogus=0.1", "unknown role 'bogus'"), ("leaf=2", "failure probability for 'leaf' must be in [0, 1]")],
+        [
+            ("bogus=0.1", "unknown role 'bogus'"),
+            ("default=0.3", "unknown role 'default'"),  # --p sets failure.default
+            ("leaf=2", "failure probability for 'leaf' must be in [0, 1]"),
+        ],
     )
     def test_p_role_domain_errors_exit_1(self, cli_inputs, capsys, override, message):
         assert run(["topo", "harm", "--topology", str(cli_inputs / "sl.txt"), "--p-role", override]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+    def test_failure_flags_set_their_config_keys(self, cli_inputs, tmp_path, capsys):
+        # --p and --p-role used to bypass the config, so the hash was the same for every failure model
+        def harm(fabric, *flags, config=None):
+            args = ["topo", "harm", "--topology", str(cli_inputs / fabric), "--trials", "200", *flags]
+            if config is not None:
+                (tmp_path / "failure.cfg").write_text(config)
+                args += ["--config", str(tmp_path / "failure.cfg")]
+            assert run(args) == 0
+            return capsys.readouterr().out
+
+        models = (["--p", "0.05"], ["--p", "0.5"], ["--p-role", "spine=0.9"])
+        hashes = {re.search("config_hash: (.*)", harm("sl.txt", *flags))[1] for flags in models}
+        assert len(hashes) == 3
+        assert harm("tt.txt", "--p", "0.1") == harm("tt.txt", config="failure.default = 0.1\n")
+        assert harm("tt.txt", "--p-role", "core=0.2") == harm("tt.txt", config="failure.core = 0.2\n")
+        # flags override a config file key by key, so --p leaves the file's core probability
+        both = "failure.core = 0.02\nfailure.default = 0.1\n"
+        assert harm("tt.txt", "--p", "0.1", config="failure.core = 0.02\n") == harm("tt.txt", config=both)
 
     def test_topology_with_byte_order_mark_loads(self, cli_inputs, tmp_path, capsys):
         # some Windows editors start UTF-8 files with one; it failed as a missing topology header
@@ -1314,7 +1337,7 @@ PINNED_FLAGS = {
     },
     ("topo", "harm"): {
         **PINNED_COMMON, **PINNED_HARM, **PINNED_MC,
-        "--topology": ("topology", None), "--p": ("p", None), "--p-role": ("p_role", None),
+        "--topology": ("topology", None), "--p": ("failure_default", None), "--p-role": ("p_role", None),
     },
     ("growth",): {
         **PINNED_COMMON, "--svg": ("svg", None), "--saturation": ("saturation", 100.0),
@@ -1379,12 +1402,19 @@ def test_every_flag_is_read(cli_inputs, monkeypatch, path):
     read = set()
 
     class RecordingConfig:
-        """The handler's config: each field read passes through to ``cfg`` and is noted."""
+        """The handler's config: each field read passes through to ``cfg`` and is noted.
+
+        Its methods run on the recorder, so the fields they read are noted too;
+        all but ``config_hash``, which reads every field and would hide an unread flag.
+        """
 
         def __init__(self, cfg):
             self._cfg = cfg
 
         def __getattr__(self, name):
+            method = getattr(type(self._cfg), name, None)
+            if callable(method) and name != "config_hash":
+                return method.__get__(self)
             read.add(name)
             return getattr(self._cfg, name)
 
@@ -1406,7 +1436,8 @@ def test_every_flag_is_read(cli_inputs, monkeypatch, path):
     kinds = [["--kind", "spine-leaf"], ["--kind", "three-tier"]] if path == ("topo", "build") else [[]]
     for kind in kinds:
         assert main(fill([*path, *run_args, *kind], **{"in": cli_inputs})) == 0
-    unread = {flag for flag, (dest, _) in flags.items() if dest not in read} - {"-h", "--help", "--config"}
+    consumed = {"-h", "--help", "--config", "--p-role"}  # argparse and _config_from_args read these
+    unread = {flag for flag, (dest, _) in flags.items() if dest not in read} - consumed
     assert unread == {flag for flag in flags if (*path, flag) in UNREAD_FLAGS}
 
 
@@ -1415,6 +1446,42 @@ def test_harm_curve_takes_no_beta(capsys, beta):
     # it plots each of --betas; --beta used to be accepted, never read, and --beta nan exited 0
     assert exit_code(["harm-curve", "--beta", beta]) == 2
     assert capsys.readouterr().out == ""
+
+
+# a value each flag takes, so that only a cut flag's name can fail; the flags not listed take "1"
+FLAG_VALUES = {
+    "--config": "{in}/scenario.cfg", "--topology": "{in}/sl.txt", "--a": "{in}/tt.txt", "--b": "{in}/sl.txt",
+    "--out": "out.txt", "--svg": "chart.svg", "--emit": "emit.txt",
+    "--format": "json", "--kind": "three-tier", "--fail": "leaf0", "--p-role": "leaf=0.1",
+}
+
+
+@pytest.mark.parametrize("path", sorted(PINNED_FLAGS), ids=" ".join)
+def test_no_flag_may_be_abbreviated(cli_inputs, tmp_path, monkeypatch, capsys, path):
+    # argparse reads a unique prefix of a flag as that flag unless told not to: --spine ran as --spines
+    monkeypatch.chdir(tmp_path)
+    flags = {
+        option: action
+        for action in dict(leaf_parsers(build_parser(list(path))))[path]._actions
+        for option in action.option_strings
+    }
+    run_args = [word for flag, value in RUN_ARGS.items() if flag in flags for word in (flag, value)]
+    for flag, action in flags.items():
+        cut = flag[:-1]
+        if not flag.startswith("--") or cut in flags:
+            continue
+        value = [] if action.nargs == 0 else [FLAG_VALUES.get(flag, "1")]
+        assert exit_code(fill([*path, *run_args, cut, *value], **{"in": cli_inputs})) == 2, cut
+        assert capsys.readouterr().out == "", cut
+
+
+@pytest.mark.parametrize("args", [["risk", "curve", "--K", "2"], ["topo", "build", "--spine", "3"]], ids=" ".join)
+def test_a_prefix_of_a_flag_is_a_flag_error(capsys, args):
+    # these ran as --K-values 2 and --spines 3
+    assert exit_code(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(args[2:])}\n")
 
 
 def test_topology_harm_never_imports_numpy_ma(tmp_path):
@@ -1458,7 +1525,7 @@ expected_harm,p50,p90,p99
 -0.066848010608933375,0,-0.30645448293783728,-0.67926519276618424
 """,
     "harm.tt": """# command: topo-harm
-# config_hash: 8df6d1ee344841e2
+# config_hash: aaa35925951eb2eb
 # distinct_patterns: 153
 # seed: 11
 # std_error: 0.003002509894958955
@@ -1468,7 +1535,7 @@ expected_harm,p50,p90,p99
 -0.12597853489136582,0,-0.4368773121862799,-0.67926519276618424
 """,
     "harm.inj": """# command: topo-harm
-# config_hash: c4144c0e53ee538a
+# config_hash: 73594d5f6dd6a471
 # distinct_patterns: 60
 # seed: 5
 # std_error: 0.004145386633212966
