@@ -13,14 +13,18 @@ Subcommands map one-to-one onto the analysis modules::
 ``main`` resolves the scenario config (file, flags and seed) before any
 handler runs, so a malformed config file, an unknown key, a negative seed,
 or a bad output format, digit count or topology kind fails every subcommand
-that takes it before any work; ``verify`` takes no flag.  Numeric range checks
-(``harm.k = -1``, a port ratio above 1) stay with the model that owns them
-and fail only the commands that use it, because checking them up front
-would load every model module.
+that takes it before any work (exit 1); ``verify`` takes no flag.  A flag that
+sets a config key is parsed only for its type, and ``ScenarioConfig`` checks
+its range as it checks the key's, so ``--digits 0`` and ``output.digits = 0``
+fail alike.  Numeric range checks (``harm.k = -1``, a port ratio above 1)
+stay with the model that owns them and fail only the commands that use it,
+because checking them up front would load every model module.
 
 The parser gives flags only to the subcommand that ``argv``'s leading words
 name; every subcommand name is registered, so help and invalid-choice errors
-list them all.
+list them all.  A flag error (a flag that is unknown, abbreviated or missing,
+or a value not of the flag's type) exits 2, reported with the usage of the
+command it follows.
 
 Reports print to stdout or, with ``--out``, go to a file.  A command's
 outputs (``--out``, ``--svg``, ``--emit`` and the topology of ``topo
@@ -53,16 +57,6 @@ MAX_POINTS = 10**6
 # the most cells a grid report may hold: every grid of at most MAX_POINTS rows
 # and four columns, which harm-curve has with its default three --betas
 MAX_CELLS = 4 * MAX_POINTS
-
-
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
-    return value
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -372,10 +366,8 @@ def cmd_verify(cfg: config.ScenarioConfig, args) -> int:
 def _add_common(parser: argparse.ArgumentParser, svg: bool = False) -> None:
     parser.add_argument("--config", help="scenario config file (flat key = value)")
     parser.add_argument("--out", help="write the report to this file instead of stdout")
-    parser.add_argument("--format", dest="output_format", choices=("csv", "json"), help="report format")
-    parser.add_argument(
-        "--digits", dest="output_digits", type=_positive_int, help="significant digits in output (>= 1)"
-    )
+    parser.add_argument("--format", dest="output_format", help="report format: csv or json")
+    parser.add_argument("--digits", dest="output_digits", type=int, help="significant digits in output (>= 1)")
     if svg:
         parser.add_argument("--svg", help="also write a static SVG line chart here")
 
@@ -400,7 +392,8 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
     Every subcommand is registered, with its help line, but only the one
     that ``argv``'s leading words name gets its flags, so a command builds
-    one subcommand's flags, not all of them.
+    one subcommand's flags, not all of them.  That leaf's ``parser`` default
+    is its own parser, which reports the words no flag takes.
     """
 
     def need(*path: str) -> bool:
@@ -421,7 +414,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--betas", type=_float_list, default="1.5,2,3", help="comma list of exponents to plot")
         p.add_argument("--x-max", dest="x_max", type=float, default=4.0)
         p.add_argument("--points", type=int, default=81)
-        p.set_defaults(func=cmd_harm_curve)
+        p.set_defaults(func=cmd_harm_curve, parser=p)
 
     p = sub.add_parser("jensen", help="concentrated vs fragmented harm for one scenario")
     if need("jensen"):
@@ -434,7 +427,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--weights", dest="harm_weights", type=_float_list, help="comma list of fragment shares")
         p.add_argument("--x", dest="error_x", type=float, help="error magnitude to evaluate")
         p.add_argument("--unit-value", dest="unit_value", type=float, default=None, help="value B at stake")
-        p.set_defaults(func=cmd_jensen)
+        p.set_defaults(func=cmd_jensen, parser=p)
 
     risk = sub.add_parser("risk", help="Pareto harm distribution analyses")
     risk_sub = risk.add_subparsers(dest="risk_command", required=True, parser_class=make_parser)
@@ -446,7 +439,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         _add_pareto_flags(p)
         p.add_argument("--fragments", "-N", type=int, default=None)
         p.add_argument("--points", type=int, default=100)
-        p.set_defaults(func=cmd_risk_density)
+        p.set_defaults(func=cmd_risk_density, parser=p)
 
     p = risk_sub.add_parser("tail-mean", help="closed-form vs Monte Carlo tail mean")
     if need("risk", "tail-mean"):
@@ -455,7 +448,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         _add_pareto_flags(p)
         _add_mc_flags(p)
         p.add_argument("--fragments", "-N", type=int, default=None)
-        p.set_defaults(func=cmd_risk_tail_mean)
+        p.set_defaults(func=cmd_risk_tail_mean, parser=p)
 
     p = risk_sub.add_parser("ratio", help="mean degradation ratio for a multiplier K")
     if need("risk", "ratio"):
@@ -464,7 +457,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         _add_pareto_flags(p)
         p.add_argument("--K", type=float, required=True, help="fragment multiplier")
         p.add_argument("--fragments", "-N", type=int, default=None)
-        p.set_defaults(func=cmd_risk_ratio)
+        p.set_defaults(func=cmd_risk_ratio, parser=p)
 
     p = risk_sub.add_parser("curve", help="degradation ratio curve over K")
     if need("risk", "curve"):
@@ -474,7 +467,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument(
             "--K-values", dest="K_values", type=_float_list, default=",".join(str(k) for k in range(1, 33))
         )
-        p.set_defaults(func=cmd_risk_curve)
+        p.set_defaults(func=cmd_risk_curve, parser=p)
 
     topo = sub.add_parser("topo", help="fabric construction and fault analysis")
     topo_sub = topo.add_subparsers(dest="topo_command", required=True, parser_class=make_parser)
@@ -483,7 +476,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     if need("topo", "build"):
         p.add_argument("--config", help="scenario config file")
         p.add_argument("--out", help="write the topology file here instead of stdout")
-        p.add_argument("--kind", dest="topology_kind", choices=("spine-leaf", "three-tier"))
+        p.add_argument("--kind", dest="topology_kind", help="spine-leaf or three-tier")
         p.add_argument("--spines", dest="topology_spines", type=int)
         p.add_argument("--leaves", dest="topology_leaves", type=int)
         p.add_argument("--hosts-per-leaf", dest="topology_hosts_per_leaf", type=int)
@@ -492,13 +485,13 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--access-per-distribution", dest="topology_access_per_distribution", type=int)
         p.add_argument("--hosts-per-access", dest="topology_hosts_per_access", type=int)
         p.add_argument("--dual-homed", dest="topology_dual_homed", action="store_const", const=True)
-        p.set_defaults(func=cmd_topo_build)
+        p.set_defaults(func=cmd_topo_build, parser=p)
 
     p = topo_sub.add_parser("hops", help="hop histogram over all host pairs")
     if need("topo", "hops"):
         _add_common(p)
         p.add_argument("--topology", required=True, help="topology file to analyze")
-        p.set_defaults(func=cmd_topo_hops)
+        p.set_defaults(func=cmd_topo_hops, parser=p)
 
     p = topo_sub.add_parser("fail", help="inject device failures and measure the fault domain")
     if need("topo", "fail"):
@@ -506,7 +499,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--topology", required=True)
         p.add_argument("--fail", default="", help="comma list of device ids to fail")
         p.add_argument("--emit", help="write the injected topology here")
-        p.set_defaults(func=cmd_topo_fail)
+        p.set_defaults(func=cmd_topo_fail, parser=p)
 
     p = topo_sub.add_parser("harm", help="Monte Carlo expected harm of random failures")
     if need("topo", "harm"):
@@ -516,7 +509,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--topology", required=True)
         p.add_argument("--p", dest="failure_default", type=float, help="failure.default: probability of unset roles")
         p.add_argument("--p-role", type=_role_probability, action="append", help="role=probability: failure.<role>")
-        p.set_defaults(func=cmd_topo_harm)
+        p.set_defaults(func=cmd_topo_harm, parser=p)
 
     p = sub.add_parser("growth", help="sigmoid vs linear capacity growth")
     if need("growth"):
@@ -525,18 +518,18 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--ports-per-switch", dest="ports_per_switch", type=int, default=48)
         p.add_argument("--max-units", dest="max_units", type=float, default=5.0)
         p.add_argument("--points", type=int, default=51)
-        p.set_defaults(func=cmd_growth)
+        p.set_defaults(func=cmd_growth, parser=p)
 
     p = sub.add_parser("compare", help="cost/power/fault-domain comparison of two designs")
     if need("compare"):
         _add_common(p)
         p.add_argument("--a", help="topology file for design a (default: 3-tier from config)")
         p.add_argument("--b", help="topology file for design b (default: spine-leaf from config)")
-        p.set_defaults(func=cmd_compare)
+        p.set_defaults(func=cmd_compare, parser=p)
 
     p = sub.add_parser("verify", help="run every analytic-vs-oracle check")
     if need("verify"):
-        p.set_defaults(func=cmd_verify)
+        p.set_defaults(func=cmd_verify, parser=p)
 
     return parser
 
@@ -544,7 +537,10 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # the command they follow reports them, with its own usage
+        getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(extra)}")
     error = None
     with warnings.catch_warnings(record=True) as caught:
         args.caught_warnings = caught  # _emit_report records the ones raised before it renders

@@ -113,9 +113,11 @@ class ScenarioConfig(_Record):
 
     def failure_probabilities(self) -> dict[str, float]:
         out = {}
-        for role in ("core", "distribution", "access", "spine", "leaf"):
-            override = getattr(self, f"failure_{role}")
-            out[role] = self.failure_default if override is None else override
+        for name in ScenarioConfig.__annotations__:  # each failure_<role> field but failure_default, in field order
+            role = name.removeprefix("failure_")
+            if role not in (name, "default"):
+                override = getattr(self, name)
+                out[role] = self.failure_default if override is None else override
         return out
 
     def canonical_items(self) -> list[tuple[str, str]]:

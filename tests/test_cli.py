@@ -301,6 +301,10 @@ BAD_CONFIG_ARGS = [
 ]
 
 
+# risk ratio at a scenario whose ratio is finite; it prints the ratio to stdout even with --out
+RATIO = ["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2"]
+
+
 class TestOutputContracts:
     def test_csv_full_precision_and_digits_flag(self, tmp_path):
         full = tmp_path / "full.csv"
@@ -328,15 +332,18 @@ class TestOutputContracts:
         assert code == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("digits", ["-1", "0", "two"])
-    def test_digits_must_be_positive_integer(self, capsys, digits):
-        # -1 used to print the ratio and then fail; 0 silently meant 17 digits
-        with pytest.raises(SystemExit) as excinfo:
-            run(["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2", "--digits", digits])
-        assert excinfo.value.code == 2
+    @pytest.mark.parametrize("digits, code, message", [
+        ("-1", 1, "error: output.digits must be >= 1, got -1\n"),
+        ("0", 1, "error: output.digits must be >= 1, got 0\n"),
+        ("two", 2, "argument --digits: invalid int value: 'two'\n"),
+    ], ids=["-1", "0", "two"])
+    def test_digits_must_be_positive_integer(self, capsys, digits, code, message):
+        # -1 used to print the ratio and then fail, so nothing may reach stdout; 0 silently meant 17 digits.
+        # An integer out of range is a config error, as output.digits is; a non-integer is a flag error
+        assert exit_code(["risk", "ratio", "--alpha", "2", "--beta", "1.5", "--K", "2", "--digits", digits]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--digits" in captured.err
+        assert captured.err.endswith(message)
 
     def test_compare_without_devices_is_clean_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -399,15 +406,28 @@ class TestOutputContracts:
         assert run(["risk", "ratio", "--config", str(cfg), "--K", "2"]) == 0
         assert capsys.readouterr().out.strip() == "0.629961"
 
-    @pytest.mark.parametrize("line", ["output.digits = -1", "output.digits = 0", "output.format = xml"])
-    def test_config_output_settings_validated(self, tmp_path, capsys, line):
-        # -1 and xml used to print the ratio and then fail; 0 silently meant 17 digits
+    @pytest.mark.parametrize(
+        "args, flag, line, error",
+        [
+            (RATIO, ["--digits", "-1"], "output.digits = -1", "output.digits must be >= 1, got -1"),
+            (RATIO, ["--digits", "0"], "output.digits = 0", "output.digits must be >= 1, got 0"),
+            (RATIO, ["--format", "xml"], "output.format = xml", "output.format must be csv or json, got 'xml'"),
+            (["topo", "build"], ["--kind", "ring"], "topology.kind = ring",
+             "unknown topology kind 'ring' (expected spine-leaf or three-tier)"),
+            (["risk", "tail-mean"], ["--seed", "-1"], "seed = -1", "seed must be >= 0, got -1"),
+        ],
+        ids=["digits -1", "digits 0", "format xml", "kind ring", "seed -1"],
+    )
+    def test_flag_and_config_key_fail_alike(self, tmp_path, capsys, args, flag, line, error):
+        # the config keys -1 and xml used to print the ratio and then fail, and 0 silently meant 17 digits;
+        # --digits 0, --format xml and --kind ring exited 2 through argparse where their keys exit 1
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(line + "\n")
-        assert run(["risk", "ratio", "--config", str(cfg), "--alpha", "2", "--beta", "1.5", "--K", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: output.")
+        out = tmp_path / "out.txt"
+        for given in (flag, ["--config", str(cfg)]):
+            assert exit_code([*args, *given, "--out", str(out)]) == 1, given
+            assert capsys.readouterr() == ("", f"error: {error}\n"), given
+            assert not out.exists(), given
 
     @pytest.mark.parametrize("args", BAD_CONFIG_ARGS)
     def test_bad_config_fails_every_subcommand(self, cli_inputs, tmp_path, capsys, args):
@@ -1472,7 +1492,10 @@ def test_no_flag_may_be_abbreviated(cli_inputs, tmp_path, monkeypatch, capsys, p
             continue
         value = [] if action.nargs == 0 else [FLAG_VALUES.get(flag, "1")]
         assert exit_code(fill([*path, *run_args, cut, *value], **{"in": cli_inputs})) == 2, cut
-        assert capsys.readouterr().out == "", cut
+        captured = capsys.readouterr()
+        assert captured.out == "", cut
+        last = captured.err.splitlines()[-1]
+        assert last.startswith(f"fragrisk {' '.join(path)}: error: unrecognized arguments: "), cut
 
 
 @pytest.mark.parametrize("args", [["risk", "curve", "--K", "2"], ["topo", "build", "--spine", "3"]], ids=" ".join)
@@ -1481,7 +1504,22 @@ def test_a_prefix_of_a_flag_is_a_flag_error(capsys, args):
     assert exit_code(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(args[2:])}\n")
+    command, words = " ".join(args[:2]), " ".join(args[2:])
+    assert captured.err.endswith(f"fragrisk {command}: error: unrecognized arguments: {words}\n")
+
+
+@pytest.mark.parametrize("word", ["--no-such-flag", "stray"])
+@pytest.mark.parametrize("path", sorted(PINNED_FLAGS), ids=" ".join)
+def test_the_command_reports_an_unknown_word(cli_inputs, capsys, path, word):
+    # the root parser used to report these, and its usage lists no flag of the command
+    flags = PINNED_FLAGS[path]
+    run_args = [w for flag, value in RUN_ARGS.items() if flag in flags for w in (flag, value)]
+    assert exit_code(fill([*path, word, *run_args], **{"in": cli_inputs})) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    command = " ".join(path)
+    assert captured.err.startswith(f"usage: fragrisk {command} ")
+    assert captured.err.endswith(f"fragrisk {command}: error: unrecognized arguments: {word}\n")
 
 
 def test_topology_harm_never_imports_numpy_ma(tmp_path):
