@@ -20,11 +20,10 @@ fail alike.  Numeric range checks (``harm.k = -1``, a port ratio above 1)
 stay with the model that owns them and fail only the commands that use it,
 because checking them up front would load every model module.
 
-The parser gives flags only to the subcommand that ``argv``'s leading words
-name; every subcommand name is registered, so help and invalid-choice errors
-list them all.  A flag error (a flag that is unknown, abbreviated or missing,
-or a value not of the flag's type) exits 2, reported with the usage of the
-command it follows.
+Every command's flags are built on each run, and a flag error (a flag that
+is unknown, abbreviated or missing, or a value not of the flag's type) exits
+2, reported with the usage of the command that the line names, even where the
+flag stands before or between the command's words.
 
 Reports print to stdout or, with ``--out``, go to a file.  A command's
 outputs (``--out``, ``--svg``, ``--emit`` and the topology of ``topo
@@ -387,18 +386,12 @@ def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (fixed default)")
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The ``fragrisk`` parser for ``argv``.
+def build_parser() -> argparse.ArgumentParser:
+    """The ``fragrisk`` parser.
 
-    Every subcommand is registered, with its help line, but only the one
-    that ``argv``'s leading words name gets its flags, so a command builds
-    one subcommand's flags, not all of them.  That leaf's ``parser`` default
-    is its own parser, which reports the words no flag takes.
+    Each leaf command's ``parser`` default is its own parser, which reports
+    the words no flag takes.
     """
-
-    def need(*path: str) -> bool:
-        return tuple(argv[: len(path)]) == path
-
     # no flag may be abbreviated: argparse would read --spine as --spines, and harm-curve's --beta as --betas
     make_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     parser = make_parser(
@@ -408,139 +401,121 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=make_parser)
 
     p = sub.add_parser("harm-curve", help="harm transform samples for plotting")
-    if need("harm-curve"):
-        _add_common(p, svg=True)
-        p.add_argument("--k", dest="harm_k", type=float, help="harm scale k > 0")  # no --beta: it plots --betas
-        p.add_argument("--betas", type=_float_list, default="1.5,2,3", help="comma list of exponents to plot")
-        p.add_argument("--x-max", dest="x_max", type=float, default=4.0)
-        p.add_argument("--points", type=int, default=81)
-        p.set_defaults(func=cmd_harm_curve, parser=p)
+    _add_common(p, svg=True)
+    p.add_argument("--k", dest="harm_k", type=float, help="harm scale k > 0")  # no --beta: it plots --betas
+    p.add_argument("--betas", type=_float_list, default="1.5,2,3", help="comma list of exponents to plot")
+    p.add_argument("--x-max", dest="x_max", type=float, default=4.0)
+    p.add_argument("--points", type=int, default=81)
+    p.set_defaults(func=cmd_harm_curve, parser=p)
 
     p = sub.add_parser("jensen", help="concentrated vs fragmented harm for one scenario")
-    if need("jensen"):
-        _add_common(p)
-        _add_harm_flags(p)
-        _add_pareto_flags(p)
-        # the means are closed form; both flags are still accepted so existing command lines run
-        p.add_argument("--trials", type=int, default=None, help="accepted for compatibility; changes no number")
-        p.add_argument("--seed", type=int, default=None, help="accepted for compatibility; changes no number")
-        p.add_argument("--weights", dest="harm_weights", type=_float_list, help="comma list of fragment shares")
-        p.add_argument("--x", dest="error_x", type=float, help="error magnitude to evaluate")
-        p.add_argument("--unit-value", dest="unit_value", type=float, default=None, help="value B at stake")
-        p.set_defaults(func=cmd_jensen, parser=p)
+    _add_common(p)
+    _add_harm_flags(p)
+    _add_pareto_flags(p)
+    # the means are closed form; both flags are still accepted so existing command lines run
+    p.add_argument("--trials", type=int, default=None, help="accepted for compatibility; changes no number")
+    p.add_argument("--seed", type=int, default=None, help="accepted for compatibility; changes no number")
+    p.add_argument("--weights", dest="harm_weights", type=_float_list, help="comma list of fragment shares")
+    p.add_argument("--x", dest="error_x", type=float, help="error magnitude to evaluate")
+    p.add_argument("--unit-value", dest="unit_value", type=float, default=None, help="value B at stake")
+    p.set_defaults(func=cmd_jensen, parser=p)
 
     risk = sub.add_parser("risk", help="Pareto harm distribution analyses")
     risk_sub = risk.add_subparsers(dest="risk_command", required=True, parser_class=make_parser)
 
     p = risk_sub.add_parser("density", help="fragment harm density samples")
-    if need("risk", "density"):
-        _add_common(p)
-        _add_harm_flags(p)
-        _add_pareto_flags(p)
-        p.add_argument("--fragments", "-N", type=int, default=None)
-        p.add_argument("--points", type=int, default=100)
-        p.set_defaults(func=cmd_risk_density, parser=p)
+    _add_common(p)
+    _add_harm_flags(p)
+    _add_pareto_flags(p)
+    p.add_argument("--fragments", "-N", type=int, default=None)
+    p.add_argument("--points", type=int, default=100)
+    p.set_defaults(func=cmd_risk_density, parser=p)
 
     p = risk_sub.add_parser("tail-mean", help="closed-form vs Monte Carlo tail mean")
-    if need("risk", "tail-mean"):
-        _add_common(p)
-        _add_harm_flags(p)
-        _add_pareto_flags(p)
-        _add_mc_flags(p)
-        p.add_argument("--fragments", "-N", type=int, default=None)
-        p.set_defaults(func=cmd_risk_tail_mean, parser=p)
+    _add_common(p)
+    _add_harm_flags(p)
+    _add_pareto_flags(p)
+    _add_mc_flags(p)
+    p.add_argument("--fragments", "-N", type=int, default=None)
+    p.set_defaults(func=cmd_risk_tail_mean, parser=p)
 
     p = risk_sub.add_parser("ratio", help="mean degradation ratio for a multiplier K")
-    if need("risk", "ratio"):
-        _add_common(p)
-        _add_harm_flags(p)
-        _add_pareto_flags(p)
-        p.add_argument("--K", type=float, required=True, help="fragment multiplier")
-        p.add_argument("--fragments", "-N", type=int, default=None)
-        p.set_defaults(func=cmd_risk_ratio, parser=p)
+    _add_common(p)
+    _add_harm_flags(p)
+    _add_pareto_flags(p)
+    p.add_argument("--K", type=float, required=True, help="fragment multiplier")
+    p.add_argument("--fragments", "-N", type=int, default=None)
+    p.set_defaults(func=cmd_risk_ratio, parser=p)
 
     p = risk_sub.add_parser("curve", help="degradation ratio curve over K")
-    if need("risk", "curve"):
-        _add_common(p, svg=True)
-        _add_harm_flags(p)
-        _add_pareto_flags(p)
-        p.add_argument(
-            "--K-values", dest="K_values", type=_float_list, default=",".join(str(k) for k in range(1, 33))
-        )
-        p.set_defaults(func=cmd_risk_curve, parser=p)
+    _add_common(p, svg=True)
+    _add_harm_flags(p)
+    _add_pareto_flags(p)
+    p.add_argument("--K-values", dest="K_values", type=_float_list, default=",".join(str(k) for k in range(1, 33)))
+    p.set_defaults(func=cmd_risk_curve, parser=p)
 
     topo = sub.add_parser("topo", help="fabric construction and fault analysis")
     topo_sub = topo.add_subparsers(dest="topo_command", required=True, parser_class=make_parser)
 
     p = topo_sub.add_parser("build", help="construct a fabric and emit its text form")
-    if need("topo", "build"):
-        p.add_argument("--config", help="scenario config file")
-        p.add_argument("--out", help="write the topology file here instead of stdout")
-        p.add_argument("--kind", dest="topology_kind", help="spine-leaf or three-tier")
-        p.add_argument("--spines", dest="topology_spines", type=int)
-        p.add_argument("--leaves", dest="topology_leaves", type=int)
-        p.add_argument("--hosts-per-leaf", dest="topology_hosts_per_leaf", type=int)
-        p.add_argument("--cores", dest="topology_cores", type=int)
-        p.add_argument("--distributions", dest="topology_distributions", type=int)
-        p.add_argument("--access-per-distribution", dest="topology_access_per_distribution", type=int)
-        p.add_argument("--hosts-per-access", dest="topology_hosts_per_access", type=int)
-        p.add_argument("--dual-homed", dest="topology_dual_homed", action="store_const", const=True)
-        p.set_defaults(func=cmd_topo_build, parser=p)
+    p.add_argument("--config", help="scenario config file")
+    p.add_argument("--out", help="write the topology file here instead of stdout")
+    p.add_argument("--kind", dest="topology_kind", help="spine-leaf or three-tier")
+    p.add_argument("--spines", dest="topology_spines", type=int)
+    p.add_argument("--leaves", dest="topology_leaves", type=int)
+    p.add_argument("--hosts-per-leaf", dest="topology_hosts_per_leaf", type=int)
+    p.add_argument("--cores", dest="topology_cores", type=int)
+    p.add_argument("--distributions", dest="topology_distributions", type=int)
+    p.add_argument("--access-per-distribution", dest="topology_access_per_distribution", type=int)
+    p.add_argument("--hosts-per-access", dest="topology_hosts_per_access", type=int)
+    p.add_argument("--dual-homed", dest="topology_dual_homed", action="store_const", const=True)
+    p.set_defaults(func=cmd_topo_build, parser=p)
 
     p = topo_sub.add_parser("hops", help="hop histogram over all host pairs")
-    if need("topo", "hops"):
-        _add_common(p)
-        p.add_argument("--topology", required=True, help="topology file to analyze")
-        p.set_defaults(func=cmd_topo_hops, parser=p)
+    _add_common(p)
+    p.add_argument("--topology", required=True, help="topology file to analyze")
+    p.set_defaults(func=cmd_topo_hops, parser=p)
 
     p = topo_sub.add_parser("fail", help="inject device failures and measure the fault domain")
-    if need("topo", "fail"):
-        _add_common(p)
-        p.add_argument("--topology", required=True)
-        p.add_argument("--fail", default="", help="comma list of device ids to fail")
-        p.add_argument("--emit", help="write the injected topology here")
-        p.set_defaults(func=cmd_topo_fail, parser=p)
+    _add_common(p)
+    p.add_argument("--topology", required=True)
+    p.add_argument("--fail", default="", help="comma list of device ids to fail")
+    p.add_argument("--emit", help="write the injected topology here")
+    p.set_defaults(func=cmd_topo_fail, parser=p)
 
     p = topo_sub.add_parser("harm", help="Monte Carlo expected harm of random failures")
-    if need("topo", "harm"):
-        _add_common(p)
-        _add_harm_flags(p)
-        _add_mc_flags(p)
-        p.add_argument("--topology", required=True)
-        p.add_argument("--p", dest="failure_default", type=float, help="failure.default: probability of unset roles")
-        p.add_argument("--p-role", type=_role_probability, action="append", help="role=probability: failure.<role>")
-        p.set_defaults(func=cmd_topo_harm, parser=p)
+    _add_common(p)
+    _add_harm_flags(p)
+    _add_mc_flags(p)
+    p.add_argument("--topology", required=True)
+    p.add_argument("--p", dest="failure_default", type=float, help="failure.default: probability of unset roles")
+    p.add_argument("--p-role", type=_role_probability, action="append", help="role=probability: failure.<role>")
+    p.set_defaults(func=cmd_topo_harm, parser=p)
 
     p = sub.add_parser("growth", help="sigmoid vs linear capacity growth")
-    if need("growth"):
-        _add_common(p, svg=True)
-        p.add_argument("--saturation", type=float, default=100.0, help="modular chassis port limit")
-        p.add_argument("--ports-per-switch", dest="ports_per_switch", type=int, default=48)
-        p.add_argument("--max-units", dest="max_units", type=float, default=5.0)
-        p.add_argument("--points", type=int, default=51)
-        p.set_defaults(func=cmd_growth, parser=p)
+    _add_common(p, svg=True)
+    p.add_argument("--saturation", type=float, default=100.0, help="modular chassis port limit")
+    p.add_argument("--ports-per-switch", dest="ports_per_switch", type=int, default=48)
+    p.add_argument("--max-units", dest="max_units", type=float, default=5.0)
+    p.add_argument("--points", type=int, default=51)
+    p.set_defaults(func=cmd_growth, parser=p)
 
     p = sub.add_parser("compare", help="cost/power/fault-domain comparison of two designs")
-    if need("compare"):
-        _add_common(p)
-        p.add_argument("--a", help="topology file for design a (default: 3-tier from config)")
-        p.add_argument("--b", help="topology file for design b (default: spine-leaf from config)")
-        p.set_defaults(func=cmd_compare, parser=p)
+    _add_common(p)
+    p.add_argument("--a", help="topology file for design a (default: 3-tier from config)")
+    p.add_argument("--b", help="topology file for design b (default: spine-leaf from config)")
+    p.set_defaults(func=cmd_compare, parser=p)
 
     p = sub.add_parser("verify", help="run every analytic-vs-oracle check")
-    if need("verify"):
-        p.set_defaults(func=cmd_verify, parser=p)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv)
-    args, extra = parser.parse_known_args(argv)
-    if extra:  # the command they follow reports them, with its own usage
-        getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(extra)}")
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # the command the line names reports them, with its own usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     error = None
     with warnings.catch_warnings(record=True) as caught:
         args.caught_warnings = caught  # _emit_report records the ones raised before it renders

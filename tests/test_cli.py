@@ -717,7 +717,7 @@ class TestNonFiniteInput:
 
     def test_default_betas_allow_the_largest_grid(self):
         # the cell cap admits every --points that is legal with harm-curve's default three betas
-        args = build_parser(["harm-curve"]).parse_args(["harm-curve"])
+        args = build_parser().parse_args(["harm-curve"])
         assert MAX_POINTS * (1 + len(args.betas)) == MAX_CELLS
 
     @pytest.mark.parametrize("args", OVERFLOW_ARGS)
@@ -1305,8 +1305,7 @@ def test_library_layout_names_exist():
         assert missing == [], module_name
 
 
-# option string -> (dest, default) of each leaf command's sub-parser, as the
-# full parser built them before each command got only its own flags
+# option string -> (dest, default) of each leaf command's sub-parser
 PINNED_HELP = {"-h": ("help", argparse.SUPPRESS), "--help": ("help", argparse.SUPPRESS)}
 PINNED_COMMON = {
     **PINNED_HELP,
@@ -1390,10 +1389,9 @@ def leaf_parsers(parser, path=()):
         yield from leaf_parsers(child, (*path, name))
 
 
-@pytest.mark.parametrize("path", sorted(PINNED_FLAGS), ids=" ".join)
-def test_flags_stay_the_same_on_every_command_path(path):
-    # every command still lists every subcommand name, and gets exactly its own flags; the others get none
-    parser = build_parser([*path, "--help"])
+def test_flags_stay_the_same_on_every_command_path():
+    # every command lists every subcommand name, and each leaf command has exactly its own flags
+    parser = build_parser()
     for prefix, names in PINNED_SUBCOMMANDS.items():
         node = parser
         for word in prefix:
@@ -1403,7 +1401,7 @@ def test_flags_stay_the_same_on_every_command_path(path):
     assert sorted(leaves) == sorted(PINNED_FLAGS)
     for leaf, sub in leaves.items():
         flags = {option: (a.dest, a.default) for a in sub._actions for option in a.option_strings}
-        assert flags == (PINNED_FLAGS[path] if leaf == path else PINNED_HELP), leaf
+        assert flags == PINNED_FLAGS[leaf], leaf
 
 
 # a flag a command takes but never reads, with the reason it is still accepted
@@ -1482,7 +1480,7 @@ def test_no_flag_may_be_abbreviated(cli_inputs, tmp_path, monkeypatch, capsys, p
     monkeypatch.chdir(tmp_path)
     flags = {
         option: action
-        for action in dict(leaf_parsers(build_parser(list(path))))[path]._actions
+        for action in dict(leaf_parsers(build_parser()))[path]._actions
         for option in action.option_strings
     }
     run_args = [word for flag, value in RUN_ARGS.items() if flag in flags for word in (flag, value)]
@@ -1508,13 +1506,29 @@ def test_a_prefix_of_a_flag_is_a_flag_error(capsys, args):
     assert captured.err.endswith(f"fragrisk {command}: error: unrecognized arguments: {words}\n")
 
 
-@pytest.mark.parametrize("word", ["--no-such-flag", "stray"])
-@pytest.mark.parametrize("path", sorted(PINNED_FLAGS), ids=" ".join)
-def test_the_command_reports_an_unknown_word(cli_inputs, capsys, path, word):
+# (command path, unknown word, how many of the path's words precede it): each word after the path;
+# a flag also before it and between the words of a two-word path (a stray word there names a subcommand)
+UNKNOWN_WORDS = [
+    *(
+        pytest.param(path, word, len(path), id=f"{' '.join(path)}-{word}")
+        for path in sorted(PINNED_FLAGS)
+        for word in ("--no-such-flag", "stray")
+    ),
+    *(pytest.param(path, "--no-such-flag", 0, id=f"--no-such-flag {' '.join(path)}") for path in sorted(PINNED_FLAGS)),
+    *(
+        pytest.param(path, "--no-such-flag", 1, id=f"{path[0]} --no-such-flag {path[1]}")
+        for path in sorted(PINNED_FLAGS)
+        if len(path) == 2
+    ),
+]
+
+
+@pytest.mark.parametrize(("path", "word", "at"), UNKNOWN_WORDS)
+def test_the_command_reports_an_unknown_word(cli_inputs, capsys, path, word, at):
     # the root parser used to report these, and its usage lists no flag of the command
     flags = PINNED_FLAGS[path]
     run_args = [w for flag, value in RUN_ARGS.items() if flag in flags for w in (flag, value)]
-    assert exit_code(fill([*path, word, *run_args], **{"in": cli_inputs})) == 2
+    assert exit_code(fill([*path[:at], word, *path[at:], *run_args], **{"in": cli_inputs})) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     command = " ".join(path)
