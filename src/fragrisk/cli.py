@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_harm_flags(p)
     _add_pareto_flags(p)
-    p.add_argument("--fragments", "-N", type=int, default=None)
+    p.add_argument("--fragments", type=int, default=None)
     p.add_argument("--points", type=int, default=100)
     p.set_defaults(func=cmd_risk_density, parser=p)
 
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_harm_flags(p)
     _add_pareto_flags(p)
     _add_mc_flags(p)
-    p.add_argument("--fragments", "-N", type=int, default=None)
+    p.add_argument("--fragments", type=int, default=None)
     p.set_defaults(func=cmd_risk_tail_mean, parser=p)
 
     p = risk_sub.add_parser("ratio", help="mean degradation ratio for a multiplier K")
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_harm_flags(p)
     _add_pareto_flags(p)
     p.add_argument("--K", type=float, required=True, help="fragment multiplier")
-    p.add_argument("--fragments", "-N", type=int, default=None)
+    p.add_argument("--fragments", type=int, default=None)
     p.set_defaults(func=cmd_risk_ratio, parser=p)
 
     p = risk_sub.add_parser("curve", help="degradation ratio curve over K")

@@ -36,11 +36,6 @@ class HarmParams(_Record):
                 raise ValueError(f"harm parameter {name} must be finite, got {value}")
         self.__dict__.update(k=k, beta=beta)
 
-    @property
-    def guarantees_fragmentation_benefit(self) -> bool:
-        """True iff beta >= 1, the regime where splitting exposure cannot hurt."""
-        return self.beta >= 1.0
-
 
 class FragmentWeights(_Record):
     """Shares w_i in [0, 1] splitting one exposure; they must sum to 1.  Read-only.
@@ -63,16 +58,6 @@ class FragmentWeights(_Record):
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"fragment weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
         self.__dict__["w"] = tuple(v / total for v in w)
-
-    @classmethod
-    def equal(cls, count: int) -> "FragmentWeights":
-        """Equal split into ``count`` fragments of 1/count each."""
-        if count < 1:
-            raise ValueError("fragment count must be >= 1")
-        return cls((1.0 / count,) * count)
-
-    def __len__(self) -> int:
-        return len(self.w)
 
     def power_sum(self, beta: float) -> float:
         """sum(w_i ** beta), correctly rounded; equals 1.0 exactly at beta = 1 for exact weights."""

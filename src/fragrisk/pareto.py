@@ -38,18 +38,15 @@ class ParetoParams(_Record):
 
 
 def _check_fragments(fragments: int) -> int:
-    fragments = int(fragments)
-    if fragments < 1:
-        raise ValueError(f"fragment count must be >= 1, got {fragments}")
-    return fragments
-
-
-def pareto_density(p: ParetoParams, x: float) -> float:
-    """Density alpha * L**alpha / x**(alpha+1) for x >= L, else 0."""
-    x = float(x)
-    if x < p.scale:
-        return 0.0
-    return p.alpha * p.scale**p.alpha / x ** (p.alpha + 1.0)
+    try:
+        count = int(fragments)
+    except (OverflowError, ValueError):  # inf, nan
+        count = None
+    if count != fragments:
+        raise ValueError(f"fragment count must be a whole number, got {fragments}")
+    if count < 1:
+        raise ValueError(f"fragment count must be >= 1, got {count}")
+    return count
 
 
 def pareto_quantile(p: ParetoParams, q):

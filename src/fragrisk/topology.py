@@ -336,27 +336,18 @@ def build_three_tier(
     return Topology(tuple(devices), tuple(links), tuple(hosts))
 
 
-def build_spine_leaf(
-    spines: int,
-    leaves: int,
-    hosts_per_leaf: int,
-    leaf_tags: tuple[str | None, ...] | None = None,
-) -> Topology:
+def build_spine_leaf(spines: int, leaves: int, hosts_per_leaf: int) -> Topology:
     """2-layer fabric: every spine links to every leaf and to nothing else.
 
-    Hosts attach ``hosts_per_leaf`` per leaf.  ``leaf_tags`` optionally labels
-    leaves by function (data-center, border, dmz, sdn, campus).
+    Hosts attach ``hosts_per_leaf`` per leaf.  Leaves are built untagged; a
+    tagged leaf comes from a topology file or a ``Device`` built with a tag.
     """
     if spines < 1 or leaves < 1 or hosts_per_leaf < 1:
         raise ValueError("spines, leaves, hosts_per_leaf must all be >= 1")
-    if leaf_tags is not None and len(leaf_tags) > leaves:
-        raise ValueError("more leaf tags than leaves")
     _check_fabric_size(spines + leaves, leaves * hosts_per_leaf, spines * leaves)
 
     devices = [Device(f"spine{i}", "spine") for i in range(spines)]
-    for j in range(leaves):
-        tag = leaf_tags[j] if leaf_tags is not None and j < len(leaf_tags) else None
-        devices.append(Device(f"leaf{j}", "leaf", tag))
+    devices += [Device(f"leaf{j}", "leaf") for j in range(leaves)]
     links = [(f"spine{i}", f"leaf{j}") for i in range(spines) for j in range(leaves)]
     hosts = []
     host_n = 0
@@ -551,8 +542,7 @@ class FailureModel(_Record):
 
     probabilities: dict[str, float]
 
-    def __init__(self, probabilities: dict[str, float] | None = None):
-        probabilities = {} if probabilities is None else probabilities
+    def __init__(self, probabilities: dict[str, float]):
         for role, prob in probabilities.items():
             if role not in ROLES:
                 raise ValueError(f"unknown role {role!r} in failure model")

@@ -1,10 +1,11 @@
 """Analytic-vs-oracle checks behind the ``verify`` subcommand.
 
 Every closed form in the package is re-derived here by an independent route:
-double-exponential quadrature for densities and the error function, Monte
-Carlo and exhaustive enumeration for expectations, per-pair breadth-first
-search for connectivity and hop counts.  Each check reports pass/fail against
-its pinned tolerance, which a nan error never meets.
+double-exponential quadrature for densities, mean surviving values and the
+error function, Monte Carlo and exhaustive enumeration for the other
+expectations, per-pair breadth-first search for connectivity and hop
+counts.  Each check reports pass/fail against its pinned tolerance, which a
+nan error never meets.
 """
 
 from __future__ import annotations
@@ -155,10 +156,8 @@ def density_normalization(p: ParetoParams, h: HarmParams, fragments: int) -> tup
     return _de_quad(lambda xi: fragment_harm_density(p, h, fragments, xi), -math.inf, bound)
 
 
-def histogram_l1_distance(
-    p: ParetoParams, h: HarmParams, fragments: int, samples: int, bins: int, seed: int
-) -> tuple[float, float]:
-    """L1 distance between sampled harm frequencies and quadrature bin masses.
+def histogram_l1_distance(p: ParetoParams, h: HarmParams, fragments: int) -> tuple[float, float]:
+    """L1 distance between the frequencies of 10**5 sampled harms and quadrature masses of 50 bins.
 
     Bins are equal-probability under the analytic law; each bin's mass is
     integrated from the density rather than assumed, so the check ties the
@@ -168,12 +167,12 @@ def histogram_l1_distance(
     """
     import numpy as np
 
-    x = pareto_sample(p, samples, seed)
+    x = pareto_sample(p, 10**5, VERIFY_SEED)
     xi = -(h.k * (x / fragments) ** h.beta)
 
     edges = [-math.inf]
-    for i in range(1, bins):
-        edges.append(harm_quantile(p, h, fragments, i / bins))
+    for i in range(1, 50):
+        edges.append(harm_quantile(p, h, fragments, i / 50))
     edges.append(-(h.k * (p.scale / fragments) ** h.beta))
 
     distance = error = 0.0
@@ -183,6 +182,14 @@ def histogram_l1_distance(
         distance += abs(freq - mass)
         error += mass_error
     return distance, error
+
+
+def pareto_expectation(p: ParetoParams, f) -> tuple[float, float]:
+    """E[f(X)] and its error estimate, by quadrature against the Pareto density alpha * L**alpha / x**(alpha+1).
+
+    The density's support [L, inf) is mirrored onto (-inf, -L], the one half-line the quadrature takes.
+    """
+    return _de_quad(lambda y: f(-y) * p.alpha * p.scale**p.alpha / (-y) ** (p.alpha + 1.0), -math.inf, -p.scale)
 
 
 def bfs_distances(adj: dict[str, set[str]], source: str) -> dict[str, int]:
@@ -336,9 +343,7 @@ def check_density_normalization() -> CheckResult:
 
 def check_density_histogram() -> CheckResult:
     distances, errors = zip(*[
-        histogram_l1_distance(
-            ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n, samples=10**5, bins=50, seed=VERIFY_SEED
-        )
+        histogram_l1_distance(ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n)
         for alpha, beta, n in ((2.0, 1.5, 1), (4.0, 1.5, 2), (4.0, 3.0, 5))
     ])
     worst = _worst(distances)
@@ -414,33 +419,33 @@ def check_jensen_directions() -> CheckResult:
 
 
 def check_survival_comparison() -> CheckResult:
-    import numpy as np
-
-    # alpha > 2 beta, so each arm's surviving value has finite variance and 3 SE is a sound bound
     p = ParetoParams(alpha=4.0, scale=1.0)
     h = HarmParams(k=1.0, beta=1.5)
-    shares = (0.2, 0.3, 0.5)
     unit_value = 10.0
-    weights = FragmentWeights(shares)
+    weights = FragmentWeights((0.2, 0.3, 0.5))
     exact = survival_comparison(h, unit_value, weights, p)
 
-    # paired Monte Carlo, both arms on the same draws; the shares sum to 1, so the split keeps B in total
-    hx = h.k * pareto_sample(p, 10**6, VERIFY_SEED) ** h.beta
-    arms = (unit_value - hx, unit_value - hx * float(np.sum(np.asarray(shares) ** h.beta)))
-    passed = True
-    details = []
-    for name, closed, draws in zip(("centralized", "decentralized"), exact, arms):
-        mean = float(draws.mean())
-        se = float(draws.std(ddof=1)) / math.sqrt(draws.size)
-        passed = passed and abs(closed - mean) <= 3.0 * se
-        details.append(f"{name} {closed:.5f} vs mc {mean:.5f} (3*SE={3 * se:.5f})")
+    # the value each arm keeps at error x: B - k x**beta, and each fragment's w_i B - k (w_i x)**beta summed
+    arms = (
+        lambda x: unit_value - h.k * x**h.beta,
+        lambda x: math.fsum(w * unit_value - h.k * (w * x) ** h.beta for w in weights.w),
+    )
+    gaps, errors, details = [], [], []
+    for name, closed, arm in zip(("centralized", "decentralized"), exact, arms):
+        mean, error = pareto_expectation(p, arm)
+        gaps.append(abs(closed - mean) / abs(mean))
+        errors.append(error)
+        details.append(f"{name} {closed:.5f} vs quadrature {mean:.5f}")
+    worst = _worst(gaps)
+    note = _quadrature_note(errors)
 
     cen1, dec1 = survival_comparison(HarmParams(k=1.0, beta=1.0), unit_value, weights, p)
     linear_exact = cen1 == dec1
     return CheckResult(
-        "survival-comparison-mc",
-        passed and linear_exact,
-        f"{'; '.join(details)}; beta=1 arms bitwise equal: {linear_exact}",
+        "survival-comparison",
+        worst <= 1e-12 and not note and linear_exact,
+        f"{'; '.join(details)}; max relative gap {worst:.2e} (tol 1e-12); "
+        f"beta=1 arms bitwise equal: {linear_exact}{note}",
     )
 
 

@@ -92,9 +92,7 @@ def test_criterion_02_density_normalization_and_histogram():
 
     worst_l1 = 0.0
     for alpha, beta, n in ((2.0, 1.5, 1), (4.0, 1.5, 2), (4.0, 3.0, 5)):
-        distance, error = histogram_l1_distance(
-            ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n, samples=10**5, bins=50, seed=SEED
-        )
+        distance, error = histogram_l1_distance(ParetoParams(alpha, 1.0), HarmParams(1.0, beta), n)
         assert error <= QUADRATURE_TOL, f"(alpha={alpha}, beta={beta}, N={n}): error estimate {error}"
         assert distance <= 0.05, f"(alpha={alpha}, beta={beta}, N={n}): L1 {distance}"
         worst_l1 = max(worst_l1, distance)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import importlib
 import inspect
@@ -11,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -1305,6 +1307,30 @@ def test_library_layout_names_exist():
         assert missing == [], module_name
 
 
+def names_in(node):
+    """How often each name is used under ``node``: as a variable, an attribute, or the last part of an import."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name.rpartition(".")[2]
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def test_every_public_function_has_a_caller():
+    # a public function, method or property that the package never names is kept alive only by its tests
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(Path(cli.__file__).parent.glob("*.py"))]
+    used = sum(map(names_in, trees), Counter())
+    defs = [
+        node
+        for tree in trees
+        for scope in (tree, *(n for n in tree.body if isinstance(n, ast.ClassDef)))
+        for node in scope.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert len(defs) > 50
+    assert sorted(d.name for d in defs if used[d.name] == names_in(d)[d.name]) == []
+
+
 # option string -> (dest, default) of each leaf command's sub-parser
 PINNED_HELP = {"-h": ("help", argparse.SUPPRESS), "--help": ("help", argparse.SUPPRESS)}
 PINNED_COMMON = {
@@ -1317,7 +1343,7 @@ PINNED_COMMON = {
 PINNED_HARM = {"--k": ("harm_k", None), "--beta": ("harm_beta", None)}
 PINNED_PARETO = {"--alpha": ("pareto_alpha", None), "--scale": ("pareto_scale", None)}
 PINNED_MC = {"--trials": ("trials", None), "--seed": ("seed", None)}
-PINNED_FRAGMENTS = {"--fragments": ("fragments", None), "-N": ("fragments", None)}
+PINNED_FRAGMENTS = {"--fragments": ("fragments", None)}
 PINNED_FLAGS = {
     ("harm-curve",): {
         **PINNED_COMMON, "--k": ("harm_k", None), "--svg": ("svg", None),
@@ -1506,8 +1532,9 @@ def test_a_prefix_of_a_flag_is_a_flag_error(capsys, args):
     assert captured.err.endswith(f"fragrisk {command}: error: unrecognized arguments: {words}\n")
 
 
-# (command path, unknown word, how many of the path's words precede it): each word after the path;
-# a flag also before it and between the words of a two-word path (a stray word there names a subcommand)
+# (command path, unknown words, how many of the path's words precede them): each word after the path;
+# a flag also before it and between the words of a two-word path (a stray word there names a subcommand);
+# and -N, which once spelled --fragments
 UNKNOWN_WORDS = [
     *(
         pytest.param(path, word, len(path), id=f"{' '.join(path)}-{word}")
@@ -1520,6 +1547,11 @@ UNKNOWN_WORDS = [
         for path in sorted(PINNED_FLAGS)
         if len(path) == 2
     ),
+    *(
+        pytest.param(path, "-N 2", len(path), id=f"{' '.join(path)}--N 2")
+        for path in sorted(PINNED_FLAGS)
+        if "--fragments" in PINNED_FLAGS[path]
+    ),
 ]
 
 
@@ -1528,7 +1560,7 @@ def test_the_command_reports_an_unknown_word(cli_inputs, capsys, path, word, at)
     # the root parser used to report these, and its usage lists no flag of the command
     flags = PINNED_FLAGS[path]
     run_args = [w for flag, value in RUN_ARGS.items() if flag in flags for w in (flag, value)]
-    assert exit_code(fill([*path[:at], word, *path[at:], *run_args], **{"in": cli_inputs})) == 2
+    assert exit_code(fill([*path[:at], *word.split(), *path[at:], *run_args], **{"in": cli_inputs})) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     command = " ".join(path)

@@ -25,12 +25,6 @@ class TestHarmParams:
         with pytest.raises(ValueError):
             HarmParams(k=k, beta=beta)
 
-    def test_benefit_flag_tracks_convexity(self):
-        assert HarmParams(1.0, 1.0).guarantees_fragmentation_benefit
-        assert HarmParams(1.0, 2.5).guarantees_fragmentation_benefit
-        assert not HarmParams(1.0, 0.5).guarantees_fragmentation_benefit
-        assert not HarmParams(1.0, 0.0).guarantees_fragmentation_benefit
-
 
 class TestFragmentWeights:
     def test_rejects_out_of_range(self):
@@ -52,12 +46,6 @@ class TestFragmentWeights:
     def test_tolerates_tiny_sum_error_and_renormalizes(self):
         w = FragmentWeights((0.5, 0.5 + 5e-10))
         assert math.isclose(sum(w.w), 1.0, abs_tol=1e-15)
-
-    def test_equal_split(self):
-        w = FragmentWeights.equal(4)
-        assert w.w == (0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(ValueError):
-            FragmentWeights.equal(0)
 
 
 class TestHarm:
@@ -106,10 +94,10 @@ class TestFragmentedHarm:
         params = HarmParams(1.0, 2.0)
         for n in (1, 2, 4, 8):
             expected = n ** (1.0 - params.beta) * harm(params, 3.0)
-            assert fragmented_harm(params, FragmentWeights.equal(n), 3.0) == expected
+            assert fragmented_harm(params, FragmentWeights((1.0 / n,) * n), 3.0) == expected
         for n in (3, 5, 7):
             expected = n ** (1.0 - params.beta) * harm(params, 3.0)
-            got = fragmented_harm(params, FragmentWeights.equal(n), 3.0)
+            got = fragmented_harm(params, FragmentWeights((1.0 / n,) * n), 3.0)
             assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -173,7 +161,7 @@ class TestSurvivalComparison:
     def test_linear_harm_bitwise_equal(self):
         params = HarmParams(1.0, 1.0)
         error_model = ParetoParams(4.0, 1.0)
-        for weights in (FragmentWeights((0.5, 0.5)), FragmentWeights((0.3, 0.7)), FragmentWeights.equal(4)):
+        for weights in (FragmentWeights((0.5, 0.5)), FragmentWeights((0.3, 0.7)), FragmentWeights((0.25,) * 4)):
             cen, dec = survival_comparison(params, 10.0, weights, error_model)
             assert cen == dec
 

@@ -284,9 +284,6 @@ ONE_HOST = build_spine_leaf(2, 1, 1)
             id="spine-leaf-no-hosts",
         ),
         pytest.param(
-            lambda: build_spine_leaf(1, 1, 1, leaf_tags=("dmz", "border")), "more leaf tags than leaves", id="leaf-tags"
-        ),
-        pytest.param(
             lambda: parse_topology("# only comments\n\n  # and blanks\n"),
             "missing or unsupported topology header (expected 'topology/1')",
             id="comments-only-file",
@@ -361,11 +358,6 @@ class TestBuildSpineLeaf:
     def test_complete_bipartite(self):
         t = build_spine_leaf(3, 5, 1)
         assert len(t.links) == 15
-
-    def test_leaf_tags(self):
-        t = build_spine_leaf(1, 3, 1, leaf_tags=("border", None, "dmz"))
-        tags = {d.id: d.tag for d in t.devices if d.role == "leaf"}
-        assert tags == {"leaf0": "border", "leaf1": None, "leaf2": "dmz"}
 
 
 @pytest.mark.parametrize(
@@ -1197,7 +1189,10 @@ class TestFailureHarmMc:
 
 class TestSerialization:
     def test_round_trip_spine_leaf(self):
-        t = build_spine_leaf(2, 4, 3, leaf_tags=("data-center", "border", "dmz", "campus"))
+        base = build_spine_leaf(2, 4, 3)
+        tags = {"leaf0": "data-center", "leaf1": "border", "leaf2": "dmz", "leaf3": "campus"}
+        t = Topology([Device(d.id, d.role, tags.get(d.id)) for d in base.devices], base.links, base.hosts)
+        assert {d.tag for d in t.devices} == {None, *tags.values()}
         assert parse_topology(serialize_topology(t)) == t
 
     def test_round_trip_three_tier(self):

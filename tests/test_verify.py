@@ -1,4 +1,4 @@
-"""The double-exponential quadrature behind `verify`'s three oracles.
+"""The double-exponential quadrature behind `verify`'s four oracles.
 
 SciPy is not a runtime dependency; here ``scipy.integrate.quad`` is the
 reference the oracle itself is checked against.
@@ -88,6 +88,7 @@ QUADRATURE_CHECKS = [
     ("erf-accuracy", verify.check_erf_accuracy),
     ("density-normalization", verify.check_density_normalization),
     ("density-histogram-l1", verify.check_density_histogram),
+    ("survival-comparison", verify.check_survival_comparison),
 ]
 
 
@@ -114,6 +115,16 @@ def test_erf_oracle_does_not_call_math_erf(monkeypatch):
     assert abs(value - math.erf(-1.5)) <= 1e-15
 
 
+def test_survival_oracle_does_not_sample(monkeypatch):
+    # the survival comparison is checked by quadrature alone, so the sampler cannot move its result
+    def refuse(*args):
+        raise AssertionError("the oracle called pareto_sample")
+
+    monkeypatch.setattr(verify, "pareto_sample", refuse)
+    result = verify.check_survival_comparison()
+    assert result.passed, result.line()
+
+
 def nan_like(value):
     """``value`` with every number in it, keys aside, replaced by nan; an object becomes a namespace of its fields."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -133,7 +144,7 @@ def nan_like(value):
 # whether its detail prints the error it compares with its tolerance
 NAN_CASES = [
     (verify.check_jensen_directions, "jensen-gap-directions", "jensen_gap", False),
-    (verify.check_survival_comparison, "survival-comparison-mc", "survival_comparison", False),
+    (verify.check_survival_comparison, "survival-comparison", "survival_comparison", True),
     (verify.check_pareto_sampler, "pareto-sampler", "pareto_sample", False),
     (verify.check_density_normalization, "density-normalization", "fragment_harm_density", True),
     (verify.check_density_histogram, "density-histogram-l1", "fragment_harm_density", True),
