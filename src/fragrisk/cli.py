@@ -313,8 +313,7 @@ def cmd_topo_fail(cfg: config.ScenarioConfig, args) -> int:
 
 def cmd_topo_harm(cfg: config.ScenarioConfig, args) -> int:
     topo = _load_topology(args.topology)
-    failures = topology.FailureModel(cfg.failure_probabilities())
-    stats = topology.failure_harm_mc(topo, failures, _harm_params(cfg), cfg.trials, cfg.seed)
+    stats = topology.failure_harm_mc(topo, cfg.failure_probabilities(), _harm_params(cfg), cfg.trials, cfg.seed)
     rows = [[stats.expected_harm, stats.quantiles["p50"], stats.quantiles["p90"], stats.quantiles["p99"]]]
     metadata = {"trials": stats.trials, "distinct_patterns": stats.distinct_patterns, "std_error": stats.std_error}
     _emit_report(cfg, args, ["expected_harm", "p50", "p90", "p99"], rows, metadata)

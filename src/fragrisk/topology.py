@@ -9,7 +9,7 @@ measures the share of host pairs that lose connectivity, and
 
 Graph work runs in plain Python on the false-twin quotient that each
 ``Topology`` caches, next to its device -> index map.  Devices with the same
-neighbour set and the same number of hosts are false twins; the quotient has
+role, neighbour set and number of hosts are false twins; the quotient has
 one node per class of them, which is ``members`` identical devices with
 ``member_hosts`` hosts each, and one link per linked class pair.  Twins are
 never linked to each other, and linked classes are linked member to member,
@@ -65,7 +65,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import floordiv, mul, sub
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import _Record
 
@@ -186,8 +186,9 @@ class Topology(_Record):
 
     def _validate(self) -> None:
         role_of = {d.id: d.role for d in self.devices}
-        if len(role_of) != len(self.devices):
-            raise ValueError("duplicate device ids")
+        if len(role_of) != len(self.devices):  # devices are sorted, so a repeat follows its first
+            repeat = next(b.id for a, b in zip(self.devices, self.devices[1:]) if a.id == b.id)
+            raise ValueError(f"duplicate device id {repeat!r}")
 
         roles = set(role_of.values())
         if roles & TIER_ROLES and roles & FABRIC_ROLES:
@@ -243,10 +244,11 @@ class Topology(_Record):
 
     @cached_property
     def twin_quotient(self) -> TwinQuotient:
-        """The false-twin quotient: one node per set of devices with equal neighbours and host counts.
+        """The false-twin quotient: one node per set of devices with equal neighbours, host counts and roles.
 
-        Devices are grouped by (sorted neighbour indices, host count);
-        classes are numbered in order of their first device, and devices
+        Devices are grouped by (sorted neighbour indices, host count, role),
+        so every member of a class fails with one probability; classes are
+        numbered in order of their first device, and devices of one role
         with no links and equal host counts share the empty neighbour tuple,
         so they form one class.  False twins are never linked to each other,
         and a link between two classes means every member of one is linked
@@ -262,8 +264,10 @@ class Topology(_Record):
         hosts = [0] * n
         for _, d in self.hosts:
             hosts[index[d]] += 1
-        ids: dict[tuple[tuple[int, ...], int], int] = {}
-        device_class = tuple(ids.setdefault((tuple(sorted(v)), h), len(ids)) for v, h in zip(near, hosts))
+        ids: dict[tuple[tuple[int, ...], int, str], int] = {}
+        device_class = tuple(
+            ids.setdefault((tuple(sorted(v)), h, d.role), len(ids)) for v, h, d in zip(near, hosts, self.devices)
+        )
         members = [0] * len(ids)
         for c in device_class:
             members[c] += 1
@@ -271,7 +275,7 @@ class Topology(_Record):
         for a, b in {(device_class[a], device_class[b]) for a, b in ends}:
             neighbors[a] |= 1 << b
             neighbors[b] |= 1 << a
-        return TwinQuotient(device_class, tuple(members), tuple(h for _, h in ids), tuple(neighbors))
+        return TwinQuotient(device_class, tuple(members), tuple(h for _, h, _ in ids), tuple(neighbors))
 
 
 def _check_fabric_size(devices: int, hosts: int, links: int) -> None:
@@ -537,27 +541,6 @@ def affected_fraction(t: Topology, failed: set[str]) -> float:
     return _class_fractions(t, [counts])[0]
 
 
-class FailureModel(_Record):
-    """Per-trial, per-device failure probability by role; missing roles fail with 0.  Read-only."""
-
-    probabilities: dict[str, float]
-
-    def __init__(self, probabilities: dict[str, float]):
-        for role, prob in probabilities.items():
-            if role not in ROLES:
-                raise ValueError(f"unknown role {role!r} in failure model")
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"failure probability for {role!r} must be in [0, 1], got {prob}")
-        self.__dict__["probabilities"] = probabilities
-
-    @classmethod
-    def uniform(cls, probability: float) -> "FailureModel":
-        return cls({role: probability for role in ROLES})
-
-    def probability(self, role: str) -> float:
-        return self.probabilities.get(role, 0.0)
-
-
 class FailureHarmStats(_Record):
     """Sample mean, standard error and severity quantiles of harm over Monte Carlo trials; read-only.
 
@@ -588,24 +571,33 @@ class FailureHarmStats(_Record):
 
 
 def failure_harm_mc(
-    t: Topology, fm: FailureModel, h: HarmParams, trials: int, seed: int
+    t: Topology, probabilities: Mapping[str, float], h: HarmParams, trials: int, seed: int
 ) -> FailureHarmStats:
     """Monte Carlo expected harm of random device failures.
 
-    Each trial fails every device independently with its role's probability,
-    measures the affected fraction of host pairs, and applies the harm
-    transform to it.  Only the failures are drawn, from one
-    ``random.Random(seed)`` (see ``_tally_failures``).  The fraction depends
-    only on how many members of each twin class fail, so trials are tallied
-    on those counts: the connectivity kernel and the harm transform run once
-    per distinct row, in one call, and the mean, standard error and
-    p50/p90/p99 severity quantiles come from the (harm, count) table.  A run
-    expected to fail more than ``_MAX_EXPECTED_FAILURES`` devices in all is
-    refused before any draw.  Deterministic per seed.
+    ``probabilities`` maps a role to the per-trial failure probability of
+    each of its devices; a role it omits never fails.  Each entry's role,
+    then its probability, is checked in the mapping's order before anything
+    else, and the mapping is read once, not kept.  Each trial fails every
+    device independently with its role's probability, measures the
+    affected fraction of host pairs, and applies the harm transform to it.
+    Only the failures are drawn, from one ``random.Random(seed)`` (see
+    ``_tally_failures``).  The fraction depends only on how many members of
+    each twin class fail, so trials are tallied on those counts: the
+    connectivity kernel and the harm transform run once per distinct row,
+    in one call, and the mean, standard error and p50/p90/p99 severity
+    quantiles come from the (harm, count) table.  A run expected to fail
+    more than ``_MAX_EXPECTED_FAILURES`` devices in all is refused before
+    any draw.  Deterministic per seed.
     """
     # here, not at the top: every other graph command would run harm.py for nothing
     from .harm import harm
 
+    for role, p in probabilities.items():
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r} in failure model")
+        if not 0.0 <= p <= 1.0:  # nan included
+            raise ValueError(f"failure probability for {role!r} must be in [0, 1], got {p}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
@@ -613,7 +605,7 @@ def failure_harm_mc(
     q = t.twin_quotient
     streams: dict[float, list[int]] = {}  # probability -> classes of its devices
     for d, c in zip(t.devices, q.device_class):
-        streams.setdefault(fm.probability(d.role), []).append(c)
+        streams.setdefault(probabilities.get(d.role, 0.0), []).append(c)
     expected = trials * math.fsum(p * len(classes) for p, classes in streams.items())
     if expected > _MAX_EXPECTED_FAILURES:
         raise ValueError(

@@ -27,7 +27,7 @@ from fragrisk.pareto import (
     tail_mean,
 )
 from fragrisk.topology import (
-    FailureModel,
+    ROLES,
     affected_fraction,
     build_spine_leaf,
     build_three_tier,
@@ -192,15 +192,15 @@ def test_criterion_06_topology_oracle_equivalence():
         assert fast == brute, f"case {case}: {fast} != {brute}"
 
     h = HarmParams(1.0, 1.5)
-    fm = FailureModel.uniform(0.05)
+    probs = dict.fromkeys(ROLES, 0.05)
     trials = 10**5
     details = []
     for label, topo in (
         ("spine-leaf(2,4,1)", build_spine_leaf(2, 4, 1)),
         ("three-tier(2,2,2,1)", build_three_tier(2, 2, 2, 1)),
     ):
-        exact_mean, exact_std = exhaustive_failure_harm(topo, fm, h)
-        stats = failure_harm_mc(topo, fm, h, trials, seed=SEED)
+        exact_mean, exact_std = exhaustive_failure_harm(topo, probs, h)
+        stats = failure_harm_mc(topo, probs, h, trials, seed=SEED)
         se = exact_std / math.sqrt(trials)
         assert abs(stats.expected_harm - exact_mean) <= 3.0 * se, label
         details.append(f"{label} |mc-exact|={abs(stats.expected_harm - exact_mean):.2e}<=3*SE={3 * se:.2e}")

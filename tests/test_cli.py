@@ -25,7 +25,6 @@ from fragrisk.config import ScenarioConfig, load_config, parse_config_text
 from fragrisk.harm import HarmParams
 from fragrisk.report import ScenarioReport
 from fragrisk.topology import (
-    FailureModel,
     build_spine_leaf,
     build_three_tier,
     inject_failures,
@@ -1916,6 +1915,6 @@ class TestPinnedReports:
         # each fabric has 6-11 devices, so every failure pattern can be enumerated
         with open(fabrics[fabric]) as fh:
             topo = parse_topology(fh.read())
-        exact_mean, exact_std = exhaustive_failure_harm(topo, FailureModel(probabilities), HarmParams(1.0, 1.5))
+        exact_mean, exact_std = exhaustive_failure_harm(topo, probabilities, HarmParams(1.0, 1.5))
         pinned = float(PINNED[name].splitlines()[-1].split(",")[0])
         assert abs(pinned - exact_mean) <= 3.0 * exact_std / trials**0.5

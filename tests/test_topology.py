@@ -5,6 +5,7 @@ import re
 import statistics
 import string
 import tracemalloc
+import types
 from collections import Counter
 
 import networkx as nx
@@ -20,9 +21,9 @@ from fragrisk.harm import FragmentWeights, HarmParams, harm
 from fragrisk.pareto import ParetoParams
 from fragrisk.report import ScenarioReport
 from fragrisk.topology import (
+    ROLES,
     UNREACHABLE,
     Device,
-    FailureModel,
     Topology,
     _connected_pairs,
     _table_quantiles,
@@ -110,7 +111,7 @@ def first_members(t: Topology, counts: list[int]) -> set[str]:
     return failed
 
 
-def skip_stream_failures(t: Topology, fm: FailureModel, trials: int, seed: int) -> list[set[str]]:
+def skip_stream_failures(t: Topology, probs: dict[str, float], trials: int, seed: int) -> list[set[str]]:
     """Each trial's failed device ids, from the geometric-skip streams, one trial at a time.
 
     The devices of each failure probability p > 0 form one stream of trials
@@ -125,8 +126,8 @@ def skip_stream_failures(t: Topology, fm: FailureModel, trials: int, seed: int) 
         return 0 if p == 1.0 else math.floor(math.log(1 - rng.random()) / math.log1p(-p))
 
     streams = []
-    for p in sorted({fm.probability(d.role) for d in t.devices} - {0.0}):
-        ids = [d.id for d in t.devices if fm.probability(d.role) == p]
+    for p in sorted({probs.get(d.role, 0.0) for d in t.devices} - {0.0}):
+        ids = [d.id for d in t.devices if probs.get(d.role, 0.0) == p]
         streams.append([p, ids, skip(p)])
     out = []
     for trial in range(trials):
@@ -289,7 +290,7 @@ ONE_HOST = build_spine_leaf(2, 1, 1)
             id="comments-only-file",
         ),
         pytest.param(
-            lambda: failure_harm_mc(build_spine_leaf(1, 1, 1), FailureModel.uniform(0.1), HarmParams(1.0, 1.5), 0, 1),
+            lambda: failure_harm_mc(build_spine_leaf(1, 1, 1), dict.fromkeys(ROLES, 0.1), HarmParams(1.0, 1.5), 0, 1),
             "trials must be >= 1",
             id="no-trials",
         ),
@@ -381,7 +382,7 @@ def test_builder_size_bound_is_exact(monkeypatch, build, args):
 
 
 def _stats(trials):
-    return failure_harm_mc(build_spine_leaf(2, 2, 1), FailureModel.uniform(0.1), HarmParams(1, 2), trials, 1)
+    return failure_harm_mc(build_spine_leaf(2, 2, 1), dict.fromkeys(ROLES, 0.1), HarmParams(1, 2), trials, 1)
 
 
 # every read-only record: a maker, a maker of one with some field changed, a field to
@@ -403,9 +404,6 @@ RECORDS = [
         "members",
         True,
         id="TwinQuotient",
-    ),
-    pytest.param(
-        lambda: FailureModel.uniform(0.1), lambda: FailureModel.uniform(0.2), "probabilities", False, id="FailureModel"
     ),
     pytest.param(lambda: _stats(10), lambda: _stats(20), "trials", False, id="FailureHarmStats"),
     pytest.param(ScenarioConfig, lambda: ScenarioConfig(seed=7), "seed", True, id="ScenarioConfig"),
@@ -852,6 +850,20 @@ class TestTwinQuotient:
         assert hop_histogram(t) == {UNREACHABLE: 5, 0: 1}
         assert affected_fraction(t, set()) == 5 / 6
 
+    def test_classes_never_mix_roles(self):
+        # the hostless acc2 and core0 both sit on dist0 and dist1 alone, but
+        # differ in role, so each fails with its own role's probability
+        devices = (Device("core0", "core"), Device("dist0", "distribution"), Device("dist1", "distribution"))
+        devices += tuple(Device(f"acc{i}", "access") for i in range(3))
+        links = (("core0", "dist0"), ("core0", "dist1"), ("dist0", "acc0"), ("dist1", "acc1"))
+        links += (("dist0", "acc2"), ("dist1", "acc2"))
+        t = Topology(devices, links, (("h0", "acc0"), ("h1", "acc1")))
+        q = t.twin_quotient
+        assert q.members == (1, 1, 1, 1, 1, 1)
+        assert q.member_hosts == (1, 1, 0, 0, 0, 0)
+        assert frozenset({"acc2"}) in twin_classes(t) and frozenset({"core0"}) in twin_classes(t)
+        assert hop_histogram(t) == hop_histogram_bfs(t) == {4: 1}
+
     @given(t=planted_twin_fabrics(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_moving_failures_within_a_class_keeps_the_fraction(self, t, data):
@@ -870,9 +882,10 @@ class TestTwinQuotient:
     @settings(max_examples=150, deadline=None)
     def test_planted_twins_match_oracles(self, t, seed):
         hosts = Counter(d for _, d in t.hosts)
-        groups: dict[tuple[frozenset[str], int], set[str]] = {}
+        role = {d.id: d.role for d in t.devices}
+        groups: dict[tuple[frozenset[str], int, str], set[str]] = {}
         for device, near in neighbor_sets(t).items():
-            groups.setdefault((near, hosts[device]), set()).add(device)
+            groups.setdefault((near, hosts[device], role[device]), set()).add(device)
         assert twin_classes(t) == {frozenset(g) for g in groups.values()}
 
         hist = hop_histogram(t)
@@ -981,23 +994,55 @@ class TestLongDiameter:
             assert affected_fraction(chain, failed) == affected_fraction_bfs(chain, failed)
 
 
-class TestFailureModel:
+class TestFailureProbabilities:
+    """The role -> probability mapping that ``failure_harm_mc`` reads."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FailureModel({"core": 1.5})
-        with pytest.raises(ValueError):
-            FailureModel({"chassis": 0.1})
+        h = HarmParams(1.0, 1.5)
+        for probs, message in [
+            ({"chassis": 0.1}, "unknown role 'chassis' in failure model"),
+            ({"default": 0.1}, "unknown role 'default' in failure model"),
+            ({"core": 1.5}, "failure probability for 'core' must be in [0, 1], got 1.5"),
+            ({"leaf": -0.1}, "failure probability for 'leaf' must be in [0, 1], got -0.1"),
+            ({"spine": math.nan}, "failure probability for 'spine' must be in [0, 1], got nan"),
+            # in the mapping's order, each role before its probability
+            ({"core": 1.5, "chassis": 0.1}, "failure probability for 'core' must be in [0, 1], got 1.5"),
+            ({"chassis": 1.5, "core": 0.1}, "unknown role 'chassis' in failure model"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                failure_harm_mc(ONE_HOST, probs, h, 100, seed=1)
+
+    def test_probability_reported_before_trials_and_seed(self):
+        with pytest.raises(ValueError, match=r"^failure probability for 'core' must be in \[0, 1\], got 1.5$"):
+            failure_harm_mc(ONE_HOST, {"core": 1.5}, HarmParams(1.0, 1.5), 0, seed=-1)
+
+    def test_mapping_is_read_not_kept(self):
+        # a read-only view reads like the dict, and neither is changed by the call
+        t, h = build_spine_leaf(2, 3, 1), HarmParams(1.0, 1.5)
+        probs = {"spine": 0.1, "leaf": 0.2}
+        stats = failure_harm_mc(t, probs, h, 500, seed=3)
+        assert failure_harm_mc(t, types.MappingProxyType(probs), h, 500, seed=3) == stats
+        assert probs == {"spine": 0.1, "leaf": 0.2}
+        # a value changed after a call is checked again by the next one
+        probs["leaf"] = 7.0
+        with pytest.raises(ValueError, match=r"^failure probability for 'leaf' must be in \[0, 1\], got 7.0$"):
+            failure_harm_mc(t, probs, h, 500, seed=3)
 
     def test_missing_roles_never_fail(self):
-        fm = FailureModel({"leaf": 0.2})
-        assert fm.probability("leaf") == 0.2
-        assert fm.probability("spine") == 0.0
+        # spines always fail and the omitted leaves never do: of the 28 host
+        # pairs on 4 leaves of 2 hosts, only the 4 that share a leaf survive
+        h = HarmParams(1.0, 1.5)
+        stats = failure_harm_mc(build_spine_leaf(2, 4, 2), {"spine": 1.0}, h, 64, seed=1)
+        assert (stats.expected_harm, stats.distinct_patterns) == (harm(h, 24 / 28), 1)
+        t = build_spine_leaf(2, 4, 1)
+        omitted = failure_harm_mc(t, {"leaf": 0.2}, h, 1000, seed=1)
+        assert omitted == failure_harm_mc(t, {"leaf": 0.2, "spine": 0.0}, h, 1000, seed=1)
 
 
 class TestFailureHarmMc:
     def test_zero_probability_zero_harm(self):
         stats = failure_harm_mc(
-            build_spine_leaf(2, 4, 1), FailureModel.uniform(0.0), HarmParams(1.0, 1.5), 1000, seed=1
+            build_spine_leaf(2, 4, 1), dict.fromkeys(ROLES, 0.0), HarmParams(1.0, 1.5), 1000, seed=1
         )
         assert stats.expected_harm == 0.0
         assert stats.quantiles == {"p50": 0.0, "p90": 0.0, "p99": 0.0}
@@ -1005,62 +1050,69 @@ class TestFailureHarmMc:
     def test_subnormal_probability_stays_finite(self):
         # log1p(-5e-324) is subnormal, so an unclamped skip overflows float
         stats = failure_harm_mc(
-            build_spine_leaf(2, 4, 1), FailureModel.uniform(5e-324), HarmParams(1.0, 1.5), 1000, seed=1
+            build_spine_leaf(2, 4, 1), dict.fromkeys(ROLES, 5e-324), HarmParams(1.0, 1.5), 1000, seed=1
         )
         assert (stats.expected_harm, stats.distinct_patterns) == (0.0, 1)
 
     def test_certain_failure_full_harm(self):
         stats = failure_harm_mc(
-            build_spine_leaf(2, 4, 1), FailureModel.uniform(1.0), HarmParams(2.0, 1.5), 500, seed=1
+            build_spine_leaf(2, 4, 1), dict.fromkeys(ROLES, 1.0), HarmParams(2.0, 1.5), 500, seed=1
         )
         assert stats.expected_harm == -2.0
         assert stats.quantiles["p99"] == -2.0
 
     def test_deterministic_per_seed(self):
         t = build_spine_leaf(2, 3, 1)
-        fm = FailureModel.uniform(0.1)
-        a = failure_harm_mc(t, fm, HarmParams(1.0, 1.5), 5000, seed=4)
-        b = failure_harm_mc(t, fm, HarmParams(1.0, 1.5), 5000, seed=4)
+        probs = dict.fromkeys(ROLES, 0.1)
+        a = failure_harm_mc(t, probs, HarmParams(1.0, 1.5), 5000, seed=4)
+        b = failure_harm_mc(t, probs, HarmParams(1.0, 1.5), 5000, seed=4)
         assert a == b
 
     def test_matches_enumeration(self):
         t = build_spine_leaf(2, 2, 1)
-        fm = FailureModel.uniform(0.1)
+        probs = dict.fromkeys(ROLES, 0.1)
         h = HarmParams(1.0, 1.5)
-        exact_mean, exact_std = exhaustive_failure_harm(t, fm, h)
+        exact_mean, exact_std = exhaustive_failure_harm(t, probs, h)
         trials = 50_000
-        stats = failure_harm_mc(t, fm, h, trials, seed=42)
+        stats = failure_harm_mc(t, probs, h, trials, seed=42)
         assert abs(stats.expected_harm - exact_mean) <= 3.0 * exact_std / math.sqrt(trials)
 
+    def test_enumeration_omitted_roles_never_fail(self):
+        # the one host pair of two single-host leaves is cut whenever both spines fail
+        t, h = build_spine_leaf(2, 2, 1), HarmParams(1.0, 1.5)
+        assert exhaustive_failure_harm(t, {"spine": 1.0}, h) == (-1.0, 0.0)
+        omitted = exhaustive_failure_harm(t, {"leaf": 0.2}, h)
+        assert omitted == exhaustive_failure_harm(t, {"leaf": 0.2, "spine": 0.0, "core": 0.9}, h)
+
     def test_no_devices_full_harm(self):
-        stats = failure_harm_mc(NO_DEVICES, FailureModel.uniform(0.3), HarmParams(1.0, 1.5), 100, seed=1)
+        stats = failure_harm_mc(NO_DEVICES, dict.fromkeys(ROLES, 0.3), HarmParams(1.0, 1.5), 100, seed=1)
         assert stats.expected_harm == -1.0
         assert stats.quantiles == {"p50": -1.0, "p90": -1.0, "p99": -1.0}
 
     def test_one_host_no_harm(self):
-        stats = failure_harm_mc(ONE_HOST, FailureModel.uniform(0.5), HarmParams(1.0, 1.5), 100, seed=1)
+        stats = failure_harm_mc(ONE_HOST, dict.fromkeys(ROLES, 0.5), HarmParams(1.0, 1.5), 100, seed=1)
         assert stats.expected_harm == 0.0
 
     def test_large_fabric_values_are_pinned(self):
         # 20,000 trials on fabrics of 144 and 146 devices; each pin is checked
         # against the exact mean or a trial-by-trial rebuild of its stream
         t = build_spine_leaf(16, 128, 4)
-        fm, h = FailureModel.uniform(0.0005), HarmParams(1.0, 1.5)
-        stats = failure_harm_mc(t, fm, h, 20_000, seed=2)
+        probs, h = dict.fromkeys(ROLES, 0.0005), HarmParams(1.0, 1.5)
+        stats = failure_harm_mc(t, probs, h, 20_000, seed=2)
         assert stats.expected_harm == -0.00012489160521036335
         assert stats.quantiles == {"p50": 0.0, "p90": 0.0, "p99": -0.0019445314486869877}
         exact_mean, exact_std = spine_leaf_exact_harm(16, 128, 4, 0.0005, h)
         assert abs(stats.expected_harm - exact_mean) <= 3.0 * exact_std / math.sqrt(20_000)
 
         t = build_three_tier(2, 16, 8, 4, dual_homed=True)
-        fm, h = FailureModel.uniform(0.002), HarmParams(1.0, 2.0)
-        stats = failure_harm_mc(t, fm, h, 20_000, seed=8)
+        probs, h = dict.fromkeys(ROLES, 0.002), HarmParams(1.0, 2.0)
+        stats = failure_harm_mc(t, probs, h, 20_000, seed=8)
         assert stats.expected_harm == -8.120315824477235e-05
         assert stats.quantiles == {"p50": 0.0, "p90": -0.0002427094177753082, "p99": -0.0009632307450975793}
         # the same stream drawn trial by trial, each distinct failed set measured on its own
         fractions = {}
         values = []
-        for failed in skip_stream_failures(t, fm, 20_000, seed=8):
+        for failed in skip_stream_failures(t, probs, 20_000, seed=8):
             key = frozenset(failed)
             if key not in fractions:
                 fractions[key] = affected_fraction(t, failed)
@@ -1091,10 +1143,10 @@ class TestFailureHarmMc:
 
         monkeypatch.setattr(topology, "_class_fractions", spy)
         monkeypatch.setattr(topology, "_components", search_spy)
-        fm = FailureModel.uniform(0.05)
-        failure_harm_mc(t, fm, HarmParams(1.0, 1.5), 2000, seed=3)
+        probs = dict.fromkeys(ROLES, 0.05)
+        failure_harm_mc(t, probs, HarmParams(1.0, 1.5), 2000, seed=3)
         assert len(calls) == 1
-        rows = {class_counts(t, failed) for failed in skip_stream_failures(t, fm, 2000, seed=3)}
+        rows = {class_counts(t, failed) for failed in skip_stream_failures(t, probs, 2000, seed=3)}
         assert sorted(map(tuple, calls[0])) == sorted(rows)
         assert len(rows) <= most_rows
         # one component search per distinct bitset of the classes that keep a survivor
@@ -1115,8 +1167,8 @@ class TestFailureHarmMc:
 
         monkeypatch.setattr(topology, "_tally_failures", spy)
         h, trials = HarmParams(1.0, 1.5), 4000
-        failure_harm_mc(t, FailureModel({"core": 1.0, "distribution": 0.0, "access": 0.3}), h, trials, seed=5)
-        failure_harm_mc(t, FailureModel({"access": 0.3}), h, trials, seed=5)
+        failure_harm_mc(t, {"core": 1.0, "distribution": 0.0, "access": 0.3}, h, trials, seed=5)
+        failure_harm_mc(t, {"access": 0.3}, h, trials, seed=5)
         certain, drawn = tallies
         probability = {"core": 1.0, "distribution": 0.0, "access": 0.3}
         p_class = {c: probability[d.role] for d, c in zip(t.devices, q.device_class)}
@@ -1133,9 +1185,9 @@ class TestFailureHarmMc:
     def test_class_counts_past_one_byte(self):
         # 300 leaves in one class: rows are kept as tuples, and ~270 of them fail
         t = build_spine_leaf(2, 300, 1)
-        fm, h = FailureModel({"leaf": 0.9}), HarmParams(1.0, 1.5)
-        stats = failure_harm_mc(t, fm, h, 40, seed=3)
-        trials = skip_stream_failures(t, fm, 40, seed=3)
+        probs, h = {"leaf": 0.9}, HarmParams(1.0, 1.5)
+        stats = failure_harm_mc(t, probs, h, 40, seed=3)
+        trials = skip_stream_failures(t, probs, 40, seed=3)
         assert max(len(failed) for failed in trials) > 255
         values = [harm(h, affected_fraction(t, failed)) for failed in trials]
         assert stats.expected_harm == math.fsum(values) / 40
@@ -1143,35 +1195,35 @@ class TestFailureHarmMc:
 
     def test_std_error_is_sample_sd_over_root_trials(self):
         t = build_three_tier(2, 3, 2, 2, dual_homed=True)
-        fm, h = FailureModel.uniform(0.15), HarmParams(2.0, 1.5)
-        stats = failure_harm_mc(t, fm, h, 500, seed=4)
-        values = [harm(h, affected_fraction_bfs(t, failed)) for failed in skip_stream_failures(t, fm, 500, seed=4)]
+        probs, h = dict.fromkeys(ROLES, 0.15), HarmParams(2.0, 1.5)
+        stats = failure_harm_mc(t, probs, h, 500, seed=4)
+        values = [harm(h, affected_fraction_bfs(t, failed)) for failed in skip_stream_failures(t, probs, 500, seed=4)]
         assert stats.trials == 500
         assert stats.std_error == pytest.approx(statistics.stdev(values) / math.sqrt(500), rel=1e-12)
-        assert failure_harm_mc(t, fm, h, 1, seed=4).std_error == 0.0
+        assert failure_harm_mc(t, probs, h, 1, seed=4).std_error == 0.0
 
     def test_negative_seed_rejected(self):
         # random.Random would silently take abs(seed)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            failure_harm_mc(ONE_HOST, FailureModel.uniform(0.5), HarmParams(1.0, 1.5), 100, seed=-1)
+            failure_harm_mc(ONE_HOST, dict.fromkeys(ROLES, 0.5), HarmParams(1.0, 1.5), 100, seed=-1)
 
     def test_too_many_expected_failures_rejected(self):
         t = build_spine_leaf(2, 4, 1)
         h = HarmParams(1.0, 1.5)
         with pytest.raises(ValueError, match="^1000000000000000 trials would fail"):
-            failure_harm_mc(t, FailureModel.uniform(0.05), h, 10**15, seed=1)
+            failure_harm_mc(t, dict.fromkeys(ROLES, 0.05), h, 10**15, seed=1)
         # failures, not trials, are what is drawn: a huge count of trials with none is exact
-        stats = failure_harm_mc(t, FailureModel.uniform(0.0), h, 10**15, seed=1)
+        stats = failure_harm_mc(t, dict.fromkeys(ROLES, 0.0), h, 10**15, seed=1)
         assert (stats.expected_harm, stats.distinct_patterns, stats.std_error) == (0.0, 1, 0.0)
 
     def test_matches_one_shot_per_pattern_recompute(self):
         # the same skip stream drawn trial by trial, harm evaluated per trial by the BFS oracle
         t = build_three_tier(2, 3, 2, 2, dual_homed=True)
-        fm = FailureModel.uniform(0.15)
+        probs = dict.fromkeys(ROLES, 0.15)
         h = HarmParams(2.0, 1.5)
-        trials = skip_stream_failures(t, fm, 4000, seed=9)
+        trials = skip_stream_failures(t, probs, 4000, seed=9)
         values = [harm(h, affected_fraction_bfs(t, failed)) for failed in trials]
-        stats = failure_harm_mc(t, fm, h, 4000, seed=9)
+        stats = failure_harm_mc(t, probs, h, 4000, seed=9)
         assert stats.expected_harm == math.fsum(values) / 4000
         q50, q90, q99 = np.quantile(values, [0.5, 0.1, 0.01], method="inverted_cdf")
         assert stats.quantiles == {"p50": q50, "p90": q90, "p99": q99}
@@ -1179,7 +1231,7 @@ class TestFailureHarmMc:
 
     def test_quantiles_ordered_by_severity(self):
         stats = failure_harm_mc(
-            build_spine_leaf(2, 8, 1), FailureModel.uniform(0.1), HarmParams(1.0, 1.5), 20_000, seed=2
+            build_spine_leaf(2, 8, 1), dict.fromkeys(ROLES, 0.1), HarmParams(1.0, 1.5), 20_000, seed=2
         )
         q = stats.quantiles
         assert q["p99"] <= q["p90"] <= q["p50"] <= 0.0
@@ -1270,7 +1322,7 @@ class TestSerialization:
 
     # one fault each, added to or removed from a valid file, and the exact error it raises
     VALIDATE_FAULTS = [
-        (SPINE_LEAF, "leaf1 leaf", None, "duplicate device ids"),
+        (SPINE_LEAF, "leaf1 leaf", None, "duplicate device id 'leaf1'"),
         (SPINE_LEAF, "core0 core", None, "cannot mix 3-tier roles with spine/leaf roles in one topology"),
         (SPINE_LEAF, "leaf1 -- leaf1", None, "self-link on 'leaf1'"),
         (SPINE_LEAF, "spine1 -- leaf0", None, "duplicate link 'leaf0' -- 'spine1'"),
