@@ -307,11 +307,13 @@ def build_three_tier(
         )
     if distributions < 1 or access_per_distribution < 1 or hosts_per_access < 1:
         raise ValueError("distributions, access_per_distribution, hosts_per_access must all be >= 1")
+    if dual_homed and distributions < 2:
+        raise ValueError(f"dual-homed access needs at least 2 distributions, got {distributions}")
     access = distributions * access_per_distribution
     _check_fabric_size(
         cores + distributions + access,
         access * hosts_per_access,
-        (cores == 2) + distributions * cores + access * (2 if dual_homed and distributions >= 2 else 1),
+        (cores == 2) + distributions * cores + access * (2 if dual_homed else 1),
     )
 
     devices = [Device(f"core{i}", "core") for i in range(cores)]
@@ -331,7 +333,7 @@ def build_three_tier(
             acc = f"acc{acc_n}"
             devices.append(Device(acc, "access"))
             links.append((f"dist{j}", acc))
-            if dual_homed and distributions >= 2:
+            if dual_homed:
                 links.append((f"dist{(j + 1) % distributions}", acc))
             for _ in range(hosts_per_access):
                 hosts.append((f"h{host_n}", acc))

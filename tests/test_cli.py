@@ -284,6 +284,14 @@ class TestTopoCommands:
         assert run(["topo", "hops", "--topology", "/nonexistent/path.txt"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_dual_homing_with_one_distribution_fails(self, tmp_path, capsys):
+        # it used to build single-homed access under a config hash that records dual_homed = true
+        out = tmp_path / "fabric.txt"
+        args = ["topo", "build", "--kind", "three-tier", "--distributions", "1", "--dual-homed", "--out", str(out)]
+        assert run(args) == 1
+        assert capsys.readouterr() == ("", "error: dual-homed access needs at least 2 distributions, got 1\n")
+        assert not out.exists()
+
 
 # every subcommand that takes --config
 BAD_CONFIG_ARGS = [

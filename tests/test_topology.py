@@ -89,7 +89,7 @@ def networkx_hop_histogram(t: Topology) -> dict[int, int]:
 
 def random_case(seed: int) -> Topology:
     """Random fabric of up to 30 devices, with injected failures 1 time in 3."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     t = random_topology(rng, max_devices=30)
     if rng.random() < 1 / 3:
         t = inject_failures(t, random_failed_set(rng, t))
@@ -338,6 +338,12 @@ class TestBuildThreeTier:
         assert affected_fraction(dual, {"dist0"}) == 0.0
         assert affected_fraction(single, {"dist0"}) > 0.0
 
+    def test_dual_homing_needs_two_distributions(self, monkeypatch):
+        # a lone distribution has no second one to home to; that is reported before the fabric's size
+        monkeypatch.setattr(topology, "MAX_FABRIC_ELEMENTS", 0)
+        with pytest.raises(ValueError, match=r"^dual-homed access needs at least 2 distributions, got 1$"):
+            build_three_tier(2, 1, 2, 1, dual_homed=True)
+
 
 class TestBuildSpineLeaf:
     def test_reference_counts(self):
@@ -367,7 +373,7 @@ class TestBuildSpineLeaf:
         (build_spine_leaf, (3, 5, 2)),
         (build_three_tier, (1, 3, 2, 2)),
         (build_three_tier, (2, 3, 2, 2, True)),
-        (build_three_tier, (2, 1, 2, 2, True)),
+        (build_three_tier, (1, 2, 3, 2, True)),
     ],
 )
 def test_builder_size_bound_is_exact(monkeypatch, build, args):
@@ -695,7 +701,7 @@ class TestAffectedFraction:
         assert affected_fraction(t, smaller | extra) >= affected_fraction(t, smaller)
 
     def test_matches_bfs_and_networkx_oracles(self):
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for _ in range(30):
             t = random_topology(rng)
             failed = random_failed_set(rng, t)

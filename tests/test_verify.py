@@ -6,6 +6,7 @@ reference the oracle itself is checked against.
 
 import itertools
 import math
+import sys
 import types
 
 import numpy as np
@@ -115,13 +116,21 @@ def test_erf_oracle_does_not_call_math_erf(monkeypatch):
     assert abs(value - math.erf(-1.5)) <= 1e-15
 
 
+def refuse_to_sample(*args):
+    raise AssertionError("the oracle called pareto_sample")
+
+
 def test_survival_oracle_does_not_sample(monkeypatch):
     # the survival comparison is checked by quadrature alone, so the sampler cannot move its result
-    def refuse(*args):
-        raise AssertionError("the oracle called pareto_sample")
-
-    monkeypatch.setattr(verify, "pareto_sample", refuse)
+    monkeypatch.setattr(verify, "pareto_sample", refuse_to_sample)
     result = verify.check_survival_comparison()
+    assert result.passed, result.line()
+
+
+def test_histogram_oracle_does_not_sample(monkeypatch):
+    # each bin's exact mass comes from the Pareto survival function, so the sampler cannot move the result
+    monkeypatch.setattr(verify, "pareto_sample", refuse_to_sample)
+    result = verify.check_density_histogram()
     assert result.passed, result.line()
 
 
@@ -163,6 +172,18 @@ NAN_CASES = [
 
 def test_nan_cases_cover_every_check():
     assert [name for _, name, _, _ in NAN_CASES] == [r.name for r in verify.run_all_checks()]
+
+
+def test_checks_pass_without_numpy(monkeypatch):
+    # only the two sampled checks reach NumPy, through pareto_sample and mc_tail_mean
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now raises ImportError
+    for check, name, _, _ in NAN_CASES:
+        if name in ("pareto-sampler", "tail-mean-closed-vs-mc"):
+            with pytest.raises(ImportError):
+                check()
+        else:
+            result = check()
+            assert (result.name, result.passed) == (name, True), result.line()
 
 
 @pytest.mark.parametrize("check, name, function, prints_error", NAN_CASES, ids=[c[1] for c in NAN_CASES])
